@@ -3,7 +3,8 @@
 
 The recursion pipeline produces certified generators in milliseconds; this
 script shows what the independent Groebner/saturation route costs on the same
-inputs.  table2 takes several minutes and is skipped unless --all is given.
+inputs.  Every fixture but table2 saturates in about a second or less; table2
+takes about a minute and is skipped unless --all is given.
 """
 import argparse
 import pathlib
@@ -21,7 +22,7 @@ SLOW = ("table2",)
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--all", action="store_true",
-                    help="include the multi-minute instances")
+                    help="include table2, which takes about a minute")
     ap.add_argument("names", nargs="*",
                     help="explicit instance names (default: the fast set)")
     args = ap.parse_args()

@@ -75,7 +75,6 @@ from .oracle import (
     GroebnerBasis,
     bigraded_hilbert,
     buchberger,
-    colon_ideal,
     intersect_ideals,
     minimal_generator_bidegrees,
     normal_form,
@@ -103,7 +102,7 @@ __all__ = [
     "recursion_generators", "slice_basis", "slice_generators",
     "sylvester_form", "tower_generators", "trim_slice", "u_span_dim",
     "ORDER_DESCRIPTOR", "GroebnerBasis", "bigraded_hilbert", "buchberger",
-    "colon_ideal", "intersect_ideals", "minimal_generator_bidegrees",
+    "intersect_ideals", "minimal_generator_bidegrees",
     "normal_form", "saturate_m", "saturated_ideal",
 ]
 

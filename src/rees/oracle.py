@@ -5,12 +5,17 @@ touches the tower machinery, so its answers cross-check the constructive
 pipeline.  Fixed term order: degree-reverse-lexicographic within each block,
 T-variables before x-variables, x1 last ("block-degrevlex(T>x, x1 last)").
 
-Saturation at the irrelevant ideal of the x-variables is the generic iterated
-colon: J := (J : x0) intersect (J : x1) until the reduced basis stabilizes.
-Intersections use one tag variable t and the elimination order t > everything:
-the ideal (t*A + (1-t)*B) meets the t-free subring in A intersect B.  The tag
-carries bidegree (0, 0), so tagged generators stay bihomogeneous; a splitting
-safeguard restores bihomogeneity anyway if an engine change ever breaks it.
+Saturation at the irrelevant ideal m = (x0,x1) uses Bayer's trick:
+J : m^infinity = (J : x0^infinity) intersect (J : x1^infinity), because
+m^(2N) lies in (x0^N, x1^N).  Each variable saturation is one Groebner basis
+in degrevlex with that variable last, whose elements are then divided by the
+largest power of the variable dividing them (Bayer-Stillman 1987).  T has
+x-weight 0 in S, so a bihomogeneous ideal is homogeneous in total degree,
+which is what the division step needs.  Intersections use one tag variable t
+and the elimination order t > everything: the ideal (t*A + (1-t)*B) meets the
+t-free subring in A intersect B.  The tag carries bidegree (0, 0), so tagged
+generators stay bihomogeneous; a splitting safeguard restores bihomogeneity
+anyway if an engine change ever breaks it.
 
 Windows are ((x_lo, x_hi), (t_lo, t_hi)), inclusive on both ends.
 """
@@ -30,14 +35,26 @@ ORDER_DESCRIPTOR = "block-degrevlex(T>x, x1 last)"
 
 # -- term order --------------------------------------------------------------
 
-def _key_funcs(nt: int, elim: bool):
+def _key_funcs(nt: int, elim: bool = False, last: int | None = None):
     """Ascending comparison key and its negation on exponent tuples.
 
     Exponents are (e_x0, e_x1, e_T1..e_Tnt[, e_tag]); the largest key is the
     lead monomial.  The negated key drives min-heaps that pop monomials in
-    descending order.  Keys are flat int tuples.
+    descending order.  Keys are flat int tuples.  The default is the block
+    order; elim puts the trailing tag above everything; last = v gives plain
+    degrevlex over T1 > .. > Tnt > x_(1-v) > x_v, the order in which a
+    homogeneous basis divided by powers of x_v generates the saturation by x_v.
     """
-    if elim:
+    if last is not None:
+        other = 1 - last
+
+        def key(m):
+            return ((sum(m), -m[last], -m[other])
+                    + tuple(-e for e in reversed(m[2:])))
+
+        def negkey(m):
+            return ((-sum(m), m[last], m[other]) + tuple(reversed(m[2:])))
+    elif elim:
         def key(m):
             tex = m[2:2 + nt]
             return ((m[2 + nt], sum(tex)) + tuple(-e for e in reversed(tex))
@@ -336,100 +353,35 @@ def intersect_ideals(gens_a, gens_b, ring: PolyRing) -> list:
     return final
 
 
-def _exact_divide(h: Poly, f: Poly, key, negkey) -> Poly:
-    """h / f when the division is exact; ArithmeticError otherwise."""
-    field = h.ring.field
-    p = field.modulus
-    flead, fterms = _monic(dict(f.terms), key, field)
-    flc = f.terms[flead]
-    work = dict(h.terms)
-    heap = [(negkey(m), m) for m in work]
-    heapify(heap)
-    quot = {}
-    while heap:
-        _, m = heappop(heap)
-        c = work.get(m)
-        if not c:
-            continue
-        for a, b in zip(m, flead):
-            if a < b:
-                raise ArithmeticError("division is not exact")
-        shift = tuple(a - b for a, b in zip(m, flead))
-        quot[shift] = c
-        del work[m]
-        if p is not None:
-            for gm, gc in fterms.items():
-                if gm == flead:
-                    continue
-                nm = tuple(a + b for a, b in zip(gm, shift))
-                old = work.get(nm)
-                if old is None:
-                    nv = -c * gc % p
-                    if nv:
-                        work[nm] = nv
-                        heappush(heap, (negkey(nm), nm))
-                else:
-                    nv = (old - c * gc) % p
-                    if nv:
-                        work[nm] = nv
-                    else:
-                        del work[nm]
-        else:
-            for gm, gc in fterms.items():
-                if gm == flead:
-                    continue
-                nm = tuple(a + b for a, b in zip(gm, shift))
-                old = work.get(nm)
-                if old is None:
-                    nv = -c * gc
-                    if nv:
-                        work[nm] = nv
-                        heappush(heap, (negkey(nm), nm))
-                else:
-                    nv = old - c * gc
-                    if nv:
-                        work[nm] = nv
-                    else:
-                        del work[nm]
-    if p is not None:
-        inv = pow(flc, p - 2, p)
-        quot = {m: c * inv % p for m, c in quot.items()}
-    elif flc != 1:
-        quot = {m: c / flc for m, c in quot.items()}
-    return Poly(h.ring, quot)
-
-
-def colon_ideal(gens, f: Poly, ring: PolyRing) -> list:
-    """Generators of (gens) : f, via ((gens) intersect (f)) / f."""
-    if f.is_zero():
-        raise ValueError("cannot colon by zero")
-    key, negkey = _ring_keys(ring)
-    inter = intersect_ideals(gens, [f], ring)
-    return [_exact_divide(h, f, key, negkey) for h in inter]
+def _saturate_var(gens, v: int, ring: PolyRing) -> list:
+    """Generators of (gens) : x_v^infinity for homogeneous gens (Bayer)."""
+    key, negkey = _key_funcs(len(ring.tvar_names), last=v)
+    core = _buchberger_core([g.terms for g in gens], key, negkey, ring.field)
+    out = []
+    for _, terms in core:
+        k = min(m[v] for m in terms)
+        if k:
+            terms = {m[:v] + (m[v] - k,) + m[v + 1:]: c
+                     for m, c in terms.items()}
+        out.append(Poly(ring, terms))
+    return out
 
 
 def saturate_m(J: GroebnerBasis) -> GroebnerBasis:
-    """Stable limit of J := (J : x0) intersect (J : x1).
+    """J : (x0,x1)^infinity as (J : x0^infinity) intersect (J : x1^infinity).
 
-    Each round costs three tag eliminations (two colons, one intersection)
-    plus one plain reduced basis; the loop stops when the reduced basis
-    repeats, with a loud failure at 100 rounds.
+    Costs two degrevlex bases, one tag elimination and one reduced basis in
+    the block order.  The division step needs J homogeneous in total degree,
+    so the T-variables must carry x-weight 0, as they do in S.
     """
     if not J.generators:
         return J
     ring = J.ring
-    x0 = ring.var("x0")
-    x1 = ring.var("x1")
-    current = J if J.reduced else buchberger(list(J.generators))
-    for _ in range(100):
-        gens = list(current.generators)
-        quo0 = colon_ideal(gens, x0, ring)
-        quo1 = colon_ideal(gens, x1, ring)
-        nxt = buchberger(intersect_ideals(quo0, quo1, ring))
-        if nxt.generators == current.generators:
-            return current
-        current = nxt
-    raise RuntimeError("saturation did not stabilize within 100 rounds")
+    if any(ring.tweights):
+        raise ValueError("saturation needs T-variables of x-weight 0")
+    gens = list(J.generators)
+    return buchberger(intersect_ideals(_saturate_var(gens, 0, ring),
+                                       _saturate_var(gens, 1, ring), ring))
 
 
 # -- bigraded accounting -----------------------------------------------------

@@ -60,7 +60,7 @@ def test_2_final_example_minimal_counts(final_example, final_variant):
         table = oracle.minimal_generator_bidegrees(K, ((3, 3), (1, 8)))
         assert {(x, t): c for x, t, c in table.marks()} == expected
         elapsed = time.monotonic() - start
-        assert elapsed < 60.0
+        assert elapsed < 10.0
         budgets.append(elapsed)
     print(f"\nACCEPTANCE 2: PASS — x-degree-3 counts 3+4 and 3+3 "
           f"({budgets[0]:.2f}s, {budgets[1]:.2f}s)")
@@ -120,7 +120,7 @@ def test_4_oracle_equivalence_on_random_instances():
         for rec in emitted:
             assert oracle.normal_form(rec.poly, K).is_zero(), \
                 (seed, rec.provenance, rec.bidegree)
-        assert time.monotonic() - start < 60.0
+        assert time.monotonic() - start < 10.0
     print("\nACCEPTANCE 4: PASS — normal forms zero and slice spans equal "
           "oracle dimensions on 10 random instances")
 

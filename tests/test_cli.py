@@ -8,6 +8,7 @@ from rees.field import PrimeField
 
 QUADRIC = fixture_path("quadric_cubic.json")
 TABLE1 = fixture_path("table1.json")
+TABLE3 = fixture_path("table3.json")
 
 
 def run(capsys, *argv):
@@ -144,6 +145,13 @@ def test_check_passes(capsys):
     assert code == 0
     assert "all checks passed" in out
     assert "FAIL " not in out
+
+
+def test_check_passes_on_table3(capsys):
+    # every table3 record against the oracle's saturation
+    code, payload, _ = run_json(capsys, "check", TABLE3)
+    assert code == 0
+    assert payload["ok"] is True
 
 
 def test_random_is_deterministic(capsys, tmp_path):

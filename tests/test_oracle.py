@@ -1,14 +1,15 @@
 import pytest
 
+from rees import cli
 from rees.field import PrimeField
 from rees.generators import u_span_dim
 from rees.gradedlin import piece_basis
 from rees.oracle import (
     ORDER_DESCRIPTOR,
     GroebnerBasis,
+    _saturate_var,
     bigraded_hilbert,
     buchberger,
-    colon_ideal,
     intersect_ideals,
     minimal_generator_bidegrees,
     normal_form,
@@ -16,7 +17,7 @@ from rees.oracle import (
     saturated_ideal,
 )
 from rees.generators import tower_generators
-from rees.ring import parse_poly, ring_R, ring_S
+from rees.ring import parse_poly, ring_R, ring_S, ring_scroll
 from rees.tower import sym_equations
 
 F = PrimeField(32003)
@@ -89,15 +90,9 @@ def test_intersect_with_empty_side():
     assert intersect_ideals([], [p("T1")], S3) == []
 
 
-def test_colon_known():
-    got = colon_ideal([p("x0^2*T1"), p("x0*x1*T1")], parse_poly("x0", S3), S3)
-    G = buchberger(got)
-    assert {str(g) for g in G.generators} == {"x0*T1", "x1*T1"}
-
-
-def test_colon_by_zero():
-    with pytest.raises(ValueError, match="zero"):
-        colon_ideal([p("T1")], S3.zero(), S3)
+def test_saturate_by_variable_known():
+    got = _saturate_var([p("x0^2*T1"), p("x0*x1*T1")], 0, S3)
+    assert [str(g) for g in buchberger(got).generators] == ["T1"]
 
 
 def test_saturate_removes_base_torsion():
@@ -105,13 +100,18 @@ def test_saturate_removes_base_torsion():
     assert [str(g) for g in K.generators] == ["T1"]
 
 
-def test_saturation_is_colon_stable(quadric_cubic):
+def test_saturate_rejects_weighted_T():
+    scroll = ring_scroll(F, (1,))
+    with pytest.raises(ValueError, match="x-weight 0"):
+        saturate_m(buchberger([parse_poly("x0*w1", scroll)]))
+
+
+def test_saturation_is_stable_under_variable_saturation(quadric_cubic):
     K = saturated_ideal(quadric_cubic)
     ring = quadric_cubic.sring
-    for var in ("x0", "x1"):
-        quot = colon_ideal(list(K.generators), parse_poly(var, ring), ring)
-        for q in quot:
-            assert normal_form(q, K).is_zero()
+    for v in (0, 1):
+        again = buchberger(_saturate_var(list(K.generators), v, ring))
+        assert again.generators == K.generators
 
 
 def test_saturated_ideal_m_range(quadric_cubic):
@@ -124,6 +124,25 @@ def test_saturated_ideal_m_range(quadric_cubic):
 def test_saturated_ideal_rational_cross_check(quadric_cubic):
     K = saturated_ideal(quadric_cubic, rational_check=True)
     assert K.generators  # agreement over the rationals, no unlucky-prime error
+
+
+def test_saturated_ideal_rational_cross_check_table1(table1):
+    # the degrevlex saturation key on the Q path, and a guard on the prime
+    K = saturated_ideal(table1, rational_check=True)
+    assert K.generators == saturated_ideal(table1).generators
+
+
+@pytest.mark.parametrize("degrees", [(1, 1, 2), (1, 2, 2), (1, 1, 1, 1)])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_records_lie_in_the_saturation_on_random_n4_n5(degrees, seed):
+    # level m uses the first m + 1 columns, so its records must lie in the
+    # saturation of those columns alone
+    inp = cli.random_instance(len(degrees) + 1, degrees, seed, F)
+    for m in range(1, inp.n - 1):
+        K = saturated_ideal(inp, m + 1)
+        for rec in tower_generators(inp, m):
+            assert normal_form(rec.poly, K).is_zero(), \
+                (degrees, seed, m, rec.provenance, rec.bidegree)
 
 
 # -- bigraded accounting ------------------------------------------------------
