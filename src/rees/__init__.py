@@ -12,8 +12,8 @@ from .ring import (
     ParseError,
     Poly,
     PolyRing,
-    apply_T_coordinate_change,
     bidegree,
+    linear_images,
     parse_poly,
     poly_to_str,
     promote,
@@ -21,7 +21,6 @@ from .ring import (
     ring_S,
     ring_scroll,
     substitute_T,
-    substitute_T_with_w,
 )
 from .syzygy import (
     GradedMatrix,
@@ -86,9 +85,8 @@ __all__ = [
     "DEFAULT_PRIME", "PrimeField", "RationalField", "field_from_json",
     "field_to_json",
     "GradingError", "ParseError", "Poly", "PolyRing",
-    "apply_T_coordinate_change", "bidegree", "parse_poly", "poly_to_str",
-    "promote", "ring_R", "ring_S", "ring_scroll", "substitute_T",
-    "substitute_T_with_w",
+    "bidegree", "linear_images", "parse_poly", "poly_to_str", "promote",
+    "ring_R", "ring_S", "ring_scroll", "substitute_T",
     "GradedMatrix", "HeightError", "KernelBudgetError", "ScrollPresentation",
     "SigmaInvariants", "graded_kernel", "homogeneous_gcd", "hull_embedding",
     "matrix_from_rows", "scroll_matrix", "scroll_realization_images",

@@ -9,9 +9,9 @@ check, random.  Instance files are JSON:
      "phi_rows": [["x0^2", "x1^7"], ["x0*x1", "0"], ["x1^2", "x0^7"]]}
 
 The environment variable REES_FIELD_P overrides the prime for prime-type
-fields (and for `random`).  `--json` switches every subcommand to
-machine-readable output.  Exit codes: 0 success, 1 validation error,
-2 internal failure.
+fields (and for `random`); it must be a prime below 2**31.  `--json` switches
+every subcommand to machine-readable output.  Exit codes: 0 success,
+1 validation error, 2 internal failure.
 """
 from __future__ import annotations
 
@@ -330,13 +330,13 @@ def _check_one(inp: tower.PresentationInput) -> list:
     results = []
     n, d = inp.n, inp.col_degrees
 
+    levels = {m: tower.build_level(inp, m) for m in range(1, n)}
     ok = True
-    for m in range(1, n):
-        inv = syzygy.sigma_invariants(inp.phi, m)
+    for m, level in levels.items():
+        inv = level.sigma
         ok = ok and sum(inv.sigma) == sum(d[:m]) and inv.s == n - m
     results.append(("twist bookkeeping (sum and count)", ok, ""))
 
-    levels = {m: tower.build_level(inp, m) for m in range(1, n)}
     ok = True
     for m, level in levels.items():
         for i, si in enumerate(level.sigma.sigma):
@@ -358,7 +358,7 @@ def _check_one(inp: tower.PresentationInput) -> list:
     all_records = []
     ok = True
     for m in range(1, n - 1):
-        recs = generators.tower_generators(inp, m)
+        recs = generators.tower_generators(inp, m, level=levels[m])
         all_records.extend(recs)
         ok = ok and all(r.certificate_ok for r in recs)
     results.append(("substitution certificates", ok, ""))

@@ -11,6 +11,11 @@ from fractions import Fraction
 
 DEFAULT_PRIME = 32003
 
+# Moduli must stay below this bound.  Linear algebra over F_p runs on numpy
+# int64 arrays and multiplies two residues before reducing, so p**2 has to fit
+# in int64; p < 2**31 keeps it below 2**62.
+PRIME_LIMIT = 1 << 31
+
 
 def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin; exact for every n below 3.3 * 10**24."""
@@ -38,13 +43,16 @@ def is_prime(n: int) -> bool:
 
 
 class PrimeField:
-    """F_p with canonical representatives 0..p-1."""
+    """F_p with canonical representatives 0..p-1, for primes p < 2**31."""
 
     __slots__ = ("p",)
 
     def __init__(self, p: int = DEFAULT_PRIME):
         if not isinstance(p, int) or not is_prime(p):
             raise ValueError(f"field modulus must be prime, got {p!r}")
+        if p >= PRIME_LIMIT:
+            raise ValueError(f"field modulus must be below 2**31 for int64 "
+                             f"linear algebra, got {p}")
         self.p = p
 
     @property

@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 
 from . import combinat, gradedlin, linalg
-from .ring import Poly, bidegree, promote, substitute_T
+from .ring import Poly, bidegree, linear_images, promote, substitute_T
 from .syzygy import homogeneous_gcd, scroll_matrix, scroll_realization_images
 from .tower import (PresentationInput, TowerLevel, build_level, sym_equations)
 
@@ -118,11 +118,16 @@ def recursion_generators(level: TowerLevel, g_next: Poly,
     return records
 
 
-def tower_generators(inp: PresentationInput, m: int) -> list:
-    """Sym-equation records for the first m columns plus the level-m recursion."""
+def tower_generators(inp: PresentationInput, m: int,
+                     level: TowerLevel | None = None) -> list:
+    """Sym-equation records for the first m columns plus the level-m recursion.
+
+    `level` is the level-m data when the caller has already built it.
+    """
     if not 1 <= m <= inp.n - 2:
         raise ValueError("level must lie between 1 and n-2")
-    level = build_level(inp, m)
+    if level is None:
+        level = build_level(inp, m)
     gs = sym_equations(inp)
     records = []
     for j in range(m):
@@ -379,15 +384,9 @@ def almost_linear_generators(inp: PresentationInput) -> list:
     if inv is None:
         raise ArithmeticError("degree-zero hull piece is not spanned by the "
                               "coordinate images")
-    tvars = [S.var(f"T{k + 1}") for k in range(n)]
-    vimages = []
-    for img in scroll_realization_images(pres):
-        r = index[next(iter(img.terms))]
-        lin = S.zero()
-        for k in range(n):
-            if inv[k][r]:
-                lin = lin + tvars[k].scale(inv[k][r])
-        vimages.append(lin)
+    coord_images = linear_images(inv, S)
+    vimages = [coord_images[index[next(iter(img.terms))]]
+               for img in scroll_realization_images(pres)]
     ncols = len(pres.gamma[0])
     pairs = [(a, b) for a in range(ncols) for b in range(a + 1, ncols)]
     for (a, b), minor in zip(pairs, pres.minors):

@@ -1,12 +1,13 @@
 """Exact dense linear algebra over F_p and over the rationals.
 
-Prime-field matrices ride numpy int64 with vectorized row elimination (safe
-whenever p < 2**31, far above the default 32003); rational matrices fall back
-to plain Fraction Gaussian elimination, with a fraction-free Bareiss routine
-for bare rank questions.  All routines are deterministic: pivots are chosen
-left to right, canonical nullspace/solution vectors come straight out of the
-reduced row echelon form with free variables set to zero (nullspace: one
-vector per free column, that free coordinate set to one).
+Each field has one elimination route.  Prime-field matrices ride numpy int64
+with vectorized row elimination (safe because `PrimeField` only accepts
+p < 2**31); rational matrices use plain Fraction Gaussian elimination.  Rank is
+the pivot count of the reduced row echelon form.  All routines are
+deterministic: pivots are chosen left to right, canonical nullspace/solution
+vectors come straight out of the reduced row echelon form with free variables
+set to zero (nullspace: one vector per free column, that free coordinate set
+to one).
 """
 from __future__ import annotations
 
@@ -14,16 +15,10 @@ from fractions import Fraction
 
 import numpy as np
 
-_NUMPY_LIMIT = 1 << 31
-
-
-def _use_numpy(field) -> bool:
-    return field.modulus is not None and field.modulus < _NUMPY_LIMIT
-
 
 def rref(rows, ncols, field):
     """Reduced row echelon form.  Returns (reduced_rows, pivot_columns)."""
-    if _use_numpy(field):
+    if field.modulus is not None:
         return _rref_fp(rows, ncols, field.modulus)
     return _rref_frac(rows, ncols, field)
 
@@ -76,44 +71,7 @@ def _rref_frac(rows, ncols, field):
 
 
 def rank(rows, ncols, field) -> int:
-    if not rows or ncols == 0:
-        return 0
-    if _use_numpy(field):
-        return len(_rref_fp(rows, ncols, field.modulus)[1])
-    return _rank_bareiss(rows, ncols)
-
-
-def _rank_bareiss(rows, ncols) -> int:
-    # Fraction-free elimination on a cleared-denominator integer copy.
-    M = []
-    for row in rows:
-        den = 1
-        for v in row:
-            if isinstance(v, Fraction):
-                den = den * v.denominator // _gcd(den, v.denominator)
-        M.append([int(v * den) if isinstance(v, Fraction) else int(v) * den
-                  for v in row])
-    r, prev = 0, 1
-    for c in range(ncols):
-        if r == len(M):
-            break
-        sel = next((i for i in range(r, len(M)) if M[i][c]), None)
-        if sel is None:
-            continue
-        M[r], M[sel] = M[sel], M[r]
-        for i in range(r + 1, len(M)):
-            for j in range(c + 1, ncols):
-                M[i][j] = (M[i][j] * M[r][c] - M[i][c] * M[r][j]) // prev
-            M[i][c] = 0
-        prev = M[r][c]
-        r += 1
-    return r
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return abs(a)
+    return len(rref(rows, ncols, field)[1])
 
 
 def nullspace(rows, ncols, field):
@@ -138,7 +96,7 @@ def nullspace(rows, ncols, field):
         for k, pc in enumerate(pivots):
             coeff = R[k][f]
             if coeff:
-                v[pc] = field.neg(coeff) if field.modulus is None else (-coeff) % field.modulus
+                v[pc] = field.neg(coeff)
         basis.append(v)
     return basis
 
@@ -161,7 +119,7 @@ class Echelon:
     def __init__(self, ncols, field):
         self.ncols = ncols
         self.field = field
-        self._np = _use_numpy(field)
+        self._np = field.modulus is not None
         self.rows = []      # reduced rows (np arrays on the fast path)
         self.pivots = []    # pivot column per row
 
@@ -170,8 +128,8 @@ class Echelon:
         return len(self.rows)
 
     def _reduce(self, vec):
-        p = self.field.modulus
         if self._np:
+            p = self.field.modulus
             v = np.asarray(vec, dtype=np.int64) % p
             for row, pc in zip(self.rows, self.pivots):
                 c = int(v[pc])
@@ -182,10 +140,7 @@ class Echelon:
         for row, pc in zip(self.rows, self.pivots):
             c = vec[pc]
             if c:
-                if p is None:
-                    vec = [a - c * b for a, b in zip(vec, row)]
-                else:
-                    vec = [(a - c * b) % p for a, b in zip(vec, row)]
+                vec = [a - c * b for a, b in zip(vec, row)]
         return vec
 
     def contains(self, vec) -> bool:
@@ -215,17 +170,11 @@ class Echelon:
         if pc is None:
             return False
         inv = self.field.inv(vec[pc])
-        if p is None:
-            vec = [v * inv for v in vec]
-        else:
-            vec = [v * inv % p for v in vec]
+        vec = [v * inv for v in vec]
         for k in range(len(self.rows)):
             c = self.rows[k][pc]
             if c:
-                if p is None:
-                    self.rows[k] = [a - c * b for a, b in zip(self.rows[k], vec)]
-                else:
-                    self.rows[k] = [(a - c * b) % p for a, b in zip(self.rows[k], vec)]
+                self.rows[k] = [a - c * b for a, b in zip(self.rows[k], vec)]
         self.rows.append(vec)
         self.pivots.append(pc)
         return True

@@ -14,6 +14,11 @@ Groebner layer needs inhomogeneous intermediates — but `bidegree` validates it
 
 The x-bidegree of a monomial is  x0 + x1 + sum(e_i * weight_i)  and the
 T-bidegree is  sum(e_i);  for R-polynomials the single grading is x0 + x1.
+
+`substitute_T` is the one T-substitution routine.  A ring map given by a
+matrix -- the hull substitution T_j -> sum_i xi[i][j] w_i, or a constant change
+of T-coordinates -- is applied by building its images once with
+`linear_images` and passing them to `substitute_T`.
 """
 from __future__ import annotations
 
@@ -461,66 +466,27 @@ def substitute_T(p: Poly, images, target: PolyRing) -> Poly:
     return out
 
 
-def substitute_T_with_w(p: Poly, xi_rows, sigma) -> Poly:
-    """Substitute T_j -> sum_i xi[i][j] * w_i into a T-ring polynomial.
+def linear_images(rows, target: PolyRing) -> tuple:
+    """Column images of a matrix as linear forms in target's T-like variables.
 
-    `xi_rows` is an s x n matrix of base-ring polynomials (row i homogeneous of
-    degree sigma_i); the result lives in the scroll ring for `sigma` and has
-    the same bidegree as `p`.  This is the ring map underlying every
-    substitution certificate in the tower.
+    Column j maps to sum_i rows[i][j] * v_i, where v_i is the i-th T-like
+    variable of `target` and each entry is a base-ring polynomial or a field
+    scalar.  Passed to `substitute_T`, the images apply the matrix as a ring
+    map: T_j -> sum_i xi[i][j] w_i along a hull embedding, or a constant
+    change of T-coordinates.
     """
-    sigma = tuple(sigma)
-    s = len(sigma)
-    n = len(p.ring.tvar_names)
-    target = ring_scroll(p.ring.field, sigma)
-    if s and len(xi_rows[0]) != n:
-        raise ValueError("matrix shape does not match the number of T variables")
+    s = len(target.tvar_names)
+    if len(rows) != s:
+        raise ValueError("one matrix row per T-like variable of the target")
+    units = [tuple(int(t == i) for t in range(s)) for i in range(s)]
     images = []
-    for j in range(n):
-        img = target.zero()
+    for j in range(len(rows[0])):
+        terms = {}
         for i in range(s):
-            entry = xi_rows[i][j]
-            if entry.is_zero():
-                continue
-            wexp = [0] * s
-            wexp[i] = 1
-            img = img + Poly(target, {m + tuple(wexp): c
-                                      for m, c in entry.terms.items()})
-        images.append(img)
-    return substitute_T(p, images, target)
-
-
-def apply_T_coordinate_change(p: Poly, chi_cols) -> Poly:
-    """Substitute T'_k -> sum_j chi[j][k] * T_j (a constant linear change).
-
-    `chi_cols[j][k]` is the (j,k) entry of an invertible n x n matrix over the
-    field; used to report tower output in the caller's original coordinates.
-    """
-    ring = p.ring
-    n = len(ring.tvar_names)
-    lin = []
-    for k in range(n):
-        img = ring.zero()
-        for j in range(n):
-            c = chi_cols[j][k]
-            if c:
-                exps = [0] * ring.nvars
-                exps[2 + j] = 1
-                img = img + ring.monomial(exps, c)
-        lin.append(img)
-    powers = [{0: ring.one()} for _ in range(n)]
-
-    def lin_power(k, e):
-        cache = powers[k]
-        if e not in cache:
-            cache[e] = lin_power(k, e - 1) * lin[k]
-        return cache[e]
-
-    out = ring.zero()
-    for m, c in p.terms.items():
-        piece = ring.monomial((m[0], m[1]) + (0,) * n, c)
-        for k in range(n):
-            if m[2 + k]:
-                piece = piece * lin_power(k, m[2 + k])
-        out = out + piece
-    return out
+            entry = rows[i][j]
+            if isinstance(entry, Poly):
+                terms.update((m + units[i], c) for m, c in entry.terms.items())
+            elif entry:
+                terms[(0, 0) + units[i]] = entry
+        images.append(Poly(target, terms))
+    return tuple(images)

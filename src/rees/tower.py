@@ -14,15 +14,18 @@ matrix embeds into a free module with twists sigma_1 >= ... >= sigma_s
     ("multiply by w_i" expressed on representatives).
 
 Everything user-facing is reported in the caller's original T-coordinates;
-the recorded coordinate change maps back and forth.
+the recorded coordinate change maps back and forth.  A level builds the images
+of its four ring maps (the hull substitution along the raw and the normalized
+embedding, the coordinate change and its inverse) once, so each map is one
+`substitute_T` call.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 from . import gradedlin, linalg
-from .ring import (Poly, PolyRing, apply_T_coordinate_change, bidegree, promote,
-                   ring_R, ring_S, ring_scroll, substitute_T_with_w)
+from .ring import (Poly, PolyRing, bidegree, linear_images, promote, ring_S,
+                   ring_scroll, substitute_T)
 from .syzygy import (GradedMatrix, HeightError, SigmaInvariants, graded_kernel,
                      hull_embedding, matrix_from_rows, signed_maximal_minors)
 
@@ -104,7 +107,6 @@ def evaluation_membership(inp: PresentationInput, p: Poly) -> bool:
     checked by plain polynomial expansion in k[x0,x1,y] -- no basis
     computation involved, so it cross-checks every other engine.
     """
-    from .ring import substitute_T
     target = PolyRing(inp.field, ("y",), (0,))
     y = target.var("y")
     images = [promote(f, target) * y for f in inp.minors]
@@ -119,29 +121,33 @@ class TowerLevel:
     embed_raw: GradedMatrix      # s x n, original T-coordinates
     embed: GradedMatrix          # s x n, normalized level coordinates
     coord_change: tuple          # chi: level variable k = sum_j chi[j][k] T_j
-    coord_change_inv: tuple
     drop_row_kernels: tuple      # one n x (m+1) matrix per hull row
     mult_scalars: tuple          # p[i][j] in k[x0,x1]
     mult_forms: tuple            # q[i][j] in S, T-degree 1
     scroll: PolyRing             # k[x0,x1][w1..ws], deg w_i = (-sigma_i, 1)
+    # images of T_1..T_n under the level's four ring maps (see linear_images)
+    embed_images: tuple          # T_j -> sum_i embed[i][j] w_i
+    embed_raw_images: tuple      # T_j -> sum_i embed_raw[i][j] w_i
+    chi_images: tuple            # level T_k -> sum_j chi[j][k] T_j
+    chi_inv_images: tuple        # original T_k -> sum_j chi^-1[j][k] T_j
 
     # -- coordinate moves ---------------------------------------------------
 
     def to_level_coords(self, p: Poly) -> Poly:
-        return apply_T_coordinate_change(p, self.coord_change_inv)
+        return substitute_T(p, self.chi_inv_images, p.ring)
 
     def to_original_coords(self, p: Poly) -> Poly:
-        return apply_T_coordinate_change(p, self.coord_change)
+        return substitute_T(p, self.chi_images, p.ring)
 
     # -- substitution into the hull ring -------------------------------------
 
     def subst(self, p: Poly) -> Poly:
         """Image of a level-coordinate polynomial in k[x0,x1][w]."""
-        return substitute_T_with_w(p, self.embed.rows, self.sigma.sigma)
+        return substitute_T(p, self.embed_images, self.scroll)
 
     def subst_raw(self, p: Poly) -> Poly:
         """Image of an original-coordinate polynomial in k[x0,x1][w]."""
-        return substitute_T_with_w(p, self.embed_raw.rows, self.sigma.sigma)
+        return substitute_T(p, self.embed_raw_images, self.scroll)
 
     def w_monomial(self, alpha) -> Poly:
         exps = (0, 0) + tuple(alpha)
@@ -244,11 +250,15 @@ def build_level(inp: PresentationInput, m: int) -> TowerLevel:
             q_row.append(q)
         scalars.append(tuple(p_row))
         forms.append(tuple(q_row))
+    scroll = ring_scroll(inp.field, sigma.sigma)
     return TowerLevel(
         m=m, inp=inp, sigma=sigma, embed_raw=xi_raw, embed=embed,
-        coord_change=chi, coord_change_inv=chi_inv,
-        drop_row_kernels=tuple(kernels), mult_scalars=tuple(scalars),
-        mult_forms=tuple(forms), scroll=ring_scroll(inp.field, sigma.sigma))
+        coord_change=chi, drop_row_kernels=tuple(kernels),
+        mult_scalars=tuple(scalars), mult_forms=tuple(forms), scroll=scroll,
+        embed_images=linear_images(embed.rows, scroll),
+        embed_raw_images=linear_images(xi_raw.rows, scroll),
+        chi_images=linear_images(chi, S),
+        chi_inv_images=linear_images(chi_inv, S))
 
 
 def check_truncation_equality(level: TowerLevel, x_window, t_max: int):

@@ -185,6 +185,13 @@ def test_field_override(capsys, monkeypatch):
     assert payload["field"] == {"type": "prime", "p": 101}
 
 
+def test_field_override_rejects_prime_above_2_31(capsys, monkeypatch):
+    monkeypatch.setenv("REES_FIELD_P", "2147483659")
+    code, _, err = run(capsys, "check", TABLE1)
+    assert code == 1
+    assert err.startswith("error:") and "2**31" in err
+
+
 def test_missing_file(capsys):
     code, _, err = run(capsys, "info", fixture_path("nope.json"))
     assert code == 1

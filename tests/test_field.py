@@ -38,6 +38,14 @@ def test_composite_modulus_rejected(bad):
         PrimeField(bad)
 
 
+def test_prime_modulus_at_or_above_2_31_rejected():
+    # F_p linear algebra runs on numpy int64, so 2**31 - 1 is the largest
+    # usable prime; a larger one must be refused, not computed over Q
+    assert PrimeField(2147483647).modulus == 2147483647
+    with pytest.raises(ValueError, match="below 2\\*\\*31"):
+        PrimeField(2147483659)
+
+
 def test_is_prime_small():
     primes_below_40 = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37]
     assert [k for k in range(2, 40) if is_prime(k)] == primes_below_40

@@ -57,6 +57,8 @@ def test_rational_path():
     assert A[0][0] * x[0] + A[0][1] * x[1] == 1
     assert A[1][0] * x[0] + A[1][1] * x[1] == 1
     assert linalg.rank(A, 2, Q) == 2
+    assert linalg.rank([[Fraction(1, 2), Fraction(1)], [Fraction(1), Fraction(2)]],
+                       2, Q) == 1
 
 
 def test_echelon_contains_and_rank():

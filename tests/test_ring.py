@@ -8,8 +8,8 @@ from rees.ring import (
     GradingError,
     ParseError,
     Poly,
-    apply_T_coordinate_change,
     bidegree,
+    linear_images,
     parse_poly,
     poly_to_str,
     promote,
@@ -17,7 +17,6 @@ from rees.ring import (
     ring_S,
     ring_scroll,
     substitute_T,
-    substitute_T_with_w,
 )
 
 F = PrimeField(32003)
@@ -144,16 +143,18 @@ def test_substitute_T_linear_images():
     assert got == parse_poly("x0^3*w1 + x0*x1^2*w1", W)
 
 
-def test_substitute_T_with_w_matches_manual():
+def test_linear_images_hull_substitution_matches_manual():
     xi = ((rp("-x1"), rp("x0"), R.zero()),
           (R.zero(), rp("-x1"), rp("x0")))
+    W = ring_scroll(F, (1, 1))
+    images = linear_images(xi, W)
+    assert images == (parse_poly("-x1*w1", W), parse_poly("x0*w1 - x1*w2", W),
+                      parse_poly("x0*w2", W))
     g = sp("x0^2*T1 + x0*x1*T2 + x1^2*T3")
-    got = substitute_T_with_w(g, xi, (1, 1))
-    W = got.ring
     # x0^2(-x1 w1) + x0x1(x0 w1 - x1 w2) + x1^2(x0 w2) = 0
-    assert got == W.zero()
+    assert substitute_T(g, images, W) == W.zero()
     h = sp("T1")
-    assert substitute_T_with_w(h, xi, (1, 1)) == parse_poly("-x1*w1", W)
+    assert substitute_T(h, images, W) == parse_poly("-x1*w1", W)
 
 
 def test_substitute_T_powers():
@@ -163,15 +164,20 @@ def test_substitute_T_powers():
     assert got == parse_poly("x0^3*x1*w1^2*w2", W)
 
 
-def test_apply_T_coordinate_change_inverts():
+def test_linear_images_coordinate_change_inverts():
     chi = ((F(1), F(2), F(0)), (F(0), F(1), F(0)), (F(5), F(0), F(1)))
     # inverse of upper-ish triangular matrix, computed by hand
     chi_inv = ((F(1), F(32001), F(0)), (F(0), F(1), F(0)),
                (F(32003 - 5), F(10), F(1)))
     p = sp("x0*T1^2 + x1*T2*T3 + x0*T3^2")
-    q = apply_T_coordinate_change(p, chi)
-    back = apply_T_coordinate_change(q, chi_inv)
+    q = substitute_T(p, linear_images(chi, S3), S3)
+    back = substitute_T(q, linear_images(chi_inv, S3), S3)
     assert back == p
+
+
+def test_linear_images_rejects_row_count_mismatch():
+    with pytest.raises(ValueError, match="one matrix row"):
+        linear_images(((rp("x0"), rp("x1")),), ring_scroll(F, (1, 1)))
 
 
 coeffs = st.integers(min_value=0, max_value=32002)

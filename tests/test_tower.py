@@ -1,5 +1,6 @@
 import pytest
 
+from rees.cli import random_instance
 from rees.field import PrimeField
 from rees.ring import bidegree, parse_poly, ring_R
 from rees.syzygy import HeightError
@@ -99,11 +100,23 @@ def test_build_level_normalizes_zero_twist_rows(table1):
 
 
 def test_level_coordinate_round_trip(table1):
-    level = build_level(table1, 1)
-    S = table1.sring
-    p = parse_poly("x0*T1^2 + 3*x1*T2*T3 - x1*T3^2", S)
-    assert level.to_original_coords(level.to_level_coords(p)) == p
-    assert level.to_level_coords(level.to_original_coords(p)) == p
+    # table1 keeps the identity change at level 1; the random (1, 2) instance
+    # has sigma = (1, 0) there and a non-identity change
+    twisted = random_instance(3, (1, 2), 0, F)
+    for inp in (table1, twisted):
+        level = build_level(inp, 1)
+        S = inp.sring
+        p = parse_poly("x0*T1^2 + 3*x1*T2*T3 - x1*T3^2", S)
+        assert level.to_original_coords(level.to_level_coords(p)) == p
+        assert level.to_level_coords(level.to_original_coords(p)) == p
+    assert level.sigma.sigma == (1, 0)
+    ident = tuple(tuple(F.one if i == j else F.zero for j in range(3))
+                  for i in range(3))
+    assert level.coord_change != ident
+    # the change preserves which polynomials the hull substitution kills
+    g1 = sym_equations(twisted)[0]
+    assert level.subst_raw(g1).is_zero()
+    assert level.subst(level.to_level_coords(g1)).is_zero()
 
 
 def test_subst_agrees_with_raw_when_change_is_identity(quadric_cubic):
