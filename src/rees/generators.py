@@ -11,6 +11,12 @@ and an independently checkable certificate:
   * sym-equation and scroll records have vanishing substitution image;
   * slice records hit a recorded hull-ring target exactly.
 
+Slice records are preimages of hull-ring targets.  A `slice_generators` or
+`almost_linear_generators` call collects its targets per bidegree, builds that
+piece's image matrix once and solves it for all of them with one RREF; the
+image of each preimage is computed once and serves both the exactness check
+and the record's certificate.
+
 The recursion solves, at each exponent step alpha -> alpha - e_i, a graded
 linear system expressing the previous polynomial as a combination of the
 multiplication scalars p[i][j]; replacing each scalar by its T-linear partner
@@ -199,24 +205,50 @@ def slice_basis(level: TowerLevel) -> SliceBasis:
     return SliceBasis(monomials=tuple(out))
 
 
-def _subst_preimage(level: TowerLevel, target: Poly, xdeg: int, tdeg: int) -> Poly:
-    """Canonical ambient polynomial of bidegree (xdeg, tdeg) hitting target."""
+def _preimage_records(level: TowerLevel, xdeg: int, pending) -> list:
+    """Slice records whose polynomials are canonical preimages of targets.
+
+    `pending` lists (hull-ring target, tdeg, alpha, detail, certificate) in
+    emission order, and the records come back in that order.  The targets of
+    one T-degree share the piece's image matrix, built once and solved for all
+    of them by one RREF.  Each preimage is imaged once; that image both checks
+    the preimage and certifies the record.
+    """
     S = level.inp.sring
-    monos = gradedlin.piece_basis(S, xdeg, tdeg)
-    dim = gradedlin.piece_dim(level.scroll, xdeg, tdeg)
-    cols = [gradedlin.coordinates(level.subst(mu), xdeg, tdeg) for mu in monos]
-    rows = [[cols[j][r] for j in range(len(monos))] for r in range(dim)]
-    sol = linalg.solve(rows, gradedlin.coordinates(target, xdeg, tdeg),
-                       len(monos), level.inp.field)
-    if sol is None:
-        raise ArithmeticError("hull-ring target misses the ambient image")
-    h = S.zero()
-    for c, mu in zip(sol, monos):
-        if c:
-            h = h + mu.scale(c)
-    if not level.subst(h) == target:
-        raise ArithmeticError("preimage check failed")
-    return h
+    by_tdeg: dict = {}
+    for target, tdeg, *_ in pending:
+        by_tdeg.setdefault(tdeg, []).append(target)
+    preimages = {}
+    for tdeg, targets in by_tdeg.items():
+        monos = gradedlin.piece_basis(S, xdeg, tdeg)
+        dim = gradedlin.piece_dim(level.scroll, xdeg, tdeg)
+        cols = [gradedlin.coordinates(level.subst(mu), xdeg, tdeg)
+                for mu in monos]
+        rows = [[cols[j][r] for j in range(len(monos))] for r in range(dim)]
+        sols = linalg.solve_many(
+            rows, [gradedlin.coordinates(t, xdeg, tdeg) for t in targets],
+            len(monos), level.inp.field)
+        if sols is None:
+            raise ArithmeticError("hull-ring target misses the ambient image")
+        hs = []
+        for sol in sols:
+            h = S.zero()
+            for c, mu in zip(sol, monos):
+                if c:
+                    h = h + mu.scale(c)
+            hs.append(h)
+        preimages[tdeg] = iter(hs)
+    records = []
+    for target, tdeg, alpha, detail, certificate in pending:
+        h = next(preimages[tdeg])
+        ok = level.subst(h) == target
+        if not ok:
+            raise ArithmeticError("preimage check failed")
+        records.append(GeneratorRecord(
+            poly=level.to_original_coords(h), bidegree=(xdeg, tdeg),
+            provenance="slice", alpha=alpha, detail=detail,
+            certificate=certificate, certificate_ok=ok))
+    return records
 
 
 def slice_generators(inp: PresentationInput, i: int,
@@ -255,18 +287,15 @@ def slice_generators(inp: PresentationInput, i: int,
             certificate="hull image vanishes",
             certificate_ok=level.subst_raw(poly).is_zero()))
 
+    pending = []
     if c >= 1:
         for j, k, alpha in combinat.weight_drop_monomials(c, sigma):
             xmono = level.scroll.monomial((j, k) + (0,) * len(sigma))
-            target = base * xmono * level.w_monomial(alpha)
-            h = _subst_preimage(level, target, i, sum(alpha) + 1)
-            poly = level.to_original_coords(h)
-            records.append(GeneratorRecord(
-                poly=poly, bidegree=(i, sum(alpha) + 1), provenance="slice",
-                alpha=alpha, detail={"part": "weight-drop", "xsplit": [j, k]},
-                certificate="hull image equals the second equation's image "
-                            "times x^(j,k) w^alpha",
-                certificate_ok=level.subst(h) == target))
+            pending.append((
+                base * xmono * level.w_monomial(alpha), sum(alpha) + 1, alpha,
+                {"part": "weight-drop", "xsplit": [j, k]},
+                "hull image equals the second equation's image "
+                "times x^(j,k) w^alpha"))
         if basis is None:
             basis = slice_basis(level)
         for alpha in combinat.minimal_weight_exponents(c, sigma):
@@ -274,18 +303,12 @@ def slice_generators(inp: PresentationInput, i: int,
             if ell > d1 - 2:
                 continue
             for idx, nu in enumerate(basis.monomials[ell]):
-                target = base * nu * level.w_monomial(alpha)
-                h = _subst_preimage(level, target, i, sum(alpha) + 2)
-                poly = level.to_original_coords(h)
-                records.append(GeneratorRecord(
-                    poly=poly, bidegree=(i, sum(alpha) + 2), provenance="slice",
-                    alpha=alpha,
-                    detail={"part": "hull-basis", "excess": ell,
-                            "basis_index": idx + 1},
-                    certificate="hull image equals the second equation's "
-                                "image times a complement monomial and "
-                                "w^alpha",
-                    certificate_ok=level.subst(h) == target))
+                pending.append((
+                    base * nu * level.w_monomial(alpha), sum(alpha) + 2, alpha,
+                    {"part": "hull-basis", "excess": ell,
+                     "basis_index": idx + 1},
+                    "hull image equals the second equation's image times a "
+                    "complement monomial and w^alpha"))
     else:
         for a in range(-c + 1):
             mono = S.monomial((-c - a, a) + (0,) * inp.n)
@@ -297,15 +320,11 @@ def slice_generators(inp: PresentationInput, i: int,
                 certificate="x-monomial multiple of the second equation",
                 certificate_ok=True))
         for nu in gradedlin.piece_basis(level.scroll, -c, 1):
-            target = base * nu
-            h = _subst_preimage(level, target, i, 2)
-            poly = level.to_original_coords(h)
-            records.append(GeneratorRecord(
-                poly=poly, bidegree=(i, 2), provenance="slice", alpha=None,
-                detail={"part": "hull-piece", "w_monomial": str(nu)},
-                certificate="hull image equals the second equation's image "
-                            "times a hull monomial",
-                certificate_ok=level.subst(h) == target))
+            pending.append((
+                base * nu, 2, None, {"part": "hull-piece", "w_monomial": str(nu)},
+                "hull image equals the second equation's image times a hull "
+                "monomial"))
+    records.extend(_preimage_records(level, i, pending))
     return records
 
 
@@ -400,15 +419,12 @@ def almost_linear_generators(inp: PresentationInput) -> list:
     records.extend(recursion_generators(level, gs[m]))
 
     base = level.subst(level.to_level_coords(gs[m]))
+    pending = []
     for j, k, alpha in combinat.weight_drop_monomials(d[-1], sigma):
         xmono = level.scroll.monomial((j, k) + (0,) * len(sigma))
-        target = base * xmono * level.w_monomial(alpha)
-        h = _subst_preimage(level, target, 0, sum(alpha) + 1)
-        poly = level.to_original_coords(h)
-        records.append(GeneratorRecord(
-            poly=poly, bidegree=(0, sum(alpha) + 1), provenance="slice",
-            alpha=alpha, detail={"part": "weight-drop", "xsplit": [j, k]},
-            certificate="hull image equals the driving image times "
-                        "x^(j,k) w^alpha",
-            certificate_ok=level.subst(h) == target))
+        pending.append((
+            base * xmono * level.w_monomial(alpha), sum(alpha) + 1, alpha,
+            {"part": "weight-drop", "xsplit": [j, k]},
+            "hull image equals the driving image times x^(j,k) w^alpha"))
+    records.extend(_preimage_records(level, 0, pending))
     return records

@@ -127,5 +127,6 @@ def solve_combination(target: Poly, gens, ring: PolyRing):
     check = ring.zero()
     for a, g in zip(out, gens):
         check = check + a * g
-    assert check == target, "internal error: combination failed to re-expand"
+    if check != target:
+        raise ArithmeticError("internal error: combination failed to re-expand")
     return out

@@ -1,13 +1,16 @@
 """Exact dense linear algebra over F_p and over the rationals.
 
 Each field has one elimination route.  Prime-field matrices ride numpy int64
-with vectorized row elimination (safe because `PrimeField` only accepts
-p < 2**31); rational matrices use plain Fraction Gaussian elimination.  Rank is
-the pivot count of the reduced row echelon form.  All routines are
-deterministic: pivots are chosen left to right, canonical nullspace/solution
-vectors come straight out of the reduced row echelon form with free variables
-set to zero (nullspace: one vector per free column, that free coordinate set
-to one).
+(safe because `PrimeField` only accepts p < 2**31) with row-sparse
+elimination: each pivot step touches only the columns from the pivot rightward
+(everything left of it is already zero in the pivot row) and only the rows
+with a nonzero entry in the pivot column.  Rational matrices use plain
+Fraction Gaussian elimination.  Rank is the pivot count of the reduced row
+echelon form, and `solve_many` solves one matrix for many right-hand sides
+with a single RREF of the augmented matrix.  All routines are deterministic:
+pivots are chosen left to right, canonical nullspace/solution vectors come
+straight out of the reduced row echelon form with free variables set to zero
+(nullspace: one vector per free column, that free coordinate set to one).
 """
 from __future__ import annotations
 
@@ -33,19 +36,22 @@ def _rref_fp(rows, ncols, p):
     for c in range(ncols):
         if r == nr:
             break
-        nz = np.nonzero(M[r:, c])[0]
+        nz = np.flatnonzero(M[r:, c])
         if nz.size == 0:
             continue
         i = r + int(nz[0])
         if i != r:
             M[[r, i]] = M[[i, r]]
-        M[r] = M[r] * pow(int(M[r, c]), p - 2, p) % p
-        col = M[:, c].copy()
-        col[r] = 0
-        M = (M - np.outer(col, M[r])) % p
+        # columns left of c are already zero in the pivot row, so only c: moves
+        pivot_row = M[r, c:] * pow(int(M[r, c]), p - 2, p) % p
+        M[r, c:] = pivot_row
+        hit = np.flatnonzero(M[:, c])
+        hit = hit[hit != r]
+        if hit.size:
+            M[hit, c:] = (M[hit, c:] - np.outer(M[hit, c], pivot_row)) % p
         pivots.append(c)
         r += 1
-    return [[int(v) for v in row] for row in M[:r]], pivots
+    return M[:r].tolist(), pivots
 
 
 def _rref_frac(rows, ncols, field):
@@ -103,14 +109,30 @@ def nullspace(rows, ncols, field):
 
 def solve(rows, rhs, ncols, field):
     """One solution of M v = rhs (free variables zero), or None."""
-    aug = [list(row) + [b] for row, b in zip(rows, rhs)]
-    R, pivots = rref(aug, ncols + 1, field)
-    if ncols in pivots:
+    sols = solve_many(rows, [rhs], ncols, field)
+    return None if sols is None else sols[0]
+
+
+def solve_many(rows, rhss, ncols, field):
+    """Solutions of M v = b for every b in rhss, or None if any b misses.
+
+    One RREF of [M | b_1 ... b_k] serves every right-hand side.  A pivot in
+    the right-hand block means some b lies outside the column space; without
+    one, each solution reads off its column with free variables zero, the
+    same vector a separate solve of that b alone gives.
+    """
+    k = len(rhss)
+    aug = [list(row) + [b[r] for b in rhss] for r, row in enumerate(rows)]
+    R, pivots = rref(aug, ncols + k, field)
+    if pivots and pivots[-1] >= ncols:
         return None
-    v = [field.zero] * ncols
-    for k, pc in enumerate(pivots):
-        v[pc] = R[k][ncols]
-    return v
+    sols = []
+    for t in range(ncols, ncols + k):
+        v = [field.zero] * ncols
+        for row, pc in zip(R, pivots):
+            v[pc] = row[t]
+        sols.append(v)
+    return sols
 
 
 class Echelon:

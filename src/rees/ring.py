@@ -441,14 +441,18 @@ def substitute_T(p: Poly, images, target: PolyRing) -> Poly:
     """Substitute T_j -> images[j] into p, carrying x0, x1 over unchanged.
 
     `images` are polynomials of the target ring, one per T-like variable of
-    p's ring.  Powers of the images are cached per variable, so repeated
-    exponents cost one multiplication each.
+    p's ring.  Terms are grouped by their T-exponent: each distinct T-monomial
+    is imaged once, from powers of the images cached per variable, and
+    multiplied by the x-coefficient polynomial of its group.
     """
     n = len(p.ring.tvar_names)
     if len(images) != n:
         raise ValueError("one image per T-like variable required")
     pad = (0,) * len(target.tvar_names)
-    powers = [{0: target.one()} for _ in range(n)]
+    groups = {}
+    for m, c in p.terms.items():
+        groups.setdefault(m[2:], {})[(m[0], m[1]) + pad] = c
+    powers = [{1: img} for img in images]
 
     def image_power(j, e):
         cache = powers[j]
@@ -457,12 +461,14 @@ def substitute_T(p: Poly, images, target: PolyRing) -> Poly:
         return cache[e]
 
     out = target.zero()
-    for m, c in p.terms.items():
-        piece = Poly(target, {(m[0], m[1]) + pad: c})
-        for j in range(n):
-            if m[2 + j]:
-                piece = piece * image_power(j, m[2 + j])
-        out = out + piece
+    for texps, xterms in groups.items():
+        image = None
+        for j, e in enumerate(texps):
+            if e:
+                factor = image_power(j, e)
+                image = factor if image is None else image * factor
+        piece = Poly(target, xterms)
+        out = out + (piece if image is None else piece * image)
     return out
 
 

@@ -326,7 +326,9 @@ def graded_kernel(M: GradedMatrix, expected_rank: int, degree_budget: int) -> Gr
             acc = ring.zero()
             for j in range(q):
                 acc = acc + M.rows[i][j] * kernel.rows[j][k]
-            assert acc.is_zero(), "internal error: kernel column fails M*v = 0"
+            if not acc.is_zero():
+                raise ArithmeticError(
+                    "internal error: kernel column fails M*v = 0")
     return kernel
 
 

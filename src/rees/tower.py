@@ -219,8 +219,10 @@ def _normalize_embedding(xi: GradedMatrix, sigma: SigmaInvariants):
             if b.is_zero():
                 continue
             changed[i] = [changed[i][j] - b * changed[r + k][j] for j in range(n)]
-    for i in range(r):
-        assert all(changed[i][n - (s - r) + k].is_zero() for k in range(s - r))
+    if any(not changed[i][n - (s - r) + k].is_zero()
+           for i in range(r) for k in range(s - r)):
+        raise NormalizationError("identity-block columns not cleared from "
+                                 "the positive-degree rows")
     return chi, chi_inv, tuple(tuple(row) for row in changed)
 
 

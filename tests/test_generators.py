@@ -1,6 +1,10 @@
+import json
+
 import pytest
 
-from rees.field import PrimeField
+from conftest import fixture_path
+from rees.cli import load_instance
+from rees.field import PrimeField, RationalField
 from rees.gradedlin import piece_dim
 from rees.generators import (
     almost_linear_generators,
@@ -232,3 +236,25 @@ def test_almost_linear_covers_the_linear_equations(almost_linear):
 def test_almost_linear_requires_linear_columns(quadric_cubic):
     with pytest.raises(ValueError, match="equal 1"):
         almost_linear_generators(quadric_cubic)
+
+
+def test_recursion_and_slices_over_the_rationals(tmp_path):
+    # the rational twin of quadric_cubic runs the Fraction elimination route
+    # through the recursion and through every slice regime
+    with open(fixture_path("quadric_cubic.json"), encoding="utf-8") as fh:
+        raw = json.load(fh)
+    raw["field"] = {"type": "rational"}
+    path = tmp_path / "quadric_cubic_rational.json"
+    path.write_text(json.dumps(raw), encoding="utf-8")
+    inp = load_instance(str(path))
+    assert isinstance(inp.field, RationalField)
+    level = build_level(inp, 1)
+    records = recursion_generators(level, sym_equations(inp)[1])
+    d1, d2 = inp.col_degrees
+    for i in range(d1 - 1, d2 + 2):
+        records += slice_generators(inp, i, level=level)
+    parts = {rec.detail.get("part") for rec in records}
+    assert {"weight-drop", "hull-basis", "hull-piece"} <= parts
+    for rec in records:
+        assert rec.certificate_ok
+        assert evaluation_membership(inp, rec.poly)

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rees import gradedlin
+from rees import gradedlin, linalg
 from rees.field import PrimeField
 from rees.ring import parse_poly, ring_R, ring_S, ring_scroll
 
@@ -111,3 +111,17 @@ def test_span_dim_never_exceeds_piece(pairs):
         polys.append(S.monomial(tuple(exps), c))
     d = gradedlin.span_dim(polys, S, 2, 1)
     assert 0 <= d <= min(len(polys), gradedlin.piece_dim(S, 2, 1))
+
+
+def test_solve_combination_rejects_a_wrong_solution(monkeypatch):
+    # a solver fault must surface as a named error, also under python -O
+    real_solve = linalg.solve
+
+    def off_by_one(rows, rhs, ncols, field):
+        sol = real_solve(rows, rhs, ncols, field)
+        return [field(sol[0] + 1)] + sol[1:]
+
+    monkeypatch.setattr(linalg, "solve", off_by_one)
+    gens = [parse_poly("x0^2", R), parse_poly("x1^2", R)]
+    with pytest.raises(ArithmeticError, match="re-expand"):
+        gradedlin.solve_combination(parse_poly("x0^3 + x0*x1^2", R), gens, R)

@@ -101,3 +101,72 @@ def test_echelon_rank_matches_batch_rank(rows):
     for row in A:
         ech.add(list(row))
     assert ech.rank == linalg.rank(A, 4, F)
+
+
+def gauss_jordan_mod_p(rows, ncols, p):
+    """Textbook reduced row echelon form mod p over the first ncols columns."""
+    M = [[v % p for v in row] for row in rows]
+    r = 0
+    pivots = []
+    for c in range(ncols):
+        if r == len(M):
+            break
+        sel = next((i for i in range(r, len(M)) if M[i][c]), None)
+        if sel is None:
+            continue
+        M[r], M[sel] = M[sel], M[r]
+        inv = pow(M[r][c], p - 2, p)
+        M[r] = [v * inv % p for v in M[r]]
+        for i in range(len(M)):
+            if i != r and M[i][c]:
+                f = M[i][c]
+                M[i] = [(a - f * b) % p for a, b in zip(M[i], M[r])]
+        pivots.append(c)
+        r += 1
+    return M[:r], pivots
+
+
+@st.composite
+def mod_p_matrices(draw):
+    """Up to 8 x 10 over 0..p-1, with repeated rows and zeroed columns."""
+    nrows = draw(st.integers(1, 8))
+    ncols = draw(st.integers(1, 10))
+    entry = st.one_of(st.just(0), st.integers(0, 32002))
+    rows = draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols),
+                         min_size=nrows, max_size=nrows))
+    for i in draw(st.lists(st.integers(0, nrows - 1), max_size=3)):
+        rows.append(list(rows[i]))
+    for c in draw(st.sets(st.integers(0, ncols - 1), max_size=3)):
+        for row in rows:
+            row[c] = 0
+    # pivots are searched in the first `search` columns only; the rest are
+    # carried along, as the right-hand block of a multi-target solve is
+    search = draw(st.integers(1, ncols))
+    return rows, search
+
+
+@given(mod_p_matrices())
+@settings(max_examples=200)
+def test_rref_mod_p_matches_reference(drawn):
+    rows, search = drawn
+    got_rows, got_pivots = linalg.rref(rows, search, F)
+    want_rows, want_pivots = gauss_jordan_mod_p(rows, search, 32003)
+    assert got_pivots == want_pivots
+    assert got_rows == want_rows
+
+
+@given(small_matrix, st.lists(st.lists(st.integers(0, 6), min_size=4,
+                                       max_size=4), min_size=1, max_size=3))
+@settings(max_examples=80)
+def test_solve_many_matches_separate_solves(rows, xs):
+    A = fe(rows)
+    rhss = [[F(sum(r * c for r, c in zip(row, x))) for row in A] for x in xs]
+    assert linalg.solve_many(A, rhss, 4, F) == [linalg.solve(A, b, 4, F)
+                                                for b in rhss]
+
+
+def test_solve_many_refuses_when_any_target_misses():
+    A = fe([[1, 0], [0, 0]])
+    assert linalg.solve_many(A, [[F(1), F(0)], [F(0), F(1)]], 2, F) is None
+    assert linalg.solve_many(A, [[F(1), F(0)], [F(2), F(0)]], 2, F) == [
+        [F(1), F(0)], [F(2), F(0)]]

@@ -20,6 +20,7 @@ from rees.ring import (
 )
 
 F = PrimeField(32003)
+Q = RationalField()
 R = ring_R(F)
 S3 = ring_S(F, 3)
 
@@ -209,3 +210,61 @@ def test_ring_axioms_on_homogeneous_pieces(p, q, r):
 def test_print_parse_round_trip(p):
     assert parse_poly(str(p), R) == p
     assert poly_to_str(p) == str(p)
+
+
+def substitute_per_term(p, images, target):
+    """Reference substitution: every term imaged and multiplied out alone."""
+    pad = (0,) * len(target.tvar_names)
+    out = target.zero()
+    for m, c in p.terms.items():
+        piece = Poly(target, {(m[0], m[1]) + pad: c})
+        for j, e in enumerate(m[2:]):
+            for _ in range(e):
+                piece = piece * images[j]
+        out = out + piece
+    return out
+
+
+def field_coeffs(field):
+    if field.modulus is None:
+        return st.fractions(min_value=-9, max_value=9,
+                            max_denominator=5).filter(bool)
+    return st.integers(1, field.modulus - 1)
+
+
+@st.composite
+def substitution_cases(draw):
+    """A polynomial of S with several x-monomials per T-monomial, and images.
+
+    The target is S again (a change of T-coordinates) or a scroll ring (a
+    hull substitution); both fields are drawn.
+    """
+    field = draw(st.sampled_from([F, Q]))
+    coeff = field_coeffs(field)
+    S = ring_S(field, 3)
+    xdeg, tdeg = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    texps = st.tuples(st.integers(0, tdeg), st.integers(0, tdeg)).filter(
+        lambda e: sum(e) <= tdeg).map(lambda e: e + (tdeg - sum(e),))
+    terms = {}
+    for te in draw(st.lists(texps, min_size=1, max_size=4, unique=True)):
+        for a in draw(st.sets(st.integers(0, xdeg), min_size=1, max_size=4)):
+            terms[(xdeg - a, a) + te] = draw(coeff)
+    p = Poly(S, terms)
+    target = draw(st.sampled_from([S, ring_scroll(field, (1, 0))]))
+    k = len(target.tvar_names)
+    images = []
+    for _ in range(3):
+        img = {}
+        for _ in range(draw(st.integers(0, 3))):
+            exps = draw(st.tuples(*[st.integers(0, 1)] * (2 + k)))
+            img[exps] = draw(coeff)
+        images.append(Poly(target, img))
+    return p, images, target
+
+
+@given(substitution_cases())
+@settings(max_examples=150, deadline=None)
+def test_substitute_T_matches_per_term_reference(case):
+    p, images, target = case
+    assert substitute_T(p, images, target) == substitute_per_term(
+        p, images, target)

@@ -1,6 +1,6 @@
 import pytest
 
-from rees import syzygy
+from rees import linalg, syzygy
 from rees.field import PrimeField
 from rees.ring import GradingError, parse_poly, ring_R
 from rees.syzygy import (
@@ -241,3 +241,16 @@ def test_scroll_realization_kills_minors():
     assert len(images) == len(pres.coord_names)
     for q in pres.minors:
         assert substitute_T(q, images, target).is_zero()
+
+
+def test_graded_kernel_rejects_a_wrong_kernel_vector(monkeypatch):
+    # a nullspace fault must surface as a named error, also under python -O
+    real_nullspace = linalg.nullspace
+
+    def shifted(rows, ncols, field):
+        return [[field(v[0] + 1)] + v[1:]
+                for v in real_nullspace(rows, ncols, field)]
+
+    monkeypatch.setattr(linalg, "nullspace", shifted)
+    with pytest.raises(ArithmeticError, match="M\\*v = 0"):
+        graded_kernel(mat([["x0", "x1"]], (1, 1)), 1, 2)

@@ -2,9 +2,11 @@ import pytest
 
 from rees.cli import random_instance
 from rees.field import PrimeField
-from rees.ring import bidegree, parse_poly, ring_R
-from rees.syzygy import HeightError
+from rees.ring import Poly, bidegree, parse_poly, ring_R
+from rees.syzygy import HeightError, hull_embedding
 from rees.tower import (
+    NormalizationError,
+    _normalize_embedding,
     build_level,
     check_truncation_equality,
     evaluation_membership,
@@ -201,3 +203,16 @@ def test_hull_quotient_hilbert_values(request, fixture_name, d1):
         assert H(i) == d1 - i - 1
     assert H(d1) == 0
     assert H(d1 + 3) == 0
+
+
+def test_normalization_rejects_uncleared_identity_columns(monkeypatch):
+    # the random (1, 2) instance has sigma = (1, 0) at level 1, so its
+    # positive-degree row is cleared against the constant row; with the
+    # clearing subtraction broken that must surface as a named error, also
+    # under python -O
+    inp = random_instance(3, (1, 2), 0, F)
+    sigma, xi = hull_embedding(inp.phi, 1)
+    _normalize_embedding(xi, sigma)
+    monkeypatch.setattr(Poly, "__sub__", lambda self, other: self)
+    with pytest.raises(NormalizationError, match="not cleared"):
+        _normalize_embedding(xi, sigma)
