@@ -190,15 +190,13 @@ def slice_basis(level: TowerLevel) -> SliceBasis:
     S = inp.sring
     out = []
     for l in range(d1 - 1):
-        ech = linalg.Echelon(gradedlin.piece_dim(scroll, l, 1), inp.field)
-        for mu in gradedlin.piece_basis(S, l, 1):
-            img = level.subst(mu)
-            if not img.is_zero():
-                ech.add(gradedlin.coordinates(img, l, 1))
-        chosen = []
-        for nu in gradedlin.piece_basis(scroll, l, 1):
-            if ech.add(gradedlin.coordinates(nu, l, 1)):
-                chosen.append(nu)
+        spanned = [gradedlin.coordinates(level.subst(mu), l, 1)
+                   for mu in gradedlin.piece_basis(S, l, 1)]
+        monos = gradedlin.piece_basis(scroll, l, 1)
+        vectors = spanned + [gradedlin.coordinates(nu, l, 1) for nu in monos]
+        chosen = [monos[k - len(spanned)]
+                  for k in linalg.independent(vectors, inp.field)
+                  if k >= len(spanned)]
         if len(chosen) != d1 - l - 1:
             raise ArithmeticError("hull quotient has unexpected dimension")
         out.append(tuple(chosen))
@@ -230,14 +228,8 @@ def _preimage_records(level: TowerLevel, xdeg: int, pending) -> list:
             len(monos), level.inp.field)
         if sols is None:
             raise ArithmeticError("hull-ring target misses the ambient image")
-        hs = []
-        for sol in sols:
-            h = S.zero()
-            for c, mu in zip(sol, monos):
-                if c:
-                    h = h + mu.scale(c)
-            hs.append(h)
-        preimages[tdeg] = iter(hs)
+        preimages[tdeg] = iter([gradedlin.from_coordinates(sol, S, xdeg, tdeg)
+                                for sol in sols])
     records = []
     for target, tdeg, alpha, detail, certificate in pending:
         h = next(preimages[tdeg])
@@ -328,15 +320,15 @@ def slice_generators(inp: PresentationInput, i: int,
     return records
 
 
+def _t_multiples(polys, ring, tdeg: int) -> list:
+    """The T-monomial multiples of the polys that have T-degree tdeg."""
+    return [mono * p for p in polys if not p.is_zero()
+            for mono in gradedlin.piece_basis(ring, 0, tdeg - p.tdeg())]
+
+
 def u_span_dim(polys, ring, xdeg: int, tdeg: int) -> int:
     """Dimension of the bidegree-(xdeg, tdeg) piece of the k[T]-span."""
-    ech = linalg.Echelon(gradedlin.piece_dim(ring, xdeg, tdeg), ring.field)
-    for p in polys:
-        if p.is_zero():
-            continue
-        for mono in gradedlin.piece_basis(ring, 0, tdeg - p.tdeg()):
-            ech.add(gradedlin.coordinates(mono * p, xdeg, tdeg))
-    return ech.rank
+    return gradedlin.span_dim(_t_multiples(polys, ring, tdeg), ring, xdeg, tdeg)
 
 
 def trim_slice(records: list, i: int) -> list:
@@ -355,13 +347,11 @@ def trim_slice(records: list, i: int) -> list:
                    key=lambda t: (-records[t].bidegree[1], -t))
     for idx in order:
         tdeg = records[idx].bidegree[1]
-        ech = linalg.Echelon(gradedlin.piece_dim(S, i, tdeg), S.field)
-        for t, rec in enumerate(records):
-            if not alive[t] or t == idx:
-                continue
-            for mono in gradedlin.piece_basis(S, 0, tdeg - rec.bidegree[1]):
-                ech.add(gradedlin.coordinates(mono * rec.poly, i, tdeg))
-        if ech.contains(gradedlin.coordinates(records[idx].poly, i, tdeg)):
+        spanned = _t_multiples([rec.poly for t, rec in enumerate(records)
+                                if alive[t] and t != idx], S, tdeg)
+        vectors = [gradedlin.coordinates(p, i, tdeg)
+                   for p in spanned + [records[idx].poly]]
+        if len(spanned) not in linalg.independent(vectors, S.field):
             alive[idx] = False
     trimmed = [rec for t, rec in enumerate(records) if alive[t]]
     maxt = max(rec.bidegree[1] for rec in records)

@@ -3,8 +3,9 @@
 Every bigraded piece of the ambient rings in play is a finite-dimensional
 vector space with a canonical monomial basis (descending degrevlex).  This
 module enumerates those bases and answers the three questions everything else
-reduces to: coordinates of a polynomial, dimension of a span, and canonical
-solutions of  sum_t a_t * g_t = target  with graded unknown coefficients.
+reduces to: coordinates of a polynomial (and the polynomial of a coordinate
+vector), dimension of a span, and canonical solutions of
+sum_t a_t * g_t = target  with graded unknown coefficients.
 """
 from __future__ import annotations
 
@@ -15,7 +16,8 @@ from .ring import GradingError, Poly, PolyRing, print_key
 
 
 @lru_cache(maxsize=4096)
-def _piece_monomials(ring: PolyRing, xdeg: int, tdeg: int):
+def piece_monomials(ring: PolyRing, xdeg: int, tdeg: int):
+    """Exponent tuples of the bigraded piece's monomials, in canonical order."""
     tvars = len(ring.tvar_names)
     out = []
     if tdeg < 0:
@@ -43,6 +45,11 @@ def _piece_monomials(ring: PolyRing, xdeg: int, tdeg: int):
     return tuple(out)
 
 
+@lru_cache(maxsize=4096)
+def _piece_index(ring: PolyRing, xdeg: int, tdeg: int):
+    return {m: i for i, m in enumerate(piece_monomials(ring, xdeg, tdeg))}
+
+
 def piece_basis(ring: PolyRing, xdeg: int, tdeg: int = 0):
     """Monomials of the bigraded piece, as polynomials, in canonical order.
 
@@ -50,24 +57,29 @@ def piece_basis(ring: PolyRing, xdeg: int, tdeg: int = 0):
     meaningful (w_i carries x-degree -sigma_i) and the enumeration accounts
     for the twist.
     """
-    return [ring.monomial(m) for m in _piece_monomials(ring, xdeg, tdeg)]
+    return [ring.monomial(m) for m in piece_monomials(ring, xdeg, tdeg)]
 
 
 def piece_dim(ring: PolyRing, xdeg: int, tdeg: int = 0) -> int:
-    return len(_piece_monomials(ring, xdeg, tdeg))
+    return len(piece_monomials(ring, xdeg, tdeg))
 
 
 def coordinates(p: Poly, xdeg: int, tdeg: int = 0):
     """Coefficient vector of p on the canonical basis of its piece."""
-    monos = _piece_monomials(p.ring, xdeg, tdeg)
-    index = {m: i for i, m in enumerate(monos)}
-    vec = [p.ring.field.zero] * len(monos)
+    index = _piece_index(p.ring, xdeg, tdeg)
+    vec = [p.ring.field.zero] * len(index)
     for m, c in p.terms.items():
         try:
             vec[index[m]] = c
         except KeyError:
             raise GradingError(f"{p} has a term outside the ({xdeg},{tdeg}) piece") from None
     return vec
+
+
+def from_coordinates(vec, ring: PolyRing, xdeg: int, tdeg: int = 0) -> Poly:
+    """The polynomial whose coefficient vector on the piece's basis is vec."""
+    monos = piece_monomials(ring, xdeg, tdeg)
+    return Poly(ring, {m: c for m, c in zip(monos, vec) if c})
 
 
 def span_dim(polys, ring: PolyRing, xdeg: int, tdeg: int = 0) -> int:
@@ -92,38 +104,31 @@ def solve_combination(target: Poly, gens, ring: PolyRing):
     if target.is_zero():
         return [ring.zero() for _ in gens]
     ti, tj = target.xdeg(), target.tdeg()
-    blocks = []           # (gen, [unknown monomials])
+    index = _piece_index(ring, ti, tj)
+    # the bidegree of each unknown a_t; T-degree -1 is empty, so a zero g_t
+    # gets a_t = 0
+    shifts = [(0, -1) if g.is_zero() else (ti - g.xdeg(), tj - g.tdeg())
+              for g in gens]
     columns = []
-    tmonos = _piece_monomials(ring, ti, tj)
-    index = {m: k for k, m in enumerate(tmonos)}
-    for g in gens:
-        if g.is_zero():
-            blocks.append((g, []))
-            continue
-        gi, gj = g.xdeg(), g.tdeg()
-        monos = _piece_monomials(ring, ti - gi, tj - gj)
-        blocks.append((g, monos))
-        for mu in monos:
-            col = [ring.field.zero] * len(tmonos)
+    for g, shift in zip(gens, shifts):
+        for mu in piece_monomials(ring, *shift):
+            col = [ring.field.zero] * len(index)
             for m, c in g.terms.items():
                 mm = tuple(a + b for a, b in zip(m, mu))
                 col[index[mm]] = c
             columns.append(col)
     nunk = len(columns)
-    rows = [[columns[c][r] for c in range(nunk)] for r in range(len(tmonos))]
+    rows = [[columns[c][r] for c in range(nunk)] for r in range(len(index))]
     rhs = coordinates(target, ti, tj)
     sol = linalg.solve(rows, rhs, nunk, ring.field)
     if sol is None:
         return None
     out = []
     k = 0
-    for g, monos in blocks:
-        terms = {}
-        for mu in monos:
-            if sol[k]:
-                terms[mu] = sol[k]
-            k += 1
-        out.append(Poly(ring, terms))
+    for shift in shifts:
+        size = piece_dim(ring, *shift)
+        out.append(from_coordinates(sol[k:k + size], ring, *shift))
+        k += size
     check = ring.zero()
     for a, g in zip(out, gens):
         check = check + a * g

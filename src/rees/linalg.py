@@ -5,9 +5,11 @@ Each field has one elimination route.  Prime-field matrices ride numpy int64
 elimination: each pivot step touches only the columns from the pivot rightward
 (everything left of it is already zero in the pivot row) and only the rows
 with a nonzero entry in the pivot column.  Rational matrices use plain
-Fraction Gaussian elimination.  Rank is the pivot count of the reduced row
-echelon form, and `solve_many` solves one matrix for many right-hand sides
-with a single RREF of the augmented matrix.  All routines are deterministic:
+Fraction Gaussian elimination.  `rref` is the only elimination: rank is the
+pivot count of the reduced row echelon form, `independent` answers greedy
+basis and membership questions with the pivot columns of the vectors set side
+by side, and `solve_many` solves one matrix for many right-hand sides with a
+single RREF of the augmented matrix.  All routines are deterministic:
 pivots are chosen left to right, canonical nullspace/solution vectors come
 straight out of the reduced row echelon form with free variables set to zero
 (nullspace: one vector per free column, that free coordinate set to one).
@@ -80,6 +82,15 @@ def rank(rows, ncols, field) -> int:
     return len(rref(rows, ncols, field)[1])
 
 
+def independent(vectors, field):
+    """Indices of the vectors that leave the span of the vectors before them.
+
+    These are the pivot columns of the RREF of the matrix whose columns are
+    the vectors, so they are exactly what a greedy left-to-right scan keeps.
+    """
+    return rref(list(zip(*vectors)), len(vectors), field)[1]
+
+
 def nullspace(rows, ncols, field):
     """Canonical basis of {v : M v = 0}, one vector per RREF free column."""
     if ncols == 0:
@@ -133,73 +144,6 @@ def solve_many(rows, rhss, ncols, field):
             v[pc] = row[t]
         sols.append(v)
     return sols
-
-
-class Echelon:
-    """Incremental row echelon form for streaming rank/membership tests."""
-
-    def __init__(self, ncols, field):
-        self.ncols = ncols
-        self.field = field
-        self._np = field.modulus is not None
-        self.rows = []      # reduced rows (np arrays on the fast path)
-        self.pivots = []    # pivot column per row
-
-    @property
-    def rank(self):
-        return len(self.rows)
-
-    def _reduce(self, vec):
-        if self._np:
-            p = self.field.modulus
-            v = np.asarray(vec, dtype=np.int64) % p
-            for row, pc in zip(self.rows, self.pivots):
-                c = int(v[pc])
-                if c:
-                    v = (v - c * row) % p
-            return v
-        vec = list(vec)
-        for row, pc in zip(self.rows, self.pivots):
-            c = vec[pc]
-            if c:
-                vec = [a - c * b for a, b in zip(vec, row)]
-        return vec
-
-    def contains(self, vec) -> bool:
-        red = self._reduce(vec)
-        if self._np:
-            return not red.any()
-        return not any(red)
-
-    def add(self, vec) -> bool:
-        """Insert a vector; True if it enlarged the span."""
-        p = self.field.modulus
-        vec = self._reduce(vec)
-        if self._np:
-            nz = np.nonzero(vec)[0]
-            if nz.size == 0:
-                return False
-            pc = int(nz[0])
-            vec = vec * pow(int(vec[pc]), p - 2, p) % p
-            for k in range(len(self.rows)):
-                c = int(self.rows[k][pc])
-                if c:
-                    self.rows[k] = (self.rows[k] - c * vec) % p
-            self.rows.append(vec)
-            self.pivots.append(pc)
-            return True
-        pc = next((i for i, v in enumerate(vec) if v), None)
-        if pc is None:
-            return False
-        inv = self.field.inv(vec[pc])
-        vec = [v * inv for v in vec]
-        for k in range(len(self.rows)):
-            c = self.rows[k][pc]
-            if c:
-                self.rows[k] = [a - c * b for a, b in zip(self.rows[k], vec)]
-        self.rows.append(vec)
-        self.pivots.append(pc)
-        return True
 
 
 def invert(rows, field):

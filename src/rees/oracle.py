@@ -25,9 +25,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 
-from . import combinat, gradedlin, linalg
+from . import combinat, gradedlin
 from .field import RationalField
-from .ring import Poly, PolyRing, bidegree, ring_R
+from .ring import Poly, PolyRing, ring_R
 from .tower import PresentationInput, load_presentation, sym_equations
 
 ORDER_DESCRIPTOR = "block-degrevlex(T>x, x1 last)"
@@ -437,51 +437,43 @@ def minimal_generator_bidegrees(G: GroebnerBasis, window,
     counts: dict = {}
     if G.generators:
         ring = G.ring
-        field = ring.field
-        graded = [(bidegree(g), g) for g in G.generators]
-        x0 = ring.var("x0")
-        x1 = ring.var("x1")
+        key, _ = _ring_keys(ring)
+        leads = [(max(g.terms, key=key), g) for g in G.generators]
+        xvars = [ring.var("x0"), ring.var("x1")]
         tvars = [ring.var(name) for name in ring.tvar_names]
         pieces: dict = {}
 
         def ideal_piece(i, j):
-            got = pieces.get((i, j))
-            if got is not None:
-                return got
-            dim = gradedlin.piece_dim(ring, i, j)
-            basis = []
-            if dim:
-                ech = linalg.Echelon(dim, field)
-                for (xg, tg), g in graded:
-                    if xg > i or tg > j:
-                        continue
-                    for v in gradedlin.piece_basis(ring, i - xg, j - tg):
-                        p = v * g
-                        if ech.add(gradedlin.coordinates(p, i, j)):
-                            basis.append(p)
-            pieces[(i, j)] = basis
-            return basis
+            # one (mu/lead)*g per monomial mu of S_(i,j) that the lead of a
+            # basis element g divides (the first such g): their leads are the
+            # distinct mu, so by the standard-monomial count (as in
+            # bigraded_hilbert) they are a basis of the ideal's piece
+            if (i, j) not in pieces:
+                basis = []
+                for mu in gradedlin.piece_basis(ring, i, j):
+                    (m,) = mu.terms
+                    for lead, g in leads:
+                        if all(a >= b for a, b in zip(m, lead)):
+                            basis.append(ring.monomial(
+                                tuple(a - b for a, b in zip(m, lead))) * g)
+                            break
+                pieces[(i, j)] = basis
+            return pieces[(i, j)]
 
         for i in range(xlo, xhi + 1):
             for j in range(tlo, thi + 1):
-                dim = gradedlin.piece_dim(ring, i, j)
-                if dim == 0:
+                piece = ideal_piece(i, j)
+                if not piece:
                     continue
-                ech = linalg.Echelon(dim, field)
+                below = []
                 if i - 1 >= xlo:
-                    for p in ideal_piece(i - 1, j):
-                        ech.add(gradedlin.coordinates(x0 * p, i, j))
-                        ech.add(gradedlin.coordinates(x1 * p, i, j))
+                    below += [v * p for p in ideal_piece(i - 1, j)
+                              for v in xvars]
                 if j - 1 >= tlo:
-                    for p in ideal_piece(i, j - 1):
-                        for tv in tvars:
-                            ech.add(gradedlin.coordinates(tv * p, i, j))
-                # products of ideal elements stay inside the piece, so the
-                # rank gain below is dim(piece) - dim(subtracted span)
-                gained = 0
-                for p in ideal_piece(i, j):
-                    if ech.add(gradedlin.coordinates(p, i, j)):
-                        gained += 1
+                    below += [v * p for p in ideal_piece(i, j - 1)
+                              for v in tvars]
+                # products of ideal elements stay inside the piece
+                gained = len(piece) - gradedlin.span_dim(below, ring, i, j)
                 if gained:
                     counts[(i, j)] = gained
     sep = x_separator if x_separator is not None else xlo - 1

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import gradedlin, linalg
-from .ring import GradingError, Poly, PolyRing, print_key
+from .ring import GradingError, Poly, PolyRing
 
 
 class HeightError(ValueError):
@@ -243,27 +243,9 @@ def graded_kernel(M: GradedMatrix, expected_rank: int, degree_budget: int) -> Gr
     q = M.ncols
     found = []          # (degree, component tuple)
 
-    def components_layout(L):
-        monos, offsets = [], []
-        total = 0
-        for j in range(q):
-            d = L - M.col_degrees[j]
-            basis = [(d - a1, a1) for a1 in range(d + 1)] if d >= 0 else []
-            basis.sort(key=print_key, reverse=True)
-            offsets.append(total)
-            monos.append(basis)
-            total += len(basis)
-        return monos, offsets, total
-
-    def vector_coords(vec, monos, total):
-        out = [field.zero] * total
-        pos = 0
-        for j in range(q):
-            index = {m: pos + k for k, m in enumerate(monos[j])}
-            for m, c in vec[j].terms.items():
-                out[index[m]] = c
-            pos += len(monos[j])
-        return out
+    def coords(vec, degs):
+        return [c for comp, d in zip(vec, degs)
+                for c in gradedlin.coordinates(comp, d)]
 
     L = 0
     while True:
@@ -275,45 +257,40 @@ def graded_kernel(M: GradedMatrix, expected_rank: int, degree_budget: int) -> Gr
             raise KernelBudgetError(
                 f"degree budget {degree_budget} exhausted with "
                 f"{len(found)}/{expected_rank} kernel generators found")
-        monos, offsets, total = components_layout(L)
+        # component j of a degree-L element lies in the base-ring piece of
+        # degree L - col_degrees[j] (empty when that is negative)
+        degs = [L - d for d in M.col_degrees]
+        monos = [gradedlin.piece_monomials(ring, d, 0) for d in degs]
+        total = sum(map(len, monos))
         if total:
             # Linear system: for each matrix row i and each unknown (j, mu),
             # the coefficient of M[i][j]*mu on the target piece.
             eq_rows = {}
-            for j in range(q):
-                for k, mu in enumerate(monos[j]):
-                    col = offsets[j] + k
-                    for i in range(M.nrows):
-                        e = M.rows[i][j]
-                        for m, c in e.terms.items():
-                            key = (i, m[0] + mu[0], m[1] + mu[1])
-                            row = eq_rows.get(key)
-                            if row is None:
-                                row = eq_rows[key] = [field.zero] * total
-                            row[col] = field(row[col] + c)
+            unknowns = [(j, mu) for j in range(q) for mu in monos[j]]
+            for col, (j, mu) in enumerate(unknowns):
+                for i in range(M.nrows):
+                    for m, c in M.rows[i][j].terms.items():
+                        key = (i, m[0] + mu[0], m[1] + mu[1])
+                        row = eq_rows.get(key)
+                        if row is None:
+                            row = eq_rows[key] = [field.zero] * total
+                        row[col] = c
             basis = linalg.nullspace(list(eq_rows.values()), total, field)
             if basis:
-                ech = linalg.Echelon(total, field)
-                for deg0, vec in found:
-                    shift = L - deg0
-                    for a1 in range(shift + 1):
-                        mult = ring.monomial((shift - a1, a1))
-                        prod = tuple(mult * comp for comp in vec)
-                        ech.add(vector_coords(prod, monos, total))
-                for cand in basis:
-                    if ech.contains(cand):
+                # keep the candidates the x-multiples of earlier generators
+                # do not already span
+                spanned = [coords([mult * comp for comp in vec], degs)
+                           for deg0, vec in found
+                           for mult in gradedlin.piece_basis(ring, L - deg0)]
+                for k in linalg.independent(spanned + basis, field):
+                    if k < len(spanned):
                         continue
-                    ech.add(cand)
+                    cand = basis[k - len(spanned)]
                     comps = []
-                    pos = 0
-                    for j in range(q):
-                        terms = {}
-                        for k, m in enumerate(monos[j]):
-                            c = cand[pos + k]
-                            if c:
-                                terms[m] = c
-                        pos += len(monos[j])
-                        comps.append(Poly(ring, terms))
+                    for d, piece in zip(degs, monos):
+                        comps.append(gradedlin.from_coordinates(
+                            cand[:len(piece)], ring, d))
+                        cand = cand[len(piece):]
                     found.append((L, tuple(comps)))
         L += 1
 
@@ -374,7 +351,9 @@ def hull_embedding(phi: GradedMatrix, m: int):
     inv = SigmaInvariants(sigma, sum(1 for v in sigma if v > 0), n - m)
     xi_rows = tuple(tuple(kernel.rows[j][k] for j in range(n)) for k in cols)
     xi = GradedMatrix(phi.ring, xi_rows, (0,) * n, sigma)
-    assert sum(sigma) == budget
+    if sum(sigma) != budget:
+        raise ArithmeticError(f"internal error: hull twists {sigma} do not "
+                              f"sum to the degree budget {budget}")
     return inv, xi
 
 

@@ -24,8 +24,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import gradedlin, linalg
-from .ring import (Poly, PolyRing, bidegree, linear_images, promote, ring_S,
-                   ring_scroll, substitute_T)
+from .ring import (GradingError, Poly, PolyRing, bidegree, linear_images,
+                   promote, ring_S, ring_scroll, substitute_T)
 from .syzygy import (GradedMatrix, HeightError, SigmaInvariants, graded_kernel,
                      hull_embedding, matrix_from_rows, signed_maximal_minors)
 
@@ -95,7 +95,9 @@ def sym_equations(inp: PresentationInput) -> SymEquations:
             entry = inp.phi.rows[i][j]
             if not entry.is_zero():
                 g = g + promote(entry, S) * S.var(f"T{i + 1}")
-        assert bidegree(g) == (inp.col_degrees[j], 1)
+        if bidegree(g) != (inp.col_degrees[j], 1):
+            raise GradingError(f"g_{j + 1} has bidegree {bidegree(g)}, "
+                               f"expected {(inp.col_degrees[j], 1)}")
         gs.append(g)
     return SymEquations(tuple(gs))
 
@@ -291,7 +293,7 @@ def hull_quotient_hilbert(level: TowerLevel):
 
     H(i) = sum_k dim R(sigma_k)_i - n*dim R_i + sum_(k<=m) dim R(-d_k)_i,
     clamped at zero.  For n = 3, m = 1 this must equal d_1 - i - 1 on the
-    window [-1, d_1 - 1], which is asserted here.
+    window [-1, d_1 - 1]; a mismatch raises ArithmeticError.
     """
     sigma = level.sigma.sigma
     n = level.inp.n
@@ -309,5 +311,7 @@ def hull_quotient_hilbert(level: TowerLevel):
     if n == 3 and level.m == 1:
         d1 = level.inp.col_degrees[0]
         for i in range(-1, d1):
-            assert H(i) == d1 - i - 1, "hull-quotient Hilbert function mismatch"
+            if H(i) != d1 - i - 1:
+                raise ArithmeticError("hull-quotient Hilbert function "
+                                      f"mismatch at degree {i}")
     return H

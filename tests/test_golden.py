@@ -1,11 +1,13 @@
-"""Golden digests of the `--json` output of `rees generators` and `rees slice`.
+"""Golden digests of the `--json` output of several `rees` subcommands.
 
 The digests pin the exact records (polynomials, bidegrees, provenance,
-certificates) the constructive stack emits, so a change that speeds up a
-kernel but alters any output byte fails here.  They were recorded with the
-constructive stack before the batched slice solves and the row-sparse F_p
-elimination went in.  A deliberate change of output must replace them in the
-same commit and say why.
+certificates), twists, trimmed slices and oracle generator counts the package
+emits, so a change that speeds up a kernel but alters any output byte fails
+here.  The `generators` and `slice` digests were recorded before the batched
+slice solves and the row-sparse F_p elimination went in; the `sigmas`,
+trimmed-slice and oracle `mingens` digests were recorded before the streaming
+echelon class gave way to `linalg.independent`.  A deliberate change of
+output must replace them in the same commit and say why.
 """
 import hashlib
 
@@ -46,6 +48,43 @@ SLICES = {
     ("table3", 16): "57f328bc8250bc7384c5f7ed1cd4a136506d34dbcf9255710c102fb0c8c86d1a",
 }
 
+# (fixture, level) for every level 1..n-1: the twists come from graded_kernel
+SIGMAS = {
+    ("almost_linear", 1): "fdfeb965c0d719e20ef05960741f71bd30340a6faa2381570986d9589c6a256e",
+    ("almost_linear", 2): "668607c863110c6e7684502057b15a914cc061569cb2935db72341ae24362a47",
+    ("almost_linear", 3): "2b9b9f809fe014e0fbe31c416a1efdd74d2c82a9308a84091f22eb71d6aca208",
+    ("final_example", 1): "9068d0cd3bd2ee32be9115affea1393ebffef9ba1bf88290a229f1ca2355eb0f",
+    ("final_example", 2): "c9b46c68f76dc79c8b34dc278cffc19ceff748cddee7aeef8f109ff3f0b25654",
+    ("final_variant", 1): "9068d0cd3bd2ee32be9115affea1393ebffef9ba1bf88290a229f1ca2355eb0f",
+    ("final_variant", 2): "c9b46c68f76dc79c8b34dc278cffc19ceff748cddee7aeef8f109ff3f0b25654",
+    ("quadric_cubic", 1): "b5b40e824b911fd19a702c4475d8e55d2ca5a25d53280cefc46cc8f62331361e",
+    ("quadric_cubic", 2): "6270576fb3443b34eb8547ca691297a6e3f35b55d0b49cbdea0f12051c971a11",
+    ("table1", 1): "75f52faa5396689b4ada9f5530a0ea152428d4bf3518a1e2407be27a5434d7fb",
+    ("table1", 2): "9be59f76e26b3fdc6a69982c3529a50877e4837ff6628aca422ac4617b15218a",
+    ("table2", 1): "a7880712de95adfd5d5730f784a97b0b754ef600a9bbc8a4b5db63299db6a79b",
+    ("table2", 2): "8baa59a4bc54cddc122ecef8308a78093d3fcfd1d2a3778a20038733b3079a28",
+    ("table3", 1): "9068d0cd3bd2ee32be9115affea1393ebffef9ba1bf88290a229f1ca2355eb0f",
+    ("table3", 2): "adfa39f5f7781e0d8ccc51226805d6662208ec9da626f8926b02948da7438d81",
+}
+
+# (fixture, x-degree) for `slice --trim`: slice_basis and trim_slice
+TRIMMED_SLICES = {
+    ("final_example", 4): "7ec1cd7627746bfce004c31bb02237e61ff362265cd8c35ba2ef1add1bd78ecd",
+    ("final_example", 6): "43b536cda52dba7d617858d715d3c77cead45474db1cdd7138b019089dfc4f0c",
+    ("quadric_cubic", 1): "fed4f26981c60156425944ea2414f6d6e106c10563719de83540cfbe2278a330",
+    ("quadric_cubic", 2): "e8dfe882add77142c251ce9fbefdb9034bca22d88cb8ec509bf933ed9a2ab2bf",
+    ("quadric_cubic", 3): "cc59f86fc2272801672a79aefb17b75e8ca8996697018807e3689e7ca51c002b",
+    ("table1", 2): "ad9145f04f85b9d8b67b361621024a02940a0796b76e2201ecc06222bb63e4af",
+    ("table1", 3): "ab67ff877a468e0fed09fe6fc126de97d62f3206204c7fe72d2c5d08e2f8cf5a",
+}
+
+# `oracle --what mingens --max-x 4 --max-t 4`
+MINGENS = {
+    "final_example": "d5236b7c01680c83fb9c1b1a3e977b7186e8f1179b652f61460e558717f12fc0",
+    "quadric_cubic": "b824251163591fca21613d67f028803c9e645e9c6c50b66514ca1cde53e3ced8",
+    "table1": "2832b94f7ebbb188b9c02c62a9c267603317dbb608abc77ce9063b5f4ff4edf4",
+}
+
 
 def json_digest(capsys, *argv):
     code = cli.main(["--json", *argv])
@@ -65,3 +104,24 @@ def test_slice_json_is_unchanged(capsys, name, xdeg):
     got = json_digest(capsys, "slice", fixture_path(f"{name}.json"),
                       "--xdeg", str(xdeg))
     assert got == SLICES[(name, xdeg)]
+
+
+@pytest.mark.parametrize("name,m", sorted(SIGMAS))
+def test_sigmas_json_is_unchanged(capsys, name, m):
+    got = json_digest(capsys, "sigmas", fixture_path(f"{name}.json"),
+                      "-m", str(m))
+    assert got == SIGMAS[(name, m)]
+
+
+@pytest.mark.parametrize("name,xdeg", sorted(TRIMMED_SLICES))
+def test_trimmed_slice_json_is_unchanged(capsys, name, xdeg):
+    got = json_digest(capsys, "slice", fixture_path(f"{name}.json"),
+                      "--xdeg", str(xdeg), "--trim")
+    assert got == TRIMMED_SLICES[(name, xdeg)]
+
+
+@pytest.mark.parametrize("name", sorted(MINGENS))
+def test_oracle_mingens_json_is_unchanged(capsys, name):
+    got = json_digest(capsys, "oracle", fixture_path(f"{name}.json"),
+                      "--what", "mingens", "--max-x", "4", "--max-t", "4")
+    assert got == MINGENS[name]

@@ -61,14 +61,14 @@ def test_rational_path():
                        2, Q) == 1
 
 
-def test_echelon_contains_and_rank():
-    ech = linalg.Echelon(3, F)
-    assert ech.add([F(1), F(0), F(1)])
-    assert ech.add([F(0), F(1), F(0)])
-    assert not ech.add([F(1), F(1), F(1)])  # dependent on the first two
-    assert ech.rank == 2
-    assert ech.contains([F(2), F(3), F(2)])
-    assert not ech.contains([F(0), F(0), F(1)])
+def test_independent_contains_and_rank():
+    vecs = fe([[1, 0, 1], [0, 1, 0], [1, 1, 1]])
+    # the third vector is the sum of the first two
+    assert linalg.independent(vecs, F) == [0, 1]
+    assert linalg.rank(vecs, 3, F) == 2
+    # [2, 3, 2] lies in the span and adds no index; [0, 0, 1] does not
+    assert linalg.independent(vecs + fe([[2, 3, 2]]), F) == [0, 1]
+    assert linalg.independent(vecs + fe([[0, 0, 1]]), F) == [0, 1, 3]
 
 
 small_matrix = st.lists(
@@ -93,14 +93,57 @@ def test_solve_finds_solutions_that_exist(rows, x):
         assert sum(r * c for r, c in zip(row, got)) % 32003 == b
 
 
-@given(small_matrix)
-@settings(max_examples=60)
-def test_echelon_rank_matches_batch_rank(rows):
-    A = fe(rows)
-    ech = linalg.Echelon(4, F)
-    for row in A:
-        ech.add(list(row))
-    assert ech.rank == linalg.rank(A, 4, F)
+def mod_p(a):
+    """An int or a Fraction reduced into 0..p-1."""
+    a = Fraction(a)
+    return a.numerator * pow(a.denominator, -1, 32003) % 32003
+
+
+def greedy_scan(vectors, normal):
+    """Indices a one-at-a-time scan keeps: each vector outside the span of
+    the vectors kept before it.  `normal` reduces a field element."""
+    kept, basis = [], []         # basis: (pivot column, row with a 1 there)
+    for k, vec in enumerate(vectors):
+        for pc, row in basis:
+            c = vec[pc]
+            if c:
+                vec = [normal(a - c * b) for a, b in zip(vec, row)]
+        pc = next((i for i, a in enumerate(vec) if a), None)
+        if pc is not None:
+            inv = normal(1 / Fraction(vec[pc]))
+            basis.append((pc, [normal(a * inv) for a in vec]))
+            kept.append(k)
+    return kept
+
+
+@st.composite
+def vector_lists(draw):
+    """Up to 10 vectors of length 0..5 over F_p or Q, with repeated vectors,
+    zero vectors and the empty list among them."""
+    rational = draw(st.booleans())
+    dim = draw(st.integers(0, 5))
+    entry = (st.fractions(-3, 3, max_denominator=3) if rational
+             else st.one_of(st.just(0), st.integers(0, 32002)))
+    vecs = draw(st.lists(st.lists(entry, min_size=dim, max_size=dim),
+                         max_size=6))
+    for i in draw(st.lists(st.integers(0, max(len(vecs) - 1, 0)),
+                           max_size=2)):
+        if vecs:
+            vecs.insert(draw(st.integers(0, len(vecs))), list(vecs[i]))
+    for _ in range(draw(st.integers(0, 2))):
+        vecs.insert(draw(st.integers(0, len(vecs))), [0] * dim)
+    if rational:
+        return vecs, dim, Q, Fraction
+    return vecs, dim, F, mod_p
+
+
+@given(vector_lists())
+@settings(max_examples=200)
+def test_independent_matches_greedy_scan(drawn):
+    vecs, dim, field, normal = drawn
+    got = linalg.independent(vecs, field)
+    assert got == greedy_scan(vecs, normal)
+    assert len(got) == linalg.rank(vecs, dim, field)
 
 
 def gauss_jordan_mod_p(rows, ncols, p):

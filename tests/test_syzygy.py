@@ -243,6 +243,21 @@ def test_scroll_realization_kills_minors():
         assert substitute_T(q, images, target).is_zero()
 
 
+def test_hull_embedding_rejects_twists_off_the_budget(monkeypatch, quadric_cubic):
+    # a kernel whose degrees miss the budget must surface as a named error,
+    # also under python -O
+    real_kernel = syzygy.graded_kernel
+
+    def lifted(M, expected_rank, degree_budget):
+        K = real_kernel(M, expected_rank, degree_budget)
+        return GradedMatrix(K.ring, K.rows,
+                            tuple(d + 1 for d in K.col_degrees), K.row_twists)
+
+    monkeypatch.setattr(syzygy, "graded_kernel", lifted)
+    with pytest.raises(ArithmeticError, match="degree budget"):
+        hull_embedding(quadric_cubic.phi, 1)
+
+
 def test_graded_kernel_rejects_a_wrong_kernel_vector(monkeypatch):
     # a nullspace fault must surface as a named error, also under python -O
     real_nullspace = linalg.nullspace

@@ -1,9 +1,11 @@
+import dataclasses
+
 import pytest
 
 from rees.cli import random_instance
 from rees.field import PrimeField
-from rees.ring import Poly, bidegree, parse_poly, ring_R
-from rees.syzygy import HeightError, hull_embedding
+from rees.ring import GradingError, Poly, bidegree, parse_poly, ring_R
+from rees.syzygy import HeightError, SigmaInvariants, hull_embedding
 from rees.tower import (
     NormalizationError,
     _normalize_embedding,
@@ -67,6 +69,14 @@ def test_sym_equations_values(quadric_cubic):
     assert eqs[0] == parse_poly("x0^2*T1 + x0*x1*T2 + x1^2*T3", S)
     assert eqs[1] == parse_poly("x1^3*T1 + x0^3*T3", S)
     assert [bidegree(g) for g in eqs] == [(2, 1), (3, 1)]
+
+
+def test_sym_equations_reject_a_column_degree_mismatch(quadric_cubic):
+    # a declared column degree the matrix does not have must surface as a
+    # named error, also under python -O
+    wrong = dataclasses.replace(quadric_cubic, col_degrees=(3, 3))
+    with pytest.raises(GradingError, match="g_1 has bidegree"):
+        sym_equations(wrong)
 
 
 def test_evaluation_membership_basics(quadric_cubic):
@@ -203,6 +213,16 @@ def test_hull_quotient_hilbert_values(request, fixture_name, d1):
         assert H(i) == d1 - i - 1
     assert H(d1) == 0
     assert H(d1 + 3) == 0
+
+
+def test_hull_quotient_hilbert_rejects_wrong_twists(quadric_cubic):
+    # quadric_cubic has sigma = (1, 1) at level 1; the twists (2, 1) give
+    # H(-1) = 3 instead of d_1 = 2, which must surface as a named error, also
+    # under python -O
+    level = build_level(quadric_cubic, 1)
+    wrong = dataclasses.replace(level, sigma=SigmaInvariants((2, 1), 2, 2))
+    with pytest.raises(ArithmeticError, match="Hilbert function mismatch"):
+        hull_quotient_hilbert(wrong)
 
 
 def test_normalization_rejects_uncleared_identity_columns(monkeypatch):
