@@ -405,6 +405,8 @@ def _check_one(inp: tower.PresentationInput) -> list:
 
 def _cmd_check(args) -> int:
     inp = load_instance(args.file)
+    if args.seeds > 0 and inp.field.modulus is None:
+        raise ValueError("random instances are generated over a prime field")
     reports = [("instance", _check_one(inp))]
     for seed in range(args.seeds):
         twin = random_instance(inp.n, inp.col_degrees, seed, inp.field)

@@ -2,8 +2,10 @@
 
 Two fields are supported: F_p for a prime p (elements are canonical ints in
 0..p-1) and the rationals (elements are `fractions.Fraction`).  Polynomial code
-branches on `field.modulus`: an int means "reduce mod p", None means "exact
-rational arithmetic".
+reads `field.modulus`: an int means "reduce mod p", None means "exact rational
+arithmetic".  So one loop serves both fields; the oracle's single reduction
+kernel, `oracle._sub_multiple`, reduces a coefficient only when the modulus is
+an int, and scales through `inv`, `neg` and the field's coercion.
 """
 from __future__ import annotations
 

@@ -17,13 +17,21 @@ t-free subring in A intersect B.  The tag carries bidegree (0, 0), so tagged
 generators stay bihomogeneous; a splitting safeguard restores bihomogeneity
 anyway if an engine change ever breaks it.
 
+Reduction has one kernel for F_p and Q: `_sub_multiple` subtracts
+c * x^shift * g from a working terms dict, reducing mod p only when the field
+has a modulus; the lead terms cancel inside it.  The heap-driven normal form
+`_nf_terms` calls it once per reduction step, and `_spoly_terms` is one shifted
+reducer minus it.
+
 Windows are ((x_lo, x_hi), (t_lo, t_hi)), inclusive on both ends.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
+from operator import add, sub
 
 from . import combinat, gradedlin
 from .field import RationalField
@@ -87,15 +95,33 @@ def _monic(terms: dict, key, field) -> tuple:
     """(lead, terms scaled to lead coefficient 1)."""
     lead = max(terms, key=key)
     lc = terms[lead]
-    p = field.modulus
-    if p is not None:
-        if lc != 1:
-            inv = pow(lc, p - 2, p)
-            terms = {m: c * inv % p for m, c in terms.items()}
-    else:
-        if lc != 1:
-            terms = {m: c / lc for m, c in terms.items()}
+    if lc != 1:
+        inv = field.inv(lc)
+        terms = {m: field(c * inv) for m, c in terms.items()}
     return lead, terms
+
+
+def _sub_multiple(work: dict, c, shift: tuple, g: dict, p) -> list:
+    """work -= c * x^shift * g in place; the monomials it added to work.
+
+    The one reduction step of the oracle, for both fields: g is monic and c
+    is work's coefficient at x^shift * lead(g), so that term cancels and
+    leaves work.  p is the field's modulus, None over Q.
+    """
+    new = []
+    for gm, gc in g.items():
+        nm = tuple(map(add, gm, shift))
+        old = work.get(nm)
+        nv = -c * gc if old is None else old - c * gc
+        if p is not None:
+            nv %= p
+        if nv:
+            work[nm] = nv
+            if old is None:
+                new.append(nm)
+        elif old is not None:
+            del work[nm]
+    return new
 
 
 def _nf_terms(terms: dict, gens: list, negkey, field) -> dict:
@@ -110,7 +136,7 @@ def _nf_terms(terms: dict, gens: list, negkey, field) -> dict:
         c = work.get(m)
         if not c:
             continue
-        for lead, gt in gens:
+        for lead, g in gens:
             divisible = True
             for a, b in zip(m, lead):
                 if a < b:
@@ -118,42 +144,9 @@ def _nf_terms(terms: dict, gens: list, negkey, field) -> dict:
                     break
             if not divisible:
                 continue
-            shift = tuple(a - b for a, b in zip(m, lead))
-            del work[m]
-            if p is not None:
-                for gm, gc in gt.items():
-                    if gm == lead:
-                        continue
-                    nm = tuple(a + b for a, b in zip(gm, shift))
-                    old = work.get(nm)
-                    if old is None:
-                        nv = -c * gc % p
-                        if nv:
-                            work[nm] = nv
-                            heappush(heap, (negkey(nm), nm))
-                    else:
-                        nv = (old - c * gc) % p
-                        if nv:
-                            work[nm] = nv
-                        else:
-                            del work[nm]
-            else:
-                for gm, gc in gt.items():
-                    if gm == lead:
-                        continue
-                    nm = tuple(a + b for a, b in zip(gm, shift))
-                    old = work.get(nm)
-                    if old is None:
-                        nv = -c * gc
-                        if nv:
-                            work[nm] = nv
-                            heappush(heap, (negkey(nm), nm))
-                    else:
-                        nv = old - c * gc
-                        if nv:
-                            work[nm] = nv
-                        else:
-                            del work[nm]
+            shift = tuple(map(sub, m, lead))
+            for nm in _sub_multiple(work, c, shift, g, p):
+                heappush(heap, (negkey(nm), nm))
             break
         else:
             rem[m] = c
@@ -163,28 +156,11 @@ def _nf_terms(terms: dict, gens: list, negkey, field) -> dict:
 
 def _spoly_terms(gi: tuple, gj: tuple, field) -> dict:
     """S-polynomial of two monic (lead, terms) pairs."""
-    p = field.modulus
     (li, ti), (lj, tj) = gi, gj
-    lcm = tuple(max(a, b) for a, b in zip(li, lj))
-    si = tuple(a - b for a, b in zip(lcm, li))
-    sj = tuple(a - b for a, b in zip(lcm, lj))
-    out = {}
-    for m, c in ti.items():
-        if m == li:
-            continue
-        out[tuple(a + b for a, b in zip(m, si))] = c
-    for m, c in tj.items():
-        if m == lj:
-            continue
-        nm = tuple(a + b for a, b in zip(m, sj))
-        old = out.get(nm)
-        nv = -c if old is None else old - c
-        if p is not None:
-            nv %= p
-        if nv:
-            out[nm] = nv
-        elif old is not None:
-            del out[nm]
+    lcm = tuple(map(max, li, lj))
+    si = tuple(map(sub, lcm, li))
+    out = {tuple(map(add, m, si)): c for m, c in ti.items()}
+    _sub_multiple(out, 1, tuple(map(sub, lcm, lj)), tj, field.modulus)
     return out
 
 
@@ -245,21 +221,14 @@ def _buchberger_core(term_dicts: list, key, negkey, field) -> list:
 
 
 def _interreduce(G: list, key, negkey, field) -> list:
-    if not G:
-        return []
-    order = sorted(range(len(G)), key=lambda t: key(G[t][0]))
     kept = []
-    for t in order:
-        lead = G[t][0]
-        if any(all(a <= b for a, b in zip(kl, lead)) for kl, _ in kept):
-            continue
-        kept.append(G[t])
-    out = []
-    for idx, (lead, terms) in enumerate(kept):
-        others = kept[:idx] + kept[idx + 1:]
-        out.append((lead, _nf_terms(terms, others, negkey, field)))
-    out.sort(key=lambda g: key(g[0]))
-    return out
+    for g in sorted(G, key=lambda g: key(g[0])):
+        if not any(all(a <= b for a, b in zip(kl, g[0])) for kl, _ in kept):
+            kept.append(g)
+    # no kept lead divides another, so every lead survives the reduction by
+    # the others and the list stays in ascending order
+    return [(lead, _nf_terms(terms, kept[:i] + kept[i + 1:], negkey, field))
+            for i, (lead, terms) in enumerate(kept)]
 
 
 # -- public engine -----------------------------------------------------------
@@ -275,6 +244,15 @@ class GroebnerBasis:
     @property
     def ring(self):
         return self.generators[0].ring if self.generators else None
+
+    @cached_property
+    def reducers(self) -> tuple:
+        """Monic (lead, terms) pairs in the block order, one per generator."""
+        if not self.generators:
+            return ()
+        key, _ = _ring_keys(self.ring)
+        return tuple(_monic(g.terms, key, self.ring.field)
+                     for g in self.generators)
 
 
 def buchberger(gens) -> GroebnerBasis:
@@ -300,17 +278,11 @@ def normal_form(p: Poly, G: GroebnerBasis) -> Poly:
     ring = p.ring
     if G.ring != ring:
         raise ValueError("polynomial and basis live in different rings")
-    key, negkey = _ring_keys(ring)
-    gens = [_monic(g.terms, key, ring.field) for g in G.generators]
-    return Poly(ring, _nf_terms(p.terms, gens, negkey, ring.field))
+    _, negkey = _ring_keys(ring)
+    return Poly(ring, _nf_terms(p.terms, G.reducers, negkey, ring.field))
 
 
 # -- tag-variable constructions ---------------------------------------------
-
-def _tag_ring(ring: PolyRing) -> PolyRing:
-    return PolyRing(ring.field, tuple(ring.tvar_names) + ("tag",),
-                    tuple(ring.tweights) + (0,))
-
 
 def _bihomogeneous_components(p: Poly) -> list:
     if p.is_bihomogeneous():
@@ -329,16 +301,13 @@ def intersect_ideals(gens_a, gens_b, ring: PolyRing) -> list:
     if not gens_a or not gens_b:
         return []
     field = ring.field
-    p = field.modulus
     key, negkey = _key_funcs(len(ring.tvar_names), elim=True)
-    lifted = []
-    for a in gens_a:
-        lifted.append({m + (1,): c for m, c in a.terms.items()})
+    lifted = [{m + (1,): c for m, c in a.terms.items()} for a in gens_a]
     for b in gens_b:
         terms = {}
         for m, c in b.terms.items():
             terms[m + (0,)] = c
-            terms[m + (1,)] = -c % p if p is not None else -c
+            terms[m + (1,)] = field.neg(c)
         lifted.append(terms)
     core = _buchberger_core(lifted, key, negkey, field)
     out = []
@@ -346,11 +315,9 @@ def intersect_ideals(gens_a, gens_b, ring: PolyRing) -> list:
         if lead[-1] == 0:
             if any(m[-1] for m in terms):
                 raise ArithmeticError("elimination produced a mixed element")
-            out.append(Poly(ring, {m[:-1]: c for m, c in terms.items()}))
-    final = []
-    for q in out:
-        final.extend(_bihomogeneous_components(q))
-    return final
+            out.extend(_bihomogeneous_components(
+                Poly(ring, {m[:-1]: c for m, c in terms.items()})))
+    return out
 
 
 def _saturate_var(gens, v: int, ring: PolyRing) -> list:
@@ -400,15 +367,12 @@ def bigraded_hilbert(G: GroebnerBasis, window) -> dict:
     lead of the reduced basis (the complement counts standard monomials).
     """
     xlo, xhi, tlo, thi = _check_window(window)
-    out = {}
     if not G.generators:
-        for i in range(xlo, xhi + 1):
-            for j in range(tlo, thi + 1):
-                out[(i, j)] = 0
-        return out
+        return {(i, j): 0 for i in range(xlo, xhi + 1)
+                for j in range(tlo, thi + 1)}
     ring = G.ring
-    key, _ = _ring_keys(ring)
-    leads = [max(g.terms, key=key) for g in G.generators]
+    leads = [lead for lead, _ in G.reducers]
+    out = {}
     for i in range(xlo, xhi + 1):
         for j in range(tlo, thi + 1):
             cnt = 0
@@ -437,8 +401,7 @@ def minimal_generator_bidegrees(G: GroebnerBasis, window,
     counts: dict = {}
     if G.generators:
         ring = G.ring
-        key, _ = _ring_keys(ring)
-        leads = [(max(g.terms, key=key), g) for g in G.generators]
+        leads = [(lead, g) for (lead, _), g in zip(G.reducers, G.generators)]
         xvars = [ring.var("x0"), ring.var("x1")]
         tvars = [ring.var(name) for name in ring.tvar_names]
         pieces: dict = {}
@@ -500,10 +463,8 @@ def saturated_ideal(inp: PresentationInput, m: int | None = None,
         twin = _rational_twin(inp)
         gsq = list(sym_equations(twin))[:m]
         KQ = saturate_m(buchberger(gsq))
-        key, _ = _ring_keys(inp.sring)
-        mine = {max(g.terms, key=key) for g in K.generators}
-        theirs = {max(g.terms, key=key) for g in KQ.generators}
-        if mine != theirs:
+        mine = {lead for lead, _ in K.reducers}
+        if mine != {lead for lead, _ in KQ.reducers}:
             raise ArithmeticError(
                 "modular basis disagrees with the rational one; "
                 "the prime looks unlucky for this instance")

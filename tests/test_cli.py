@@ -154,6 +154,23 @@ def test_check_passes_on_table3(capsys):
     assert payload["ok"] is True
 
 
+def test_check_seeds_on_a_rational_instance_fails_before_any_work(
+        capsys, monkeypatch, tmp_path):
+    # random twins exist only over a prime field, so the instance check must
+    # not run first and then end without a report
+    with open(QUADRIC, encoding="utf-8") as fh:
+        inst = json.load(fh)
+    inst["field"] = {"type": "rational"}
+    path = tmp_path / "rational.json"
+    path.write_text(json.dumps(inst))
+    calls = []
+    monkeypatch.setattr(cli, "_check_one", calls.append)
+    code, out, err = run(capsys, "check", str(path), "--seeds", "1")
+    assert code == 1
+    assert err == "error: random instances are generated over a prime field\n"
+    assert out == "" and calls == []
+
+
 def test_random_is_deterministic(capsys, tmp_path):
     code, first, _ = run(capsys, "random", "--n", "3",
                          "--degrees", "2,3", "--seed", "5")

@@ -6,15 +6,17 @@ emits, so a change that speeds up a kernel but alters any output byte fails
 here.  The `generators` and `slice` digests were recorded before the batched
 slice solves and the row-sparse F_p elimination went in; the `sigmas`,
 trimmed-slice and oracle `mingens` digests were recorded before the streaming
-echelon class gave way to `linalg.independent`.  A deliberate change of
-output must replace them in the same commit and say why.
+echelon class gave way to `linalg.independent`; the oracle basis digests
+were recorded before the F_p and Q reduction loops were merged into one
+kernel.  A deliberate change of output must replace them in the same commit
+and say why.
 """
 import hashlib
 
 import pytest
 
 from conftest import fixture_path
-from rees import cli
+from rees import cli, oracle
 
 GENERATORS = {
     "almost_linear": "2a3b332bae918f94fdad888f390c5b30648b23d8c4c531a17fc9ae5ee24345cd",
@@ -86,6 +88,30 @@ MINGENS = {
 }
 
 
+# reduced basis of `oracle.saturated_ideal`, one `str(g)` per line; "rational"
+# saturates the instance's rational twin, so both fields' kernels are pinned
+BASES = {
+    ("almost_linear", "prime"):
+        "00c27271cfce39b4ae39bf7ac527d129581b26a15635f506503f100835c3ebb5",
+    ("final_example", "prime"):
+        "cf2bb401611140c9e25b7bd7c17fc527e47c6c5f4a709878f4397ea9456dfe45",
+    ("final_example", "rational"):
+        "6c7296c571e92baa4328a225dfc7a477dcdf78c97a6aff8998f86f177e43fea8",
+    ("final_variant", "prime"):
+        "d3012014ca8f33a4bec84b38ddf997c19aa0236d4cfd787c0c6938e0e3b77d95",
+    ("quadric_cubic", "prime"):
+        "d131d5cecc206825d93f2fd87939f2aadc5693a4825b958beb80803fbec0a325",
+    ("quadric_cubic", "rational"):
+        "19001521623e353d9ef274a98fc256683b511d290cd32b689e70e0b2219a71d7",
+    ("table1", "prime"):
+        "a29a5bd53f23b72acd9875fbf0fbeb92e77783123c450f1d1444acbf29686c81",
+    ("table1", "rational"):
+        "1a2207c6357f7d7e4a1c21b797150f5aa1499a688d96921f8329b82bc00c7746",
+    ("table3", "prime"):
+        "febcc8af1803e2dc2c7a6884223a554f18c2328b6c3c2e205d529615747ccc02",
+}
+
+
 def json_digest(capsys, *argv):
     code = cli.main(["--json", *argv])
     out = capsys.readouterr().out
@@ -125,3 +151,13 @@ def test_oracle_mingens_json_is_unchanged(capsys, name):
     got = json_digest(capsys, "oracle", fixture_path(f"{name}.json"),
                       "--what", "mingens", "--max-x", "4", "--max-t", "4")
     assert got == MINGENS[name]
+
+
+@pytest.mark.parametrize("name,field", sorted(BASES))
+def test_saturated_basis_is_unchanged(name, field):
+    inp = cli.load_instance(fixture_path(f"{name}.json"))
+    if field == "rational":
+        inp = oracle._rational_twin(inp)
+    K = oracle.saturated_ideal(inp)
+    text = "\n".join(str(g) for g in K.generators)
+    assert hashlib.sha256(text.encode()).hexdigest() == BASES[(name, field)]

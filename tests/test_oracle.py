@@ -1,12 +1,19 @@
-import pytest
+from fractions import Fraction
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from conftest import fixture_path
 from rees import cli
-from rees.field import PrimeField
+from rees.field import PrimeField, RationalField
 from rees.generators import u_span_dim
 from rees.gradedlin import piece_basis
 from rees.oracle import (
     ORDER_DESCRIPTOR,
     GroebnerBasis,
+    _key_funcs,
+    _nf_terms,
+    _rational_twin,
     _saturate_var,
     bigraded_hilbert,
     buchberger,
@@ -17,7 +24,7 @@ from rees.oracle import (
     saturated_ideal,
 )
 from rees.generators import tower_generators
-from rees.ring import parse_poly, ring_R, ring_S, ring_scroll
+from rees.ring import Poly, parse_poly, ring_R, ring_S, ring_scroll
 from rees.tower import sym_equations
 
 F = PrimeField(32003)
@@ -78,6 +85,60 @@ def test_normal_form_detects_membership(quadric_cubic):
     assert not normal_form(p("T1", quadric_cubic.sring), K).is_zero()
 
 
+# -- the reduction kernel -----------------------------------------------------
+
+def naive_remainder(terms, reducers, key, p):
+    """Textbook division: cancel the largest remaining term with the first
+    reducer whose lead divides it, subtracting the whole shifted reducer."""
+    work, rem = dict(terms), {}
+    while work:
+        m = max(work, key=key)
+        c = work[m]
+        for lead, g in reducers:
+            if all(a >= b for a, b in zip(m, lead)):
+                shift = tuple(a - b for a, b in zip(m, lead))
+                for gm, gc in g.items():
+                    nm = tuple(a + b for a, b in zip(gm, shift))
+                    v = work.get(nm, 0) - c * gc
+                    if p is not None:
+                        v %= p
+                    if v:
+                        work[nm] = v
+                    else:
+                        work.pop(nm, None)
+                break
+        else:
+            rem[m] = c
+            del work[m]
+    return rem
+
+
+MONOMIALS = st.tuples(*[st.integers(0, 2)] * 4)  # x0, x1, T1, T2
+KERNEL_FIELDS = {
+    # a small prime makes cancellations to zero common
+    "F_7": (PrimeField(7), st.integers(1, 6)),
+    "Q": (RationalField(), st.builds(Fraction, st.integers(-5, 5).filter(bool),
+                                     st.integers(1, 4))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_FIELDS))
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_nf_terms_matches_naive_division(name, data):
+    field, coeffs = KERNEL_FIELDS[name]
+    key, negkey = _key_funcs(2)
+    polys = st.dictionaries(MONOMIALS, coeffs, min_size=1, max_size=5)
+    terms = data.draw(polys)
+    reducers = []
+    for g in data.draw(st.lists(polys, min_size=1, max_size=3)):
+        lead = max(g, key=key)
+        inv = field.inv(g[lead])
+        reducers.append((lead, {m: field(c * inv) for m, c in g.items()}))
+    got = _nf_terms(terms, reducers, negkey, field)
+    assert got == naive_remainder(terms, reducers, key, field.modulus)
+
+
 # -- ideal arithmetic ---------------------------------------------------------
 
 def test_intersect_principal_monomials():
@@ -130,6 +191,23 @@ def test_saturated_ideal_rational_cross_check_table1(table1):
     # the degrevlex saturation key on the Q path, and a guard on the prime
     K = saturated_ideal(table1, rational_check=True)
     assert K.generators == saturated_ideal(table1).generators
+
+
+@pytest.mark.parametrize("name", ["quadric_cubic", "table1", "final_example",
+                                  "random-4-1,2,2"])
+def test_rational_basis_reduces_to_the_modular_one(name):
+    # the Q kernel's coefficients, not only its lead monomials: mapping the
+    # rational twin's reduced basis into F_p term by term must give the F_p
+    # basis exactly
+    if name.startswith("random"):
+        inp = cli.random_instance(4, (1, 2, 2), 0, F)
+    else:
+        inp = cli.load_instance(fixture_path(f"{name}.json"))
+    K = saturated_ideal(inp)
+    KQ = saturated_ideal(_rational_twin(inp))
+    mapped = tuple(Poly(inp.sring, {m: F(c) for m, c in g.terms.items()})
+                   for g in KQ.generators)
+    assert mapped == K.generators
 
 
 @pytest.mark.parametrize("degrees", [(1, 1, 2), (1, 2, 2), (1, 1, 1, 1)])
