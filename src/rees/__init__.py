@@ -40,7 +40,6 @@ from .syzygy import (
 from .tower import (
     NormalizationError,
     PresentationInput,
-    SymEquations,
     TowerLevel,
     build_level,
     check_truncation_equality,
@@ -91,7 +90,7 @@ __all__ = [
     "SigmaInvariants", "graded_kernel", "homogeneous_gcd", "hull_embedding",
     "matrix_from_rows", "scroll_matrix", "scroll_realization_images",
     "sigma_invariants", "signed_maximal_minors",
-    "NormalizationError", "PresentationInput", "SymEquations", "TowerLevel",
+    "NormalizationError", "PresentationInput", "TowerLevel",
     "build_level", "check_truncation_equality", "evaluation_membership",
     "hull_quotient_hilbert", "load_presentation", "sym_equations",
     "BidegreeTable", "below_weight_exponents", "bidegree_table",

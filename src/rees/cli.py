@@ -107,11 +107,19 @@ def load_instance(path: str) -> tower.PresentationInput:
     field = _field_with_override(raw.get("field"))
     n = raw["n"]
     rows = raw["phi_rows"]
+    if not (isinstance(rows, list) and all(
+            isinstance(row, list) and all(isinstance(e, str) for e in row)
+            for row in rows)):
+        raise ValueError("phi_rows must be a list of rows of polynomial strings")
     if len(rows) != n:
         raise ValueError("phi_rows must have exactly n rows")
+    degrees = raw["col_degrees"]
+    if not (isinstance(degrees, list)
+            and all(type(d) is int for d in degrees)):
+        raise ValueError("col_degrees must be a list of integers")
     base = ring_R(field)
     parsed = tuple(tuple(parse_poly(e, base) for e in row) for row in rows)
-    return tower.load_presentation(field, raw["col_degrees"], parsed)
+    return tower.load_presentation(field, degrees, parsed)
 
 
 def instance_to_json(inp: tower.PresentationInput) -> dict:
@@ -297,8 +305,7 @@ def _cmd_oracle(args) -> int:
                "dims": [[i, j, dim] for (i, j), dim in sorted(dims.items())]})
     elif args.what == "mingens":
         table = oracle.minimal_generator_bidegrees(
-            K, window, x_separator=inp.col_degrees[-2] - 1
-            if inp.n >= 3 else None)
+            K, window, x_separator=inp.col_degrees[-2] - 1)
         _emit(args, table.render(),
               {"what": "mingens",
                "x_separator": table.x_separator,

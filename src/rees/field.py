@@ -3,9 +3,10 @@
 Two fields are supported: F_p for a prime p (elements are canonical ints in
 0..p-1) and the rationals (elements are `fractions.Fraction`).  Polynomial code
 reads `field.modulus`: an int means "reduce mod p", None means "exact rational
-arithmetic".  So one loop serves both fields; the oracle's single reduction
-kernel, `oracle._sub_multiple`, reduces a coefficient only when the modulus is
-an int, and scales through `inv`, `neg` and the field's coercion.
+arithmetic".  So one loop serves both fields: the package's one
+multiply-accumulate kernel, `ring.sub_multiple`, which every `Poly` operation
+and the oracle's reduction call, reduces a coefficient only when the modulus
+is an int.  Scaling goes through `inv`, `neg` and the field's coercion.
 """
 from __future__ import annotations
 

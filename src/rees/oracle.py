@@ -17,11 +17,12 @@ t-free subring in A intersect B.  The tag carries bidegree (0, 0), so tagged
 generators stay bihomogeneous; a splitting safeguard restores bihomogeneity
 anyway if an engine change ever breaks it.
 
-Reduction has one kernel for F_p and Q: `_sub_multiple` subtracts
-c * x^shift * g from a working terms dict, reducing mod p only when the field
-has a modulus; the lead terms cancel inside it.  The heap-driven normal form
-`_nf_terms` calls it once per reduction step, and `_spoly_terms` is one shifted
-reducer minus it.
+Reduction uses the package's one multiply-accumulate kernel for F_p and Q,
+`ring.sub_multiple`, which subtracts c * x^shift * g from a working terms dict
+and reduces mod p only when the field has a modulus; `Poly` arithmetic runs
+through the same loop.  The lead terms cancel inside it.  The heap-driven
+normal form `_nf_terms` calls it once per reduction step, and `_spoly_terms`
+builds the S-polynomial with two calls, one per shifted reducer.
 
 Windows are ((x_lo, x_hi), (t_lo, t_hi)), inclusive on both ends.
 """
@@ -31,11 +32,11 @@ from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from operator import add, sub
+from operator import sub
 
 from . import combinat, gradedlin
 from .field import RationalField
-from .ring import Poly, PolyRing, ring_R
+from .ring import Poly, PolyRing, ring_R, sub_multiple
 from .tower import PresentationInput, load_presentation, sym_equations
 
 ORDER_DESCRIPTOR = "block-degrevlex(T>x, x1 last)"
@@ -101,29 +102,6 @@ def _monic(terms: dict, key, field) -> tuple:
     return lead, terms
 
 
-def _sub_multiple(work: dict, c, shift: tuple, g: dict, p) -> list:
-    """work -= c * x^shift * g in place; the monomials it added to work.
-
-    The one reduction step of the oracle, for both fields: g is monic and c
-    is work's coefficient at x^shift * lead(g), so that term cancels and
-    leaves work.  p is the field's modulus, None over Q.
-    """
-    new = []
-    for gm, gc in g.items():
-        nm = tuple(map(add, gm, shift))
-        old = work.get(nm)
-        nv = -c * gc if old is None else old - c * gc
-        if p is not None:
-            nv %= p
-        if nv:
-            work[nm] = nv
-            if old is None:
-                new.append(nm)
-        elif old is not None:
-            del work[nm]
-    return new
-
-
 def _nf_terms(terms: dict, gens: list, negkey, field) -> dict:
     """Full normal form of a terms dict against monic (lead, terms) reducers."""
     p = field.modulus
@@ -145,7 +123,7 @@ def _nf_terms(terms: dict, gens: list, negkey, field) -> dict:
             if not divisible:
                 continue
             shift = tuple(map(sub, m, lead))
-            for nm in _sub_multiple(work, c, shift, g, p):
+            for nm in sub_multiple(work, c, shift, g, p):
                 heappush(heap, (negkey(nm), nm))
             break
         else:
@@ -158,9 +136,10 @@ def _spoly_terms(gi: tuple, gj: tuple, field) -> dict:
     """S-polynomial of two monic (lead, terms) pairs."""
     (li, ti), (lj, tj) = gi, gj
     lcm = tuple(map(max, li, lj))
-    si = tuple(map(sub, lcm, li))
-    out = {tuple(map(add, m, si)): c for m, c in ti.items()}
-    _sub_multiple(out, 1, tuple(map(sub, lcm, lj)), tj, field.modulus)
+    p = field.modulus
+    out = {}
+    sub_multiple(out, -1, tuple(map(sub, lcm, li)), ti, p)
+    sub_multiple(out, 1, tuple(map(sub, lcm, lj)), tj, p)
     return out
 
 

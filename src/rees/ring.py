@@ -15,6 +15,12 @@ Groebner layer needs inhomogeneous intermediates — but `bidegree` validates it
 The x-bidegree of a monomial is  x0 + x1 + sum(e_i * weight_i)  and the
 T-bidegree is  sum(e_i);  for R-polynomials the single grading is x0 + x1.
 
+`sub_multiple` is the one multiply-accumulate kernel: it subtracts
+c * x^shift * g from a terms dict in place, reducing mod p only when the field
+has a modulus.  Every `Poly` operation (add, subtract, negate, scale,
+multiply), the parser and the oracle's reduction and S-polynomials call it,
+so no other code in the package combines coefficients of two terms dicts.
+
 `substitute_T` is the one T-substitution routine.  A ring map given by a
 matrix -- the hull substitution T_j -> sum_i xi[i][j] w_i, or a constant change
 of T-coordinates -- is applied by building its images once with
@@ -25,6 +31,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 
 
 class ParseError(ValueError):
@@ -54,6 +61,10 @@ class PolyRing:
         return 2 + len(self.tvar_names)
 
     @property
+    def zero_shift(self):
+        return (0,) * self.nvars
+
+    @property
     def var_names(self):
         return ("x0", "x1") + tuple(self.tvar_names)
 
@@ -61,11 +72,7 @@ class PolyRing:
         return Poly(self, {})
 
     def one(self) -> "Poly":
-        return Poly(self, {(0,) * self.nvars: self.field.one})
-
-    def const(self, c) -> "Poly":
-        c = self.field(c)
-        return Poly(self, {(0,) * self.nvars: c} if c else {})
+        return Poly(self, {self.zero_shift: self.field.one})
 
     def var(self, name: str) -> "Poly":
         try:
@@ -104,6 +111,29 @@ def ring_scroll(field, sigma) -> PolyRing:
     sigma = tuple(sigma)
     return PolyRing(field, tuple(f"w{i+1}" for i in range(len(sigma))),
                     tuple(-s for s in sigma))
+
+
+def sub_multiple(work: dict, c, shift: tuple, g: dict, p) -> list:
+    """work -= c * x^shift * g in place; the monomials it added to work.
+
+    The one multiply-accumulate kernel, for both fields: terms that reach
+    zero are deleted, and p is the field's modulus, None over Q.  Callers
+    that need no shift pass the zero exponent tuple.
+    """
+    new = []
+    for gm, gc in g.items():
+        nm = tuple(map(add, gm, shift))
+        old = work.get(nm)
+        nv = -c * gc if old is None else old - c * gc
+        if p is not None:
+            nv %= p
+        if nv:
+            work[nm] = nv
+            if old is None:
+                new.append(nm)
+        elif old is not None:
+            del work[nm]
+    return new
 
 
 def print_key(exps):
@@ -167,29 +197,25 @@ class Poly:
         if self.ring != other.ring:
             raise ValueError("polynomials live in different rings")
 
-    def __add__(self, other):
+    def _minus(self, c, other):
+        """self - c * other, through the one kernel."""
         self._check(other)
-        p = self.ring.field.modulus
         out = dict(self.terms)
-        for m, c in other.terms.items():
-            acc = out.get(m)
-            c = c if acc is None else acc + c
-            if p is not None:
-                c %= p
-            if c:
-                out[m] = c
-            elif acc is not None:
-                del out[m]
+        sub_multiple(out, c, self.ring.zero_shift, other.terms,
+                     self.ring.field.modulus)
         return Poly(self.ring, out)
 
-    def __neg__(self):
-        p = self.ring.field.modulus
-        if p is None:
-            return Poly(self.ring, {m: -c for m, c in self.terms.items()})
-        return Poly(self.ring, {m: p - c for m, c in self.terms.items()})
+    def __add__(self, other):
+        return self._minus(-1, other)
 
     def __sub__(self, other):
-        return self + (-other)
+        return self._minus(1, other)
+
+    def __neg__(self):
+        return self.ring.zero()._minus(1, self)
+
+    def scale(self, c):
+        return self.ring.zero()._minus(-self.ring.field(c), self)
 
     def __mul__(self, other):
         if not isinstance(other, Poly):
@@ -197,26 +223,11 @@ class Poly:
         self._check(other)
         p = self.ring.field.modulus
         out = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = tuple(a + b for a, b in zip(m1, m2))
-                acc = out.get(m)
-                out[m] = c1 * c2 if acc is None else acc + c1 * c2
-        if p is None:
-            return Poly(self.ring, {m: c for m, c in out.items() if c})
-        return Poly(self.ring, {m: cp for m, c in out.items() if (cp := c % p)})
+        for m, c in self.terms.items():
+            sub_multiple(out, -c, m, other.terms, p)
+        return Poly(self.ring, out)
 
     __rmul__ = __mul__
-
-    def scale(self, c):
-        c = self.ring.field(c)
-        if not c:
-            return self.ring.zero()
-        p = self.ring.field.modulus
-        if p is None:
-            return Poly(self.ring, {m: c0 * c for m, c0 in self.terms.items()})
-        return Poly(self.ring, {m: cp for m, c0 in self.terms.items()
-                                if (cp := c0 * c % p)})
 
     def __pow__(self, e: int):
         if e < 0:
@@ -307,7 +318,8 @@ def parse_poly(text: str, ring: PolyRing) -> Poly:
 
     def parse_coeff():
         kind, val, pos = take()
-        assert kind == "int"
+        if kind != "int":
+            raise ParseError("expected an integer coefficient", pos)
         if peek()[0] == "op" and peek()[1] == "/":
             take()
             k2, v2, p2 = take()
@@ -357,21 +369,14 @@ def parse_poly(text: str, ring: PolyRing) -> Poly:
             parse_var_power(exps)
         return coeff, tuple(exps)
 
-    field = ring.field
     terms = {}
     sign = 1
     if peek()[0] == "op" and peek()[1] in "+-":
         sign = -1 if take()[1] == "-" else 1
     while True:
         coeff, exps = parse_term()
-        c = field(coeff if sign > 0 else -coeff)
-        if c:
-            acc = terms.get(exps)
-            tot = c if acc is None else field(acc + c)
-            if tot:
-                terms[exps] = tot
-            elif acc is not None:
-                del terms[exps]
+        sub_multiple(terms, ring.field(-sign * coeff), exps,
+                     {ring.zero_shift: 1}, ring.field.modulus)
         kind, val, pos = peek()
         if kind == "end":
             break

@@ -56,12 +56,6 @@ class GradedMatrix:
     def entry(self, i: int, j: int) -> Poly:
         return self.rows[i][j]
 
-    def column(self, j: int):
-        return tuple(row[j] for row in self.rows)
-
-    def columns(self):
-        return [self.column(j) for j in range(self.ncols)]
-
     def validate(self) -> "GradedMatrix":
         for i, row in enumerate(self.rows):
             if len(row) != self.ncols:
@@ -90,9 +84,6 @@ class GradedMatrix:
         rows = self.rows[:i] + self.rows[i + 1:]
         twists = self.row_twists[:i] + self.row_twists[i + 1:]
         return GradedMatrix(self.ring, rows, self.col_degrees, twists)
-
-    def to_strings(self):
-        return [[str(p) for p in row] for row in self.rows]
 
 
 def matrix_from_rows(ring: PolyRing, rows, col_degrees, row_twists=None) -> GradedMatrix:
@@ -131,12 +122,12 @@ def determinant(rows) -> Poly:
     return minor(tuple(range(k)), 0)
 
 
-def signed_maximal_minors(phi: GradedMatrix, check_height: bool = True):
+def signed_maximal_minors(phi: GradedMatrix):
     """The n alternating-sign maximal minors of an n x (n-1) graded matrix.
 
     Entry i is (-1)^i * det(phi with row i deleted) (rows 0-indexed, so the
-    first minor comes with a plus sign).  With check_height, raises
-    HeightError unless the minors have unit gcd and are not all zero.
+    first minor comes with a plus sign).  Raises HeightError unless the
+    minors have unit gcd and are not all zero.
     """
     n = phi.nrows
     if phi.ncols != n - 1:
@@ -146,13 +137,12 @@ def signed_maximal_minors(phi: GradedMatrix, check_height: bool = True):
         sub = [list(phi.rows[k]) for k in range(n) if k != i]
         d = determinant(sub)
         minors.append(d if i % 2 == 0 else -d)
-    if check_height:
-        if all(f.is_zero() for f in minors):
-            raise HeightError("all maximal minors vanish")
-        g = homogeneous_gcd([f for f in minors if not f.is_zero()])
-        if g.xdeg() != 0:
-            raise HeightError(
-                f"height < 2: maximal minors share the common factor {g}")
+    if all(f.is_zero() for f in minors):
+        raise HeightError("all maximal minors vanish")
+    g = homogeneous_gcd([f for f in minors if not f.is_zero()])
+    if g.xdeg() != 0:
+        raise HeightError(
+            f"height < 2: maximal minors share the common factor {g}")
     return minors
 
 

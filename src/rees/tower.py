@@ -73,33 +73,14 @@ def load_presentation(field, col_degrees, phi_rows) -> PresentationInput:
                              minors, phi.ring, ring_S(field, n))
 
 
-@dataclass(frozen=True)
-class SymEquations:
-    """The T-linear equations [g_1 .. g_(n-1)] = [T_1 .. T_n] * phi."""
-
-    gs: tuple
-
-    def __iter__(self):
-        return iter(self.gs)
-
-    def __getitem__(self, j):
-        return self.gs[j]
-
-
-def sym_equations(inp: PresentationInput) -> SymEquations:
-    S = inp.sring
-    gs = []
-    for j in range(inp.n - 1):
-        g = S.zero()
-        for i in range(inp.n):
-            entry = inp.phi.rows[i][j]
-            if not entry.is_zero():
-                g = g + promote(entry, S) * S.var(f"T{i + 1}")
+def sym_equations(inp: PresentationInput) -> tuple:
+    """The T-linear equations (g_1 .. g_(n-1)) = [T_1 .. T_n] * phi."""
+    gs = linear_images(inp.phi.rows, inp.sring)
+    for j, g in enumerate(gs):
         if bidegree(g) != (inp.col_degrees[j], 1):
             raise GradingError(f"g_{j + 1} has bidegree {bidegree(g)}, "
                                f"expected {(inp.col_degrees[j], 1)}")
-        gs.append(g)
-    return SymEquations(tuple(gs))
+    return gs
 
 
 def evaluation_membership(inp: PresentationInput, p: Poly) -> bool:
@@ -234,26 +215,21 @@ def build_level(inp: PresentationInput, m: int) -> TowerLevel:
     chi, chi_inv, norm_rows = _normalize_embedding(xi_raw, sigma)
     embed = GradedMatrix(inp.base, norm_rows, (0,) * inp.n, sigma.sigma).validate()
     S = inp.sring
-    tvars = [S.var(f"T{i + 1}") for i in range(inp.n)]
     kernels, scalars, forms = [], [], []
     for i in range(sigma.s):
         budget = sum(sigma.sigma) - sigma.sigma[i]
         rho = graded_kernel(embed.drop_row(i), m + 1, budget)
         kernels.append(rho)
-        p_row, q_row = [], []
+        p_row = []
         for j in range(rho.ncols):
             p = inp.base.zero()
-            q = S.zero()
             for t in range(inp.n):
                 entry = rho.rows[t][j]
-                if entry.is_zero():
-                    continue
-                p = p + embed.rows[i][t] * entry
-                q = q + promote(entry, S) * tvars[t]
+                if not entry.is_zero():
+                    p = p + embed.rows[i][t] * entry
             p_row.append(p)
-            q_row.append(q)
         scalars.append(tuple(p_row))
-        forms.append(tuple(q_row))
+        forms.append(linear_images(rho.rows, S))
     scroll = ring_scroll(inp.field, sigma.sigma)
     return TowerLevel(
         m=m, inp=inp, sigma=sigma, embed_raw=xi_raw, embed=embed,

@@ -215,14 +215,24 @@ def test_missing_file(capsys):
     assert "error" in err
 
 
-def test_invalid_instance_shape(capsys, tmp_path):
+@pytest.mark.parametrize("payload, named", [
+    pytest.param({"n": 3, "col_degrees": [1, 1],
+                  "phi_rows": [["x0", "x1"], ["x1", "x0"]]},
+                 "phi_rows", id="row-count"),
+    pytest.param({"n": 3, "col_degrees": [1, 2],
+                  "phi_rows": [[1, "x1^2"], ["x1", "x0^2"], ["x0", "x0*x1"]]},
+                 "phi_rows", id="number-entry"),
+    pytest.param({"n": 3, "col_degrees": ["1", 2],
+                  "phi_rows": [["x0", "x1^2"], ["x1", "x0^2"], ["x0", "x0*x1"]]},
+                 "col_degrees", id="string-degree"),
+])
+def test_invalid_instance_shape(capsys, tmp_path, payload, named):
     bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps({
-        "n": 3, "col_degrees": [1, 1],
-        "phi_rows": [["x0", "x1"], ["x1", "x0"]]}))
+    bad.write_text(json.dumps(payload))
     code, _, err = run(capsys, "info", str(bad))
     assert code == 1
-    assert "phi_rows" in err
+    assert "error:" in err and "internal error" not in err
+    assert named in err
 
 
 def test_usage_errors(capsys):

@@ -196,13 +196,50 @@ def small_base_polys(max_deg=4):
         max_size=5).map(build)
 
 
-@given(small_base_polys(), small_base_polys(), small_base_polys())
-@settings(max_examples=60)
-def test_ring_axioms_on_homogeneous_pieces(p, q, r):
+def naive_product(p, q):
+    """Reference product: every pair of terms multiplied and summed alone."""
+    field = p.ring.field
+    out = {}
+    for m1, c1 in p.terms.items():
+        for m2, c2 in q.terms.items():
+            m = tuple(a + b for a, b in zip(m1, m2))
+            out[m] = field(out.get(m, 0) + c1 * c2)
+    return Poly(p.ring, {m: c for m, c in out.items() if c})
+
+
+@st.composite
+def homogeneous_triples(draw):
+    """Three polynomials of one bidegree piece of a base ring or a ring with
+    T-variables, over F_32003, F_7 (where cancellations are common) or Q."""
+    field = draw(st.sampled_from([F, PrimeField(7), Q]))
+    ring = draw(st.sampled_from([ring_R(field), ring_S(field, 2)]))
+    xdeg, tdeg = draw(st.integers(0, 3)), draw(st.integers(0, 2))
+    if not ring.tvar_names:
+        tdeg = 0
+    coeff = st.sampled_from([1, -1, 2, -3, Fraction(1, 2)]).map(field)
+
+    def poly():
+        terms = {}
+        for _ in range(draw(st.integers(0, 5))):
+            a = draw(st.integers(0, xdeg))
+            t = draw(st.integers(0, tdeg))
+            texps = (t, tdeg - t) if ring.tvar_names else ()
+            terms[(xdeg - a, a) + texps] = draw(coeff)
+        return Poly(ring, terms)
+    return poly(), poly(), poly()
+
+
+@given(homogeneous_triples())
+@settings(max_examples=150, deadline=None)
+def test_ring_axioms_on_homogeneous_pieces(triple):
+    p, q, r = triple
     assert (p + q) * r == p * r + q * r
     assert p * q == q * p
     assert p + q == q + p
     assert (p - q) + q == p
+    assert p * q == naive_product(p, q)
+    assert -p == p.scale(-1)
+    assert p.scale(0).is_zero() and (p - p).is_zero()
 
 
 @given(small_base_polys())
