@@ -24,7 +24,7 @@ def main():
     for name in ("final_example", "final_variant"):
         inp = load_instance(FIXTURES / f"{name}.json")
         start = time.monotonic()
-        K = oracle.saturated_ideal(inp)
+        K = oracle.saturated_ideal(inp, t_max=args.max_t)
         table = oracle.minimal_generator_bidegrees(K, ((3, 3), (1, args.max_t)))
         elapsed = time.monotonic() - start
         marks = sorted(table.marks())

@@ -287,12 +287,23 @@ def _cmd_scroll(args) -> int:
     return 0
 
 
+def _records_cap(records) -> int:
+    """The highest T-degree among the records: the cap their membership needs."""
+    return max((rec.bidegree[1] for rec in records), default=0)
+
+
 def _cmd_oracle(args) -> int:
     inp = load_instance(args.file)
     if args.max_x < 0 or args.max_t < 0:
         raise ValueError("window bounds must be nonnegative")
-    K = oracle.saturated_ideal(inp)
     window = ((0, args.max_x), (0, args.max_t))
+    if args.what == "membership":
+        records = [(m, rec) for m in range(1, inp.n - 1)
+                   for rec in generators.tower_generators(inp, m)]
+        t_max = _records_cap(rec for _, rec in records)
+    else:
+        t_max = args.max_t
+    K = oracle.saturated_ideal(inp, t_max=t_max)
     if args.what == "hilbert":
         dims = oracle.bigraded_hilbert(K, window)
         lines = [f"ideal piece dimensions (x up to {args.max_x}, "
@@ -311,11 +322,8 @@ def _cmd_oracle(args) -> int:
                "x_separator": table.x_separator,
                "marks": [[x, t, c] for x, t, c in table.marks()]})
     else:
-        rows = []
-        for m in range(1, inp.n - 1):
-            for rec in generators.tower_generators(inp, m):
-                nf = oracle.normal_form(rec.poly, K)
-                rows.append((m, rec, nf.is_zero()))
+        rows = [(m, rec, oracle.normal_form(rec.poly, K).is_zero())
+                for m, rec in records]
         lines = [f"membership of {len(rows)} records in the saturated ideal:"]
         for m, rec, ok in rows:
             alpha = "" if rec.alpha is None else f" alpha={tuple(rec.alpha)}"
@@ -330,6 +338,9 @@ def _cmd_oracle(args) -> int:
         if not all(ok for _, _, ok in rows):
             return 2
     return 0
+
+
+_RESIDUE_CHARS = 80   # a failing check's note shows this much of the residue
 
 
 def _check_one(inp: tower.PresentationInput) -> list:
@@ -366,7 +377,7 @@ def _check_one(inp: tower.PresentationInput) -> list:
     ok = True
     for m in range(1, n - 1):
         recs = generators.tower_generators(inp, m, level=levels[m])
-        all_records.extend(recs)
+        all_records.extend((m, r) for r in recs)
         ok = ok and all(r.certificate_ok for r in recs)
     results.append(("substitution certificates", ok, ""))
 
@@ -401,11 +412,24 @@ def _check_one(inp: tower.PresentationInput) -> list:
                 ok = ok and gradedlin.piece_dim(scroll, i, j) == want
         results.append(("free hull Hilbert function", ok, ""))
 
-    K = oracle.saturated_ideal(inp)
-    ok = all(oracle.normal_form(r.poly, K).is_zero() for r in all_records)
-    results.append(("oracle normal forms of all records", ok, ""))
+    cap = _records_cap(r for _, r in all_records)
+    K = oracle.saturated_ideal(inp, t_max=cap)
+    ok = True
+    note = f"T-degree cap {cap}, {len(K.generators)} basis elements"
+    for m, r in all_records:
+        nf = oracle.normal_form(r.poly, K)
+        if not nf.is_zero():
+            ok = False
+            residue = str(nf)
+            if len(residue) > _RESIDUE_CHARS:
+                residue = residue[:_RESIDUE_CHARS] + "..."
+            alpha = "" if r.alpha is None else f" alpha={tuple(r.alpha)}"
+            note += (f"; first failing record: m={m}{alpha} bidegree "
+                     f"({r.bidegree[0]},{r.bidegree[1]}), residue {residue}")
+            break
+    results.append(("oracle normal forms of all records", ok, note))
 
-    ok = all(tower.evaluation_membership(inp, r.poly) for r in all_records)
+    ok = all(tower.evaluation_membership(inp, r.poly) for _, r in all_records)
     results.append(("evaluation membership of all records", ok, ""))
     return results
 

@@ -25,6 +25,22 @@ normal form `_nf_terms` calls it once per reduction step, and `_spoly_terms`
 builds the S-polynomial with two calls, one per shifted reducer.
 
 Windows are ((x_lo, x_hi), (t_lo, t_hi)), inclusive on both ends.
+
+Every question asked of the oracle is bounded in T-degree, so every basis can
+stop at a cap t_max: the Buchberger core drops input generators of T-degree
+above it and never forms an S-pair whose lcm has T-degree sum(lcm[2:2 + nt])
+above it (the slice leaves out the tag).  The result is the full reduced basis
+restricted to T-degree <= t_max, because
+  * the ideals are bihomogeneous and reduction keeps the bidegree, so a pair
+    above the cap never changes a piece at or below it;
+  * Bayer's division by x_v and the (0,0)-graded tag both keep the T-degree;
+  * capped pairs are never formed, so none is ever counted as treated, and
+    none could justify the chain criterion anyway: l_k | lcm(l_i, l_j)
+    implies lcm(l_i, l_k) | lcm(l_i, l_j), so both associated pairs of a pair
+    within the cap are within the cap too.
+A capped `GroebnerBasis` records its cap in `t_max`; `normal_form`,
+`bigraded_hilbert` and `minimal_generator_bidegrees` raise `WindowError` for
+a query that reaches above it instead of answering it.
 """
 from __future__ import annotations
 
@@ -40,6 +56,10 @@ from .ring import Poly, PolyRing, ring_R, sub_multiple
 from .tower import PresentationInput, load_presentation, sym_equations
 
 ORDER_DESCRIPTOR = "block-degrevlex(T>x, x1 last)"
+
+
+class WindowError(ValueError):
+    """A query reaches above the T-degree cap its basis was computed to."""
 
 
 # -- term order --------------------------------------------------------------
@@ -143,11 +163,14 @@ def _spoly_terms(gi: tuple, gj: tuple, field) -> dict:
     return out
 
 
-def _buchberger_core(term_dicts: list, key, negkey, field) -> list:
+def _buchberger_core(term_dicts: list, key, negkey, field,
+                     t_max: int | None = None, nt: int = 0) -> list:
     """Reduced monic basis as (lead, terms) pairs, sorted by ascending lead.
 
-    Pair selection: smallest lcm first.  Pairs with coprime leads are skipped;
-    so is any pair whose lcm is divisible by a third lead when both associated
+    Pair selection: smallest lcm first.  With a cap t_max (the nt T-exponents
+    sit at positions 2 .. 1 + nt), inputs and pairs above it are left out
+    (see the module docstring).  Pairs with coprime leads are skipped; so is
+    any pair whose lcm is divisible by a third lead when both associated
     pairs were already treated (treated pairs always predate the skip, so the
     justification is well-founded).
     """
@@ -161,10 +184,13 @@ def _buchberger_core(term_dicts: list, key, negkey, field) -> list:
         G.append((lead, terms))
         for t in range(idx):
             lcm = tuple(max(a, b) for a, b in zip(G[t][0], lead))
-            heappush(pairs, (key(lcm), t, idx))
+            if t_max is None or sum(lcm[2:2 + nt]) <= t_max:
+                heappush(pairs, (key(lcm), t, idx))
 
     for terms in term_dicts:
         if not terms:
+            continue
+        if t_max is not None and sum(next(iter(terms))[2:2 + nt]) > t_max:
             continue
         nf = _nf_terms(terms, G, negkey, field) if G else dict(terms)
         if nf:
@@ -214,11 +240,16 @@ def _interreduce(G: list, key, negkey, field) -> list:
 
 @dataclass(frozen=True)
 class GroebnerBasis:
-    """Reduced monic basis, deterministically ordered by ascending lead."""
+    """Reduced monic basis, deterministically ordered by ascending lead.
+
+    With t_max set it is the reduced basis restricted to T-degree <= t_max,
+    and queries above that cap raise `WindowError`.
+    """
 
     generators: tuple
     order: str = ORDER_DESCRIPTOR
     reduced: bool = True
+    t_max: int | None = None
 
     @property
     def ring(self):
@@ -234,11 +265,14 @@ class GroebnerBasis:
                      for g in self.generators)
 
 
-def buchberger(gens) -> GroebnerBasis:
-    """Reduced Groebner basis of the given bihomogeneous generators."""
+def buchberger(gens, t_max: int | None = None) -> GroebnerBasis:
+    """Reduced Groebner basis of the given bihomogeneous generators.
+
+    With t_max the basis stops at that T-degree (see the module docstring).
+    """
     gens = [g for g in gens if not g.is_zero()]
     if not gens:
-        return GroebnerBasis(generators=())
+        return GroebnerBasis(generators=(), t_max=t_max)
     ring = gens[0].ring
     for g in gens:
         if g.ring != ring:
@@ -246,13 +280,28 @@ def buchberger(gens) -> GroebnerBasis:
         if not g.is_bihomogeneous():
             raise ValueError("generators must be bihomogeneous")
     key, negkey = _ring_keys(ring)
-    core = _buchberger_core([g.terms for g in gens], key, negkey, ring.field)
-    return GroebnerBasis(tuple(Poly(ring, dict(t)) for _, t in core))
+    core = _buchberger_core([g.terms for g in gens], key, negkey, ring.field,
+                            t_max, len(ring.tvar_names))
+    return GroebnerBasis(tuple(Poly(ring, dict(t)) for _, t in core),
+                         t_max=t_max)
+
+
+def _check_cap(G: GroebnerBasis, tdeg: int, what: str) -> None:
+    if G.t_max is not None and tdeg > G.t_max:
+        raise WindowError(f"{what} reaches T-degree {tdeg}, above the "
+                          f"basis cap {G.t_max}")
 
 
 def normal_form(p: Poly, G: GroebnerBasis) -> Poly:
-    """Remainder of full multivariate division; zero iff p is in the ideal."""
-    if p.is_zero() or not G.generators:
+    """Remainder of full multivariate division; zero iff p is in the ideal.
+
+    Raises WindowError when p has a term above the basis's T-degree cap.
+    """
+    if p.is_zero():
+        return p
+    if G.t_max is not None:
+        _check_cap(G, max(sum(m[2:]) for m in p.terms), "polynomial")
+    if not G.generators:
         return p
     ring = p.ring
     if G.ring != ring:
@@ -273,14 +322,19 @@ def _bihomogeneous_components(p: Poly) -> list:
     return [Poly(p.ring, t) for _, t in sorted(buckets.items())]
 
 
-def intersect_ideals(gens_a, gens_b, ring: PolyRing) -> list:
-    """Generators of the intersection, via one (0,0)-graded tag variable."""
+def intersect_ideals(gens_a, gens_b, ring: PolyRing,
+                     t_max: int | None = None) -> list:
+    """Generators of the intersection, via one (0,0)-graded tag variable.
+
+    With t_max, generators of the intersection up to that T-degree.
+    """
     gens_a = [g for g in gens_a if not g.is_zero()]
     gens_b = [g for g in gens_b if not g.is_zero()]
     if not gens_a or not gens_b:
         return []
     field = ring.field
-    key, negkey = _key_funcs(len(ring.tvar_names), elim=True)
+    nt = len(ring.tvar_names)
+    key, negkey = _key_funcs(nt, elim=True)
     lifted = [{m + (1,): c for m, c in a.terms.items()} for a in gens_a]
     for b in gens_b:
         terms = {}
@@ -288,7 +342,7 @@ def intersect_ideals(gens_a, gens_b, ring: PolyRing) -> list:
             terms[m + (0,)] = c
             terms[m + (1,)] = field.neg(c)
         lifted.append(terms)
-    core = _buchberger_core(lifted, key, negkey, field)
+    core = _buchberger_core(lifted, key, negkey, field, t_max, nt)
     out = []
     for lead, terms in core:
         if lead[-1] == 0:
@@ -299,10 +353,16 @@ def intersect_ideals(gens_a, gens_b, ring: PolyRing) -> list:
     return out
 
 
-def _saturate_var(gens, v: int, ring: PolyRing) -> list:
-    """Generators of (gens) : x_v^infinity for homogeneous gens (Bayer)."""
-    key, negkey = _key_funcs(len(ring.tvar_names), last=v)
-    core = _buchberger_core([g.terms for g in gens], key, negkey, ring.field)
+def _saturate_var(gens, v: int, ring: PolyRing,
+                  t_max: int | None = None) -> list:
+    """Generators of (gens) : x_v^infinity for homogeneous gens (Bayer).
+
+    With t_max, generators of the saturation up to that T-degree.
+    """
+    nt = len(ring.tvar_names)
+    key, negkey = _key_funcs(nt, last=v)
+    core = _buchberger_core([g.terms for g in gens], key, negkey, ring.field,
+                            t_max, nt)
     out = []
     for _, terms in core:
         k = min(m[v] for m in terms)
@@ -313,29 +373,34 @@ def _saturate_var(gens, v: int, ring: PolyRing) -> list:
     return out
 
 
-def saturate_m(J: GroebnerBasis) -> GroebnerBasis:
+def saturate_m(J: GroebnerBasis, t_max: int | None = None) -> GroebnerBasis:
     """J : (x0,x1)^infinity as (J : x0^infinity) intersect (J : x1^infinity).
 
     Costs two degrevlex bases, one tag elimination and one reduced basis in
     the block order.  The division step needs J homogeneous in total degree,
-    so the T-variables must carry x-weight 0, as they do in S.
+    so the T-variables must carry x-weight 0, as they do in S.  Every basis
+    stops at t_max, lowered to J's own cap when J has a smaller one.
     """
     if not J.generators:
         return J
     ring = J.ring
     if any(ring.tweights):
         raise ValueError("saturation needs T-variables of x-weight 0")
+    if J.t_max is not None and (t_max is None or t_max > J.t_max):
+        t_max = J.t_max
     gens = list(J.generators)
-    return buchberger(intersect_ideals(_saturate_var(gens, 0, ring),
-                                       _saturate_var(gens, 1, ring), ring))
+    return buchberger(intersect_ideals(_saturate_var(gens, 0, ring, t_max),
+                                       _saturate_var(gens, 1, ring, t_max),
+                                       ring, t_max), t_max)
 
 
 # -- bigraded accounting -----------------------------------------------------
 
-def _check_window(window):
+def _check_window(window, G: GroebnerBasis):
     (xlo, xhi), (tlo, thi) = window
     if xlo > xhi or tlo > thi:
         raise ValueError("empty bidegree window")
+    _check_cap(G, thi, "window")
     return int(xlo), int(xhi), int(tlo), int(thi)
 
 
@@ -344,8 +409,9 @@ def bigraded_hilbert(G: GroebnerBasis, window) -> dict:
 
     The dimension is the number of monomials of S_(i,j) divisible by some
     lead of the reduced basis (the complement counts standard monomials).
+    Raises WindowError for a window above the basis's T-degree cap.
     """
-    xlo, xhi, tlo, thi = _check_window(window)
+    xlo, xhi, tlo, thi = _check_window(window, G)
     if not G.generators:
         return {(i, j): 0 for i in range(xlo, xhi + 1)
                 for j in range(tlo, thi + 1)}
@@ -374,9 +440,10 @@ def minimal_generator_bidegrees(G: GroebnerBasis, window,
     counts minimal generators of the ideal itself, while a window whose left
     column sits higher counts that column's elements as generators of the
     windowed module (the single-x-degree-slice point of view: only
-    T-multiples are subtracted there).
+    T-multiples are subtracted there).  Raises WindowError for a window above
+    the basis's T-degree cap.
     """
-    xlo, xhi, tlo, thi = _check_window(window)
+    xlo, xhi, tlo, thi = _check_window(window, G)
     counts: dict = {}
     if G.generators:
         ring = G.ring
@@ -425,10 +492,12 @@ def minimal_generator_bidegrees(G: GroebnerBasis, window,
 # -- pipeline-facing wrappers ------------------------------------------------
 
 def saturated_ideal(inp: PresentationInput, m: int | None = None,
-                    rational_check: bool = False) -> GroebnerBasis:
+                    rational_check: bool = False,
+                    t_max: int | None = None) -> GroebnerBasis:
     """Reduced basis of (g_1..g_m) : (x0,x1)^infinity (default: all columns).
 
-    With rational_check=True the computation is repeated over the rationals
+    With t_max the basis is the one restricted to T-degree <= t_max, and
+    queries above that cap raise WindowError.  With rational_check=True the computation is repeated over the rationals
     (coefficients lifted symmetrically around zero) and the two initial
     ideals must agree; disagreement raises ArithmeticError (unlucky prime).
     Intended for small instances only.
@@ -437,11 +506,11 @@ def saturated_ideal(inp: PresentationInput, m: int | None = None,
     if not 1 <= m <= inp.n - 1:
         raise ValueError("column count out of range")
     gs = list(sym_equations(inp))[:m]
-    K = saturate_m(buchberger(gs))
+    K = saturate_m(buchberger(gs, t_max), t_max)
     if rational_check and inp.field.modulus is not None:
         twin = _rational_twin(inp)
         gsq = list(sym_equations(twin))[:m]
-        KQ = saturate_m(buchberger(gsq))
+        KQ = saturate_m(buchberger(gsq, t_max), t_max)
         mine = {lead for lead, _ in K.reducers}
         if mine != {lead for lead, _ in KQ.reducers}:
             raise ArithmeticError(

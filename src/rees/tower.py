@@ -64,6 +64,8 @@ def load_presentation(field, col_degrees, phi_rows) -> PresentationInput:
         raise ValueError("column degrees must be >= 1")
     if any(col_degrees[j] > col_degrees[j + 1] for j in range(n - 2)):
         raise ValueError("column degrees must be nondecreasing")
+    if any(len(row) != n - 1 for row in phi_rows):
+        raise ValueError(f"ragged matrix: every row needs {n - 1} entries")
     phi = matrix_from_rows(phi_rows[0][0].ring, phi_rows, col_degrees)
     for j in range(n - 1):
         if all(phi.rows[i][j].is_zero() for i in range(n)):

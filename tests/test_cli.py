@@ -1,14 +1,17 @@
 import json
+import time
 
 import pytest
 
 from conftest import fixture_path
-from rees import cli
+from rees import cli, generators, oracle
 from rees.field import PrimeField
 
 QUADRIC = fixture_path("quadric_cubic.json")
 TABLE1 = fixture_path("table1.json")
+TABLE2 = fixture_path("table2.json")
 TABLE3 = fixture_path("table3.json")
+ORACLE_LINE = "oracle normal forms of all records"
 
 
 def run(capsys, *argv):
@@ -133,6 +136,26 @@ def test_oracle_membership(capsys):
     assert all(rec["normal_form_zero"] for rec in payload["records"])
 
 
+@pytest.mark.parametrize("what, cap", [
+    ("hilbert", 4), ("mingens", 4),
+    # the records of quadric_cubic reach T-degree 2
+    ("membership", 2),
+])
+def test_oracle_caps_the_saturation(capsys, monkeypatch, what, cap):
+    caps = []
+    real = oracle.saturated_ideal
+
+    def spy(inp, **kwargs):
+        caps.append(kwargs.get("t_max"))
+        return real(inp, **kwargs)
+
+    monkeypatch.setattr(oracle, "saturated_ideal", spy)
+    code, _, _ = run(capsys, "oracle", QUADRIC, "--max-x", "3",
+                     "--max-t", "4", "--what", what)
+    assert code == 0
+    assert caps == [cap]
+
+
 def test_oracle_rejects_negative_window(capsys):
     code, _, err = run(capsys, "oracle", QUADRIC,
                        "--max-x=-1", "--max-t", "2")
@@ -152,6 +175,39 @@ def test_check_passes_on_table3(capsys):
     code, payload, _ = run_json(capsys, "check", TABLE3)
     assert code == 0
     assert payload["ok"] is True
+
+
+def test_check_passes_on_table2(capsys):
+    # every table2 record against the saturation capped at their highest
+    # T-degree; the full saturation takes about a minute
+    start = time.monotonic()
+    code, payload, _ = run_json(capsys, "check", TABLE2)
+    elapsed = time.monotonic() - start
+    assert code == 0
+    assert payload["ok"] is True
+    (line,) = [c for c in payload["reports"][0]["checks"]
+               if c["label"] == ORACLE_LINE]
+    assert line["note"] == "T-degree cap 6, 26 basis elements"
+    assert elapsed < 5.0
+
+
+def test_check_names_the_first_failing_record(capsys, monkeypatch):
+    inp = cli.load_instance(QUADRIC)
+    planted = generators.tower_generators(inp, 1)[-1]
+    real = oracle.normal_form
+
+    def faulty(p, G):
+        return p if p == planted.poly else real(p, G)
+
+    monkeypatch.setattr(oracle, "normal_form", faulty)
+    code, payload, _ = run_json(capsys, "check", QUADRIC)
+    assert code == 2 and payload["ok"] is False
+    (line,) = [c for c in payload["reports"][0]["checks"]
+               if c["label"] == ORACLE_LINE]
+    assert line["ok"] is False
+    a, b = planted.bidegree
+    assert f"m=1 alpha={tuple(planted.alpha)} bidegree ({a},{b})" in line["note"]
+    assert f"residue {planted.poly}" in line["note"]
 
 
 def test_check_seeds_on_a_rational_instance_fails_before_any_work(
@@ -225,6 +281,8 @@ def test_missing_file(capsys):
     pytest.param({"n": 3, "col_degrees": ["1", 2],
                   "phi_rows": [["x0", "x1^2"], ["x1", "x0^2"], ["x0", "x0*x1"]]},
                  "col_degrees", id="string-degree"),
+    pytest.param({"n": 3, "col_degrees": [1, 2], "phi_rows": [[], [], []]},
+                 "ragged", id="empty-rows"),
 ])
 def test_invalid_instance_shape(capsys, tmp_path, payload, named):
     bad = tmp_path / "bad.json"

@@ -11,6 +11,7 @@ from rees.gradedlin import piece_basis
 from rees.oracle import (
     ORDER_DESCRIPTOR,
     GroebnerBasis,
+    WindowError,
     _key_funcs,
     _nf_terms,
     _rational_twin,
@@ -24,7 +25,7 @@ from rees.oracle import (
     saturated_ideal,
 )
 from rees.generators import tower_generators
-from rees.ring import Poly, parse_poly, ring_R, ring_S, ring_scroll
+from rees.ring import Poly, bidegree, parse_poly, ring_R, ring_S, ring_scroll
 from rees.tower import sym_equations
 
 F = PrimeField(32003)
@@ -221,6 +222,89 @@ def test_records_lie_in_the_saturation_on_random_n4_n5(degrees, seed):
         for rec in tower_generators(inp, m):
             assert normal_form(rec.poly, K).is_zero(), \
                 (degrees, seed, m, rec.provenance, rec.bidegree)
+
+
+# -- the T-degree cap -----------------------------------------------------------
+
+FIXTURE_NAMES = ["almost_linear", "final_example", "final_variant",
+                 "quadric_cubic", "table1", "table2", "table3"]
+RANDOM_SHAPES = {"random-4-1,2,2": (1, 2, 2), "random-4-1,2,4": (1, 2, 4),
+                 "random-5-1,1,1,2": (1, 1, 1, 2)}
+
+
+def load_case(name):
+    if name in RANDOM_SHAPES:
+        degrees = RANDOM_SHAPES[name]
+        return cli.random_instance(len(degrees) + 1, degrees, 0, F)
+    if name.endswith("-rational"):
+        return _rational_twin(load_case(name[:-len("-rational")]))
+    return cli.load_instance(fixture_path(f"{name}.json"))
+
+
+def records_top_tdeg(inp):
+    return max(rec.bidegree[1] for m in range(1, inp.n - 1)
+               for rec in tower_generators(inp, m))
+
+
+def restricted(K, cap):
+    return tuple(g for g in K.generators if bidegree(g)[1] <= cap)
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES + sorted(RANDOM_SHAPES)
+                         + ["table1-rational"])
+def test_capped_basis_is_the_full_basis_restricted(name):
+    inp = load_case(name)
+    top = records_top_tdeg(inp)
+    # table2's full saturation takes about a minute; the basis capped at 8
+    # stands in for it, since every cap below is at most 6
+    full = saturated_ideal(inp, t_max=8 if name == "table2" else None)
+    for cap in sorted({1, 2, top}):
+        K = saturated_ideal(inp, t_max=cap)
+        assert K.t_max == cap
+        assert K.generators == restricted(full, cap), (name, cap)
+
+
+def test_capped_rational_check_agrees(table1):
+    top = records_top_tdeg(table1)
+    K = saturated_ideal(table1, rational_check=True, t_max=top)
+    assert K.generators == saturated_ideal(table1, t_max=top).generators
+
+
+def test_every_table2_record_lies_in_the_capped_saturation(table2):
+    records = tower_generators(table2, 1)
+    K = saturated_ideal(table2, t_max=records_top_tdeg(table2))
+    for rec in records:
+        assert normal_form(rec.poly, K).is_zero(), (rec.provenance,
+                                                    rec.bidegree)
+
+
+def test_queries_above_the_cap_raise(quadric_cubic):
+    K = saturated_ideal(quadric_cubic, t_max=2)
+    S = quadric_cubic.sring
+    assert normal_form(parse_poly("x0*T1^2", S), K) == parse_poly("x0*T1^2", S)
+    with pytest.raises(WindowError, match="T-degree 3"):
+        normal_form(parse_poly("x0*T1^3", S), K)
+    assert bigraded_hilbert(K, ((0, 3), (0, 2)))
+    assert minimal_generator_bidegrees(K, ((0, 3), (0, 2))).marks()
+    with pytest.raises(WindowError):
+        bigraded_hilbert(K, ((0, 3), (0, 3)))
+    with pytest.raises(WindowError):
+        minimal_generator_bidegrees(K, ((0, 3), (1, 3)))
+    # an empty capped basis still refuses, and the error is a ValueError, so
+    # the CLI reports it as a validation error
+    empty = saturated_ideal(quadric_cubic, t_max=0)
+    assert empty.generators == () and empty.t_max == 0
+    with pytest.raises(ValueError):
+        normal_form(parse_poly("T1", S), empty)
+
+
+def test_saturate_m_keeps_the_smaller_cap(quadric_cubic):
+    J = buchberger(sym_equations(quadric_cubic), t_max=2)
+    assert saturate_m(J).t_max == 2
+    assert saturate_m(J, t_max=5).t_max == 2
+    assert saturate_m(J, t_max=1).t_max == 1
+    assert saturate_m(J).generators == saturated_ideal(
+        quadric_cubic, t_max=2).generators
 
 
 # -- bigraded accounting ------------------------------------------------------
