@@ -288,7 +288,7 @@ def _cmd_scroll(args) -> int:
 
 
 def _records_cap(records) -> int:
-    """The highest T-degree among the records: the cap their membership needs."""
+    """The highest T-degree among the records: their membership's cap."""
     return max((rec.bidegree[1] for rec in records), default=0)
 
 

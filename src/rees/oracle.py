@@ -373,21 +373,20 @@ def _saturate_var(gens, v: int, ring: PolyRing,
     return out
 
 
-def saturate_m(J: GroebnerBasis, t_max: int | None = None) -> GroebnerBasis:
+def saturate_m(J: GroebnerBasis) -> GroebnerBasis:
     """J : (x0,x1)^infinity as (J : x0^infinity) intersect (J : x1^infinity).
 
     Costs two degrevlex bases, one tag elimination and one reduced basis in
     the block order.  The division step needs J homogeneous in total degree,
     so the T-variables must carry x-weight 0, as they do in S.  Every basis
-    stops at t_max, lowered to J's own cap when J has a smaller one.
+    stops at J's own T-degree cap.
     """
     if not J.generators:
         return J
     ring = J.ring
     if any(ring.tweights):
         raise ValueError("saturation needs T-variables of x-weight 0")
-    if J.t_max is not None and (t_max is None or t_max > J.t_max):
-        t_max = J.t_max
+    t_max = J.t_max
     gens = list(J.generators)
     return buchberger(intersect_ideals(_saturate_var(gens, 0, ring, t_max),
                                        _saturate_var(gens, 1, ring, t_max),
@@ -497,20 +496,21 @@ def saturated_ideal(inp: PresentationInput, m: int | None = None,
     """Reduced basis of (g_1..g_m) : (x0,x1)^infinity (default: all columns).
 
     With t_max the basis is the one restricted to T-degree <= t_max, and
-    queries above that cap raise WindowError.  With rational_check=True the computation is repeated over the rationals
-    (coefficients lifted symmetrically around zero) and the two initial
-    ideals must agree; disagreement raises ArithmeticError (unlucky prime).
-    Intended for small instances only.
+    queries above that cap raise WindowError.  With rational_check=True the
+    computation is repeated over the rationals (coefficients lifted
+    symmetrically around zero) and the two initial ideals must agree;
+    disagreement raises ArithmeticError (unlucky prime).  Intended for small
+    instances only.
     """
     m = inp.n - 1 if m is None else m
     if not 1 <= m <= inp.n - 1:
         raise ValueError("column count out of range")
     gs = list(sym_equations(inp))[:m]
-    K = saturate_m(buchberger(gs, t_max), t_max)
+    K = saturate_m(buchberger(gs, t_max))
     if rational_check and inp.field.modulus is not None:
         twin = _rational_twin(inp)
         gsq = list(sym_equations(twin))[:m]
-        KQ = saturate_m(buchberger(gsq, t_max), t_max)
+        KQ = saturate_m(buchberger(gsq, t_max))
         mine = {lead for lead, _ in K.reducers}
         if mine != {lead for lead, _ in KQ.reducers}:
             raise ArithmeticError(

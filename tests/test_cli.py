@@ -206,7 +206,8 @@ def test_check_names_the_first_failing_record(capsys, monkeypatch):
                if c["label"] == ORACLE_LINE]
     assert line["ok"] is False
     a, b = planted.bidegree
-    assert f"m=1 alpha={tuple(planted.alpha)} bidegree ({a},{b})" in line["note"]
+    named = f"m=1 alpha={tuple(planted.alpha)} bidegree ({a},{b})"
+    assert named in line["note"]
     assert f"residue {planted.poly}" in line["note"]
 
 
