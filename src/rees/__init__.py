@@ -12,6 +12,7 @@ from .ring import (
     ParseError,
     Poly,
     PolyRing,
+    RingMap,
     bidegree,
     linear_images,
     parse_poly,
@@ -84,7 +85,7 @@ from .oracle import (
 __all__ = [
     "DEFAULT_PRIME", "PrimeField", "RationalField", "field_from_json",
     "field_to_json",
-    "GradingError", "ParseError", "Poly", "PolyRing",
+    "GradingError", "ParseError", "Poly", "PolyRing", "RingMap",
     "bidegree", "linear_images", "parse_poly", "poly_to_str", "promote",
     "ring_R", "ring_S", "ring_scroll", "substitute_T",
     "GradedMatrix", "HeightError", "KernelBudgetError", "ScrollPresentation",

@@ -429,12 +429,15 @@ def _check_one(inp: tower.PresentationInput) -> list:
             break
     results.append(("oracle normal forms of all records", ok, note))
 
-    ok = all(tower.evaluation_membership(inp, r.poly) for _, r in all_records)
+    ok = all(tower.evaluation_membership(inp,
+                                         [r.poly for _, r in all_records]))
     results.append(("evaluation membership of all records", ok, ""))
     return results
 
 
 def _cmd_check(args) -> int:
+    if args.seeds < 0:
+        raise ValueError("--seeds must be nonnegative")
     inp = load_instance(args.file)
     if args.seeds > 0 and inp.field.modulus is None:
         raise ValueError("random instances are generated over a prime field")

@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 
 from . import combinat, gradedlin, linalg
-from .ring import Poly, bidegree, linear_images, promote, substitute_T
+from .ring import Poly, RingMap, bidegree, linear_images, promote
 from .syzygy import homogeneous_gcd, scroll_matrix, scroll_realization_images
 from .tower import (PresentationInput, TowerLevel, build_level, sym_equations)
 
@@ -394,12 +394,12 @@ def almost_linear_generators(inp: PresentationInput) -> list:
         raise ArithmeticError("degree-zero hull piece is not spanned by the "
                               "coordinate images")
     coord_images = linear_images(inv, S)
-    vimages = [coord_images[index[next(iter(img.terms))]]
-               for img in scroll_realization_images(pres)]
+    pull_back = RingMap([coord_images[index[next(iter(img.terms))]]
+                         for img in scroll_realization_images(pres)], S)
     ncols = len(pres.gamma[0])
     pairs = [(a, b) for a in range(ncols) for b in range(a + 1, ncols)]
     for (a, b), minor in zip(pairs, pres.minors):
-        poly = level.to_original_coords(substitute_T(minor, vimages, S))
+        poly = level.to_original_coords(pull_back(minor))
         records.append(GeneratorRecord(
             poly=poly, bidegree=bidegree(poly), provenance="scroll",
             alpha=None, detail={"columns": [a + 1, b + 1]},

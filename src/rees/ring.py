@@ -21,10 +21,11 @@ has a modulus.  Every `Poly` operation (add, subtract, negate, scale,
 multiply), the parser and the oracle's reduction and S-polynomials call it,
 so no other code in the package combines coefficients of two terms dicts.
 
-`substitute_T` is the one T-substitution routine.  A ring map given by a
-matrix -- the hull substitution T_j -> sum_i xi[i][j] w_i, or a constant change
-of T-coordinates -- is applied by building its images once with
-`linear_images` and passing them to `substitute_T`.
+`RingMap` holds the one T-substitution loop.  A ring map given by a matrix --
+the hull substitution T_j -> sum_i xi[i][j] w_i, or a constant change of
+T-coordinates -- is built once from the images `linear_images` returns, and
+images each T-monomial once per map, not once per call; `substitute_T` is its
+one-shot form.
 """
 from __future__ import annotations
 
@@ -442,39 +443,54 @@ def promote(p: Poly, target: PolyRing) -> Poly:
     return Poly(target, {m + pad: c for m, c in p.terms.items()})
 
 
+class RingMap:
+    """The ring map T_j -> images[j] into `target`, carrying x0, x1 over.
+
+    `images` are polynomials of the target ring, one per T-like variable of
+    the source ring.  Each T-monomial is imaged once for the life of the map:
+    `memo` maps a T-exponent tuple to the terms of its image, and a new entry
+    is the memoized image of the monomial with one factor of its last variable
+    dropped, times that variable's image.  Applying the map adds c * x^a times
+    the image of T^b straight into one terms dict for each term c x^a T^b.
+    """
+
+    __slots__ = ("images", "target", "memo")
+
+    def __init__(self, images, target: PolyRing):
+        self.images = tuple(images)
+        self.target = target
+        self.memo = {(0,) * len(self.images): {target.zero_shift:
+                                               target.field.one}}
+
+    def _image(self, texps):
+        terms = self.memo.get(texps)
+        if terms is None:
+            j = max(k for k, e in enumerate(texps) if e)
+            prev = texps[:j] + (texps[j] - 1,) + texps[j + 1:]
+            terms = (self.images[j]
+                     * Poly(self.target, self._image(prev))).terms
+            self.memo[texps] = terms
+        return terms
+
+    def __call__(self, p: Poly) -> Poly:
+        if len(p.ring.tvar_names) != len(self.images):
+            raise ValueError("one image per T-like variable required")
+        pad = (0,) * len(self.target.tvar_names)
+        mod = self.target.field.modulus
+        out = {}
+        for m, c in p.terms.items():
+            sub_multiple(out, -c, (m[0], m[1]) + pad, self._image(m[2:]), mod)
+        return Poly(self.target, out)
+
+
 def substitute_T(p: Poly, images, target: PolyRing) -> Poly:
     """Substitute T_j -> images[j] into p, carrying x0, x1 over unchanged.
 
-    `images` are polynomials of the target ring, one per T-like variable of
-    p's ring.  Terms are grouped by their T-exponent: each distinct T-monomial
-    is imaged once, from powers of the images cached per variable, and
-    multiplied by the x-coefficient polynomial of its group.
+    The one-shot form of `RingMap`: each T-monomial of p is imaged once for
+    this call.  Code that applies one map to many polynomials keeps a
+    `RingMap`, so each T-monomial is imaged once for the life of the map.
     """
-    n = len(p.ring.tvar_names)
-    if len(images) != n:
-        raise ValueError("one image per T-like variable required")
-    pad = (0,) * len(target.tvar_names)
-    groups = {}
-    for m, c in p.terms.items():
-        groups.setdefault(m[2:], {})[(m[0], m[1]) + pad] = c
-    powers = [{1: img} for img in images]
-
-    def image_power(j, e):
-        cache = powers[j]
-        if e not in cache:
-            cache[e] = image_power(j, e - 1) * images[j]
-        return cache[e]
-
-    out = target.zero()
-    for texps, xterms in groups.items():
-        image = None
-        for j, e in enumerate(texps):
-            if e:
-                factor = image_power(j, e)
-                image = factor if image is None else image * factor
-        piece = Poly(target, xterms)
-        out = out + (piece if image is None else piece * image)
-    return out
+    return RingMap(images, target)(p)
 
 
 def linear_images(rows, target: PolyRing) -> tuple:
@@ -482,7 +498,7 @@ def linear_images(rows, target: PolyRing) -> tuple:
 
     Column j maps to sum_i rows[i][j] * v_i, where v_i is the i-th T-like
     variable of `target` and each entry is a base-ring polynomial or a field
-    scalar.  Passed to `substitute_T`, the images apply the matrix as a ring
+    scalar.  Passed to `RingMap`, the images apply the matrix as a ring
     map: T_j -> sum_i xi[i][j] w_i along a hull embedding, or a constant
     change of T-coordinates.
     """

@@ -14,18 +14,18 @@ matrix embeds into a free module with twists sigma_1 >= ... >= sigma_s
     ("multiply by w_i" expressed on representatives).
 
 Everything user-facing is reported in the caller's original T-coordinates;
-the recorded coordinate change maps back and forth.  A level builds the images
-of its four ring maps (the hull substitution along the raw and the normalized
-embedding, the coordinate change and its inverse) once, so each map is one
-`substitute_T` call.
+the recorded coordinate change maps back and forth.  A level holds its four
+ring maps (the hull substitution along the raw and the normalized embedding,
+the coordinate change and its inverse) as `RingMap`s built once, so each
+T-monomial is imaged once per map for the life of the level.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 from . import gradedlin, linalg
-from .ring import (GradingError, Poly, PolyRing, bidegree, linear_images,
-                   promote, ring_S, ring_scroll, substitute_T)
+from .ring import (GradingError, Poly, PolyRing, RingMap, bidegree,
+                   linear_images, promote, ring_S, ring_scroll)
 from .syzygy import (GradedMatrix, HeightError, SigmaInvariants, graded_kernel,
                      hull_embedding, matrix_from_rows, signed_maximal_minors)
 
@@ -85,17 +85,18 @@ def sym_equations(inp: PresentationInput) -> tuple:
     return gs
 
 
-def evaluation_membership(inp: PresentationInput, p: Poly) -> bool:
-    """Whether p vanishes under T_i -> y * f_i (f_i the signed minors).
+def evaluation_membership(inp: PresentationInput, polys) -> list:
+    """Whether each of polys vanishes under T_i -> y * f_i (f_i the minors).
 
     This is exact membership in the full defining ideal of the Rees algebra,
     checked by plain polynomial expansion in k[x0,x1,y] -- no basis
-    computation involved, so it cross-checks every other engine.
+    computation involved, so it cross-checks every other engine.  All polys
+    go through one map, so each T-monomial is expanded once.
     """
     target = PolyRing(inp.field, ("y",), (0,))
     y = target.var("y")
-    images = [promote(f, target) * y for f in inp.minors]
-    return substitute_T(p, images, target).is_zero()
+    evaluate = RingMap([promote(f, target) * y for f in inp.minors], target)
+    return [evaluate(p).is_zero() for p in polys]
 
 
 @dataclass(frozen=True)
@@ -110,29 +111,13 @@ class TowerLevel:
     mult_scalars: tuple          # p[i][j] in k[x0,x1]
     mult_forms: tuple            # q[i][j] in S, T-degree 1
     scroll: PolyRing             # k[x0,x1][w1..ws], deg w_i = (-sigma_i, 1)
-    # images of T_1..T_n under the level's four ring maps (see linear_images)
-    embed_images: tuple          # T_j -> sum_i embed[i][j] w_i
-    embed_raw_images: tuple      # T_j -> sum_i embed_raw[i][j] w_i
-    chi_images: tuple            # level T_k -> sum_j chi[j][k] T_j
-    chi_inv_images: tuple        # original T_k -> sum_j chi^-1[j][k] T_j
-
-    # -- coordinate moves ---------------------------------------------------
-
-    def to_level_coords(self, p: Poly) -> Poly:
-        return substitute_T(p, self.chi_inv_images, p.ring)
-
-    def to_original_coords(self, p: Poly) -> Poly:
-        return substitute_T(p, self.chi_images, p.ring)
-
-    # -- substitution into the hull ring -------------------------------------
-
-    def subst(self, p: Poly) -> Poly:
-        """Image of a level-coordinate polynomial in k[x0,x1][w]."""
-        return substitute_T(p, self.embed_images, self.scroll)
-
-    def subst_raw(self, p: Poly) -> Poly:
-        """Image of an original-coordinate polynomial in k[x0,x1][w]."""
-        return substitute_T(p, self.embed_raw_images, self.scroll)
+    # the level's four ring maps, each imaging a T-monomial once per level
+    subst: RingMap               # level coordinates into k[x0,x1][w]:
+                                 #   T_j -> sum_i embed[i][j] w_i
+    subst_raw: RingMap           # original coordinates into k[x0,x1][w]:
+                                 #   T_j -> sum_i embed_raw[i][j] w_i
+    to_original_coords: RingMap  # level T_k -> sum_j chi[j][k] T_j
+    to_level_coords: RingMap     # original T_k -> sum_j chi^-1[j][k] T_j
 
     def w_monomial(self, alpha) -> Poly:
         exps = (0, 0) + tuple(alpha)
@@ -237,10 +222,10 @@ def build_level(inp: PresentationInput, m: int) -> TowerLevel:
         m=m, inp=inp, sigma=sigma, embed_raw=xi_raw, embed=embed,
         coord_change=chi, drop_row_kernels=tuple(kernels),
         mult_scalars=tuple(scalars), mult_forms=tuple(forms), scroll=scroll,
-        embed_images=linear_images(embed.rows, scroll),
-        embed_raw_images=linear_images(xi_raw.rows, scroll),
-        chi_images=linear_images(chi, S),
-        chi_inv_images=linear_images(chi_inv, S))
+        subst=RingMap(linear_images(embed.rows, scroll), scroll),
+        subst_raw=RingMap(linear_images(xi_raw.rows, scroll), scroll),
+        to_original_coords=RingMap(linear_images(chi, S), S),
+        to_level_coords=RingMap(linear_images(chi_inv, S), S))
 
 
 def check_truncation_equality(level: TowerLevel, x_window, t_max: int):

@@ -228,6 +228,16 @@ def test_check_seeds_on_a_rational_instance_fails_before_any_work(
     assert out == "" and calls == []
 
 
+def test_check_rejects_a_negative_seed_count(capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr(cli, "load_instance", calls.append)
+    monkeypatch.setattr(cli, "_check_one", calls.append)
+    code, out, err = run(capsys, "check", QUADRIC, "--seeds", "-1")
+    assert code == 1
+    assert err == "error: --seeds must be nonnegative\n"
+    assert out == "" and calls == []
+
+
 def test_random_is_deterministic(capsys, tmp_path):
     code, first, _ = run(capsys, "random", "--n", "3",
                          "--degrees", "2,3", "--seed", "5")

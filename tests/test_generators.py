@@ -5,7 +5,7 @@ import pytest
 from conftest import fixture_path
 from rees.cli import load_instance
 from rees.field import PrimeField, RationalField
-from rees.gradedlin import piece_dim
+from rees.gradedlin import piece_basis, piece_dim
 from rees.generators import (
     almost_linear_generators,
     recursion_generators,
@@ -16,7 +16,8 @@ from rees.generators import (
     trim_slice,
     u_span_dim,
 )
-from rees.ring import bidegree, parse_poly, ring_R, ring_S
+from rees.ring import (Poly, RingMap, bidegree, parse_poly, ring_R,
+                       ring_S)
 from rees.tower import build_level, evaluation_membership, sym_equations
 
 F = PrimeField(32003)
@@ -94,8 +95,8 @@ def test_tower_generators_levels(quadric_cubic, almost_linear):
         "sym-equation", "recursion", "recursion", "recursion"]
     assert records[0].poly == sym_equations(quadric_cubic)[0]
     assert all(rec.certificate_ok for rec in records)
-    for rec in records:
-        assert evaluation_membership(quadric_cubic, rec.poly)
+    assert all(evaluation_membership(quadric_cubic,
+                                     [rec.poly for rec in records]))
     with pytest.raises(ValueError):
         tower_generators(quadric_cubic, 2)
     # four-row instance has two levels with their own column counts
@@ -103,9 +104,9 @@ def test_tower_generators_levels(quadric_cubic, almost_linear):
     lvl2 = tower_generators(almost_linear, 2)
     assert sum(1 for r in lvl1 if r.provenance == "sym-equation") == 1
     assert sum(1 for r in lvl2 if r.provenance == "sym-equation") == 2
-    for rec in lvl1 + lvl2:
-        assert rec.certificate_ok
-        assert evaluation_membership(almost_linear, rec.poly)
+    assert all(rec.certificate_ok for rec in lvl1 + lvl2)
+    assert all(evaluation_membership(almost_linear,
+                                     [rec.poly for rec in lvl1 + lvl2]))
 
 
 # -- sylvester forms ----------------------------------------------------------
@@ -136,7 +137,7 @@ def test_sylvester_form_lands_in_the_ideal(quadric_cubic):
     g1, g2 = sym_equations(quadric_cubic)
     syl = sylvester_form(parse_poly("x0", R), parse_poly("x1", R), g1, g2)
     assert not syl.is_zero()
-    assert evaluation_membership(quadric_cubic, syl)
+    assert evaluation_membership(quadric_cubic, [syl]) == [True]
 
 
 # -- slice machinery ----------------------------------------------------------
@@ -163,7 +164,8 @@ def test_slice_generators_at_low_degree(quadric_cubic):
     for rec in records:
         assert rec.certificate_ok
         assert rec.bidegree[0] == 1
-        assert evaluation_membership(quadric_cubic, rec.poly)
+    assert all(evaluation_membership(quadric_cubic,
+                                     [rec.poly for rec in records]))
 
 
 def test_slice_generators_past_second_degree(quadric_cubic):
@@ -220,9 +222,9 @@ def test_almost_linear_generators_inventory(almost_linear):
     assert [rec.bidegree for rec in by_prov["recursion"]] == [
         (2, 1), (1, 2), (1, 2)]
     assert [rec.bidegree for rec in by_prov["slice"]] == [(0, 3)] * 3
-    for rec in records:
-        assert rec.certificate_ok
-        assert evaluation_membership(almost_linear, rec.poly)
+    assert all(rec.certificate_ok for rec in records)
+    assert all(evaluation_membership(almost_linear,
+                                     [rec.poly for rec in records]))
 
 
 def test_almost_linear_covers_the_linear_equations(almost_linear):
@@ -255,6 +257,53 @@ def test_recursion_and_slices_over_the_rationals(tmp_path):
         records += slice_generators(inp, i, level=level)
     parts = {rec.detail.get("part") for rec in records}
     assert {"weight-drop", "hull-basis", "hull-piece"} <= parts
-    for rec in records:
-        assert rec.certificate_ok
-        assert evaluation_membership(inp, rec.poly)
+    assert all(rec.certificate_ok for rec in records)
+    assert all(evaluation_membership(inp, [rec.poly for rec in records]))
+
+
+# -- work counts --------------------------------------------------------------
+
+def test_level_maps_image_each_T_monomial_once(table2, monkeypatch):
+    # a deterministic guard on the memo of the level's ring maps: every
+    # T-monomial a map imaged (with the divisors its image was built from) is
+    # held once, and imaging the same piece bases again multiplies nothing
+    seen = {}
+    real_call = RingMap.__call__
+
+    def recording_call(self, p):
+        seen.setdefault(id(self), set()).update(m[2:] for m in p.terms)
+        return real_call(self, p)
+
+    monkeypatch.setattr(RingMap, "__call__", recording_call)
+    level = build_level(table2, 1)
+    recursion_generators(level, sym_equations(table2)[1])
+    basis = slice_basis(level)
+    tdegs = {xdeg: {rec.bidegree[1] for rec in slice_generators(
+        table2, xdeg, level=level, basis=basis)} for xdeg in (11, 12)}
+    maps = [level.subst, level.subst_raw, level.to_original_coords,
+            level.to_level_coords]
+    for ring_map in maps:
+        want = {(0, 0, 0)}
+        for texps in seen.get(id(ring_map), ()):
+            while texps not in want:
+                want.add(texps)
+                j = max(k for k, e in enumerate(texps) if e)
+                texps = texps[:j] + (texps[j] - 1,) + texps[j + 1:]
+        assert set(ring_map.memo) == want
+
+    sizes = [len(ring_map.memo) for ring_map in maps]
+    products = []
+    real_mul = Poly.__mul__
+
+    def counting_mul(self, other):
+        products.append(1)
+        return real_mul(self, other)
+
+    monkeypatch.setattr(Poly, "__mul__", counting_mul)
+    S = table2.sring
+    for xdeg, degs in tdegs.items():
+        for tdeg in degs:
+            for mu in piece_basis(S, xdeg, tdeg):
+                level.subst(mu)
+    assert [len(ring_map.memo) for ring_map in maps] == sizes
+    assert products == []

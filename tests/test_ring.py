@@ -8,6 +8,7 @@ from rees.ring import (
     GradingError,
     ParseError,
     Poly,
+    RingMap,
     bidegree,
     linear_images,
     parse_poly,
@@ -20,6 +21,7 @@ from rees.ring import (
 )
 
 F = PrimeField(32003)
+F7 = PrimeField(7)
 Q = RationalField()
 R = ring_R(F)
 S3 = ring_S(F, 3)
@@ -271,22 +273,29 @@ def field_coeffs(field):
 
 @st.composite
 def substitution_cases(draw):
-    """A polynomial of S with several x-monomials per T-monomial, and images.
+    """Polynomials of S sharing T-monomials, the zero one among them, and images.
 
-    The target is S again (a change of T-coordinates) or a scroll ring (a
-    hull substitution); both fields are drawn.
+    Every polynomial takes its T-monomials from one pool, which may hold the
+    T-degree-0 monomial and several T-monomials of one degree, and has several
+    x-monomials per T-monomial.  The target is S again (a change of
+    T-coordinates) or a scroll ring (a hull substitution); F_7, F_32003 and Q
+    are drawn.
     """
-    field = draw(st.sampled_from([F, Q]))
+    field = draw(st.sampled_from([F7, F, Q]))
     coeff = field_coeffs(field)
     S = ring_S(field, 3)
-    xdeg, tdeg = draw(st.integers(0, 3)), draw(st.integers(0, 3))
-    texps = st.tuples(st.integers(0, tdeg), st.integers(0, tdeg)).filter(
-        lambda e: sum(e) <= tdeg).map(lambda e: e + (tdeg - sum(e),))
-    terms = {}
-    for te in draw(st.lists(texps, min_size=1, max_size=4, unique=True)):
-        for a in draw(st.sets(st.integers(0, xdeg), min_size=1, max_size=4)):
-            terms[(xdeg - a, a) + te] = draw(coeff)
-    p = Poly(S, terms)
+    pool = draw(st.lists(st.tuples(*[st.integers(0, 2)] * 3),
+                         min_size=1, max_size=5, unique=True))
+    polys = [S.zero()]
+    for _ in range(draw(st.integers(1, 3))):
+        xdeg = draw(st.integers(0, 3))
+        terms = {}
+        for te in draw(st.lists(st.sampled_from(pool), min_size=1,
+                                max_size=4, unique=True)):
+            for a in draw(st.sets(st.integers(0, xdeg), min_size=1,
+                                  max_size=4)):
+                terms[(xdeg - a, a) + te] = draw(coeff)
+        polys.insert(draw(st.integers(0, len(polys))), Poly(S, terms))
     target = draw(st.sampled_from([S, ring_scroll(field, (1, 0))]))
     k = len(target.tvar_names)
     images = []
@@ -296,12 +305,17 @@ def substitution_cases(draw):
             exps = draw(st.tuples(*[st.integers(0, 1)] * (2 + k)))
             img[exps] = draw(coeff)
         images.append(Poly(target, img))
-    return p, images, target
+    return polys, images, target
 
 
 @given(substitution_cases())
 @settings(max_examples=150, deadline=None)
 def test_substitute_T_matches_per_term_reference(case):
-    p, images, target = case
-    assert substitute_T(p, images, target) == substitute_per_term(
-        p, images, target)
+    # one map applied to the whole sequence must agree with the reference on
+    # every call, whatever its memo already holds
+    polys, images, target = case
+    ring_map = RingMap(images, target)
+    for p in polys:
+        want = substitute_per_term(p, images, target)
+        assert ring_map(p) == want
+        assert substitute_T(p, images, target) == want

@@ -4,7 +4,8 @@ import pytest
 
 from rees.cli import random_instance
 from rees.field import PrimeField
-from rees.ring import GradingError, Poly, bidegree, parse_poly, ring_R
+from rees.ring import (GradingError, Poly, bidegree, parse_poly, ring_R,
+                       substitute_T)
 from rees.syzygy import HeightError, SigmaInvariants, hull_embedding
 from rees.tower import (
     NormalizationError,
@@ -80,13 +81,12 @@ def test_sym_equations_reject_a_column_degree_mismatch(quadric_cubic):
 
 
 def test_evaluation_membership_basics(quadric_cubic):
-    eqs = sym_equations(quadric_cubic)
-    for g in eqs:
-        assert evaluation_membership(quadric_cubic, g)
     S = quadric_cubic.sring
-    assert not evaluation_membership(quadric_cubic, parse_poly("T1", S))
-    assert not evaluation_membership(quadric_cubic, parse_poly("x0*T2", S))
-    assert evaluation_membership(quadric_cubic, S.zero())
+    polys = list(sym_equations(quadric_cubic)) + [
+        parse_poly("T1", S), parse_poly("x0*T2", S), S.zero()]
+    assert evaluation_membership(quadric_cubic, polys) == [
+        True, True, False, False, True]
+    assert evaluation_membership(quadric_cubic, []) == []
 
 
 # -- level construction -------------------------------------------------------
@@ -129,6 +129,24 @@ def test_level_coordinate_round_trip(table1):
     g1 = sym_equations(twisted)[0]
     assert level.subst_raw(g1).is_zero()
     assert level.subst(level.to_level_coords(g1)).is_zero()
+
+
+def test_level_maps_agree_with_one_shot_substitution():
+    # chi is not the identity here, so the four maps all differ; each keeps
+    # its own memo, which must not leak between maps or calls
+    inp = random_instance(3, (1, 2), 0, F)
+    level = build_level(inp, 1)
+    S = inp.sring
+    polys = list(sym_equations(inp)) + [
+        parse_poly("x0*T1^2 + 3*x1*T2*T3 - x1*T3^2", S),
+        parse_poly("x0^2 - 5*x1^2", S), S.zero()]
+    names = ["subst", "subst_raw", "to_original_coords", "to_level_coords"]
+    for order in (names, names[::-1], names[1::2] + names[::2]):
+        for p in polys:
+            for name in order:
+                ring_map = getattr(level, name)
+                assert ring_map(p) == substitute_T(p, ring_map.images,
+                                                   ring_map.target)
 
 
 def test_subst_agrees_with_raw_when_change_is_identity(quadric_cubic):
