@@ -75,10 +75,8 @@ from .oracle import (
     WindowError,
     bigraded_hilbert,
     buchberger,
-    intersect_ideals,
     minimal_generator_bidegrees,
     normal_form,
-    saturate_m,
     saturated_ideal,
 )
 
@@ -101,9 +99,8 @@ __all__ = [
     "recursion_generators", "slice_basis", "slice_generators",
     "sylvester_form", "tower_generators", "trim_slice", "u_span_dim",
     "ORDER_DESCRIPTOR", "GroebnerBasis", "WindowError", "bigraded_hilbert",
-    "buchberger",
-    "intersect_ideals", "minimal_generator_bidegrees",
-    "normal_form", "saturate_m", "saturated_ideal",
+    "buchberger", "minimal_generator_bidegrees", "normal_form",
+    "saturated_ideal",
 ]
 
 __version__ = "0.1.0"

@@ -5,17 +5,23 @@ touches the tower machinery, so its answers cross-check the constructive
 pipeline.  Fixed term order: degree-reverse-lexicographic within each block,
 T-variables before x-variables, x1 last ("block-degrevlex(T>x, x1 last)").
 
-Saturation at the irrelevant ideal m = (x0,x1) uses Bayer's trick:
-J : m^infinity = (J : x0^infinity) intersect (J : x1^infinity), because
-m^(2N) lies in (x0^N, x1^N).  Each variable saturation is one Groebner basis
-in degrevlex with that variable last, whose elements are then divided by the
-largest power of the variable dividing them (Bayer-Stillman 1987).  T has
-x-weight 0 in S, so a bihomogeneous ideal is homogeneous in total degree,
-which is what the division step needs.  Intersections use one tag variable t
-and the elimination order t > everything: the ideal (t*A + (1-t)*B) meets the
-t-free subring in A intersect B.  The tag carries bidegree (0, 0), so tagged
-generators stay bihomogeneous; a splitting safeguard restores bihomogeneity
-anyway if an engine change ever breaks it.
+Saturation at the irrelevant ideal (x0,x1) is saturation by x1 alone.  Let
+J = (g_1..g_m) hold the equations of the first m columns phi_m of phi, and
+I_m the ideal of m x m minors of phi_m.  Every maximal minor of phi lies in
+I_m (Laplace expansion along the other columns), and `load_presentation`
+checks that the maximal minors have gcd 1, so I_m is (x0,x1)-primary.  Once
+x_v is inverted, I_m is the unit ideal and coker phi_m is projective, so its
+symmetric algebra (S/J)[1/x_v] is a direct summand of a polynomial ring over
+R[1/x_v] and has no R-torsion.  Hence (J : x_v^infinity)/J is the R-torsion
+of S/J, the same for v = 0 and v = 1 (Simis-Ulrich-Vasconcelos, "Rees
+algebras of modules", Proc. LMS 87, 2003).  As (x0,x1)^(2N) lies in
+(x0^N, x1^N), J : (x0,x1)^infinity is the intersection of the two, so it is
+J : x1^infinity.  That is one Groebner basis in degrevlex with x1 last, whose
+elements are divided by the largest power of x1 dividing them (Bayer-Stillman
+1987), then the reduced basis in the block order.  T has x-weight 0 in S, so
+a bihomogeneous ideal is homogeneous in total degree, which is what the
+division step needs.  Outside this input class the two variable saturations
+can differ: (x0*x1*T1) gives x1*T1 by x0 and x0*T1 by x1.
 
 Reduction uses the package's one multiply-accumulate kernel for F_p and Q,
 `ring.sub_multiple`, which subtracts c * x^shift * g from a working terms dict
@@ -28,12 +34,12 @@ Windows are ((x_lo, x_hi), (t_lo, t_hi)), inclusive on both ends.
 
 Every question asked of the oracle is bounded in T-degree, so every basis can
 stop at a cap t_max: the Buchberger core drops input generators of T-degree
-above it and never forms an S-pair whose lcm has T-degree sum(lcm[2:2 + nt])
-above it (the slice leaves out the tag).  The result is the full reduced basis
-restricted to T-degree <= t_max, because
+above it and never forms an S-pair whose lcm has T-degree sum(lcm[2:]) above
+it.  The result is the full reduced basis restricted to T-degree <= t_max,
+because
   * the ideals are bihomogeneous and reduction keeps the bidegree, so a pair
     above the cap never changes a piece at or below it;
-  * Bayer's division by x_v and the (0,0)-graded tag both keep the T-degree;
+  * Bayer's division by x1 keeps the T-degree;
   * capped pairs are never formed, so none is ever counted as treated, and
     none could justify the chain criterion anyway: l_k | lcm(l_i, l_j)
     implies lcm(l_i, l_k) | lcm(l_i, l_j), so both associated pairs of a pair
@@ -64,15 +70,15 @@ class WindowError(ValueError):
 
 # -- term order --------------------------------------------------------------
 
-def _key_funcs(nt: int, elim: bool = False, last: int | None = None):
+def _key_funcs(last: int | None = None):
     """Ascending comparison key and its negation on exponent tuples.
 
-    Exponents are (e_x0, e_x1, e_T1..e_Tnt[, e_tag]); the largest key is the
-    lead monomial.  The negated key drives min-heaps that pop monomials in
+    Exponents are (e_x0, e_x1, e_T1..e_Tn); the largest key is the lead
+    monomial.  The negated key drives min-heaps that pop monomials in
     descending order.  Keys are flat int tuples.  The default is the block
-    order; elim puts the trailing tag above everything; last = v gives plain
-    degrevlex over T1 > .. > Tnt > x_(1-v) > x_v, the order in which a
-    homogeneous basis divided by powers of x_v generates the saturation by x_v.
+    order; last = v gives plain degrevlex over T1 > .. > Tn > x_(1-v) > x_v,
+    the order in which a homogeneous basis divided by powers of x_v generates
+    the saturation by x_v.
     """
     if last is not None:
         other = 1 - last
@@ -83,16 +89,6 @@ def _key_funcs(nt: int, elim: bool = False, last: int | None = None):
 
         def negkey(m):
             return ((-sum(m), m[last], m[other]) + tuple(reversed(m[2:])))
-    elif elim:
-        def key(m):
-            tex = m[2:2 + nt]
-            return ((m[2 + nt], sum(tex)) + tuple(-e for e in reversed(tex))
-                    + (m[0] + m[1], -m[1], -m[0]))
-
-        def negkey(m):
-            tex = m[2:2 + nt]
-            return ((-m[2 + nt], -sum(tex)) + tuple(reversed(tex))
-                    + (-m[0] - m[1], m[1], m[0]))
     else:
         def key(m):
             tex = m[2:]
@@ -104,10 +100,6 @@ def _key_funcs(nt: int, elim: bool = False, last: int | None = None):
             return ((-sum(tex),) + tuple(reversed(tex))
                     + (-m[0] - m[1], m[1], m[0]))
     return key, negkey
-
-
-def _ring_keys(ring: PolyRing):
-    return _key_funcs(len(ring.tvar_names), elim=False)
 
 
 # -- core reduction ----------------------------------------------------------
@@ -164,15 +156,14 @@ def _spoly_terms(gi: tuple, gj: tuple, field) -> dict:
 
 
 def _buchberger_core(term_dicts: list, key, negkey, field,
-                     t_max: int | None = None, nt: int = 0) -> list:
+                     t_max: int | None = None) -> list:
     """Reduced monic basis as (lead, terms) pairs, sorted by ascending lead.
 
-    Pair selection: smallest lcm first.  With a cap t_max (the nt T-exponents
-    sit at positions 2 .. 1 + nt), inputs and pairs above it are left out
-    (see the module docstring).  Pairs with coprime leads are skipped; so is
-    any pair whose lcm is divisible by a third lead when both associated
-    pairs were already treated (treated pairs always predate the skip, so the
-    justification is well-founded).
+    Pair selection: smallest lcm first.  With a cap t_max, inputs and pairs
+    above it are left out (see the module docstring).  Pairs with coprime
+    leads are skipped; so is any pair whose lcm is divisible by a third lead
+    when both associated pairs were already treated (treated pairs always
+    predate the skip, so the justification is well-founded).
     """
     G: list = []
     pairs: list = []
@@ -184,13 +175,13 @@ def _buchberger_core(term_dicts: list, key, negkey, field,
         G.append((lead, terms))
         for t in range(idx):
             lcm = tuple(max(a, b) for a, b in zip(G[t][0], lead))
-            if t_max is None or sum(lcm[2:2 + nt]) <= t_max:
+            if t_max is None or sum(lcm[2:]) <= t_max:
                 heappush(pairs, (key(lcm), t, idx))
 
     for terms in term_dicts:
         if not terms:
             continue
-        if t_max is not None and sum(next(iter(terms))[2:2 + nt]) > t_max:
+        if t_max is not None and sum(next(iter(terms))[2:]) > t_max:
             continue
         nf = _nf_terms(terms, G, negkey, field) if G else dict(terms)
         if nf:
@@ -260,7 +251,7 @@ class GroebnerBasis:
         """Monic (lead, terms) pairs in the block order, one per generator."""
         if not self.generators:
             return ()
-        key, _ = _ring_keys(self.ring)
+        key, _ = _key_funcs()
         return tuple(_monic(g.terms, key, self.ring.field)
                      for g in self.generators)
 
@@ -279,9 +270,9 @@ def buchberger(gens, t_max: int | None = None) -> GroebnerBasis:
             raise ValueError("generators live in different rings")
         if not g.is_bihomogeneous():
             raise ValueError("generators must be bihomogeneous")
-    key, negkey = _ring_keys(ring)
+    key, negkey = _key_funcs()
     core = _buchberger_core([g.terms for g in gens], key, negkey, ring.field,
-                            t_max, len(ring.tvar_names))
+                            t_max)
     return GroebnerBasis(tuple(Poly(ring, dict(t)) for _, t in core),
                          t_max=t_max)
 
@@ -306,63 +297,25 @@ def normal_form(p: Poly, G: GroebnerBasis) -> Poly:
     ring = p.ring
     if G.ring != ring:
         raise ValueError("polynomial and basis live in different rings")
-    _, negkey = _ring_keys(ring)
+    _, negkey = _key_funcs()
     return Poly(ring, _nf_terms(p.terms, G.reducers, negkey, ring.field))
 
 
-# -- tag-variable constructions ---------------------------------------------
-
-def _bihomogeneous_components(p: Poly) -> list:
-    if p.is_bihomogeneous():
-        return [p]
-    buckets: dict = {}
-    for m, c in p.terms.items():
-        b = (p.monomial_xdeg(m), sum(m[2:]))
-        buckets.setdefault(b, {})[m] = c
-    return [Poly(p.ring, t) for _, t in sorted(buckets.items())]
-
-
-def intersect_ideals(gens_a, gens_b, ring: PolyRing,
-                     t_max: int | None = None) -> list:
-    """Generators of the intersection, via one (0,0)-graded tag variable.
-
-    With t_max, generators of the intersection up to that T-degree.
-    """
-    gens_a = [g for g in gens_a if not g.is_zero()]
-    gens_b = [g for g in gens_b if not g.is_zero()]
-    if not gens_a or not gens_b:
-        return []
-    field = ring.field
-    nt = len(ring.tvar_names)
-    key, negkey = _key_funcs(nt, elim=True)
-    lifted = [{m + (1,): c for m, c in a.terms.items()} for a in gens_a]
-    for b in gens_b:
-        terms = {}
-        for m, c in b.terms.items():
-            terms[m + (0,)] = c
-            terms[m + (1,)] = field.neg(c)
-        lifted.append(terms)
-    core = _buchberger_core(lifted, key, negkey, field, t_max, nt)
-    out = []
-    for lead, terms in core:
-        if lead[-1] == 0:
-            if any(m[-1] for m in terms):
-                raise ArithmeticError("elimination produced a mixed element")
-            out.extend(_bihomogeneous_components(
-                Poly(ring, {m[:-1]: c for m, c in terms.items()})))
-    return out
-
+# -- saturation -------------------------------------------------------------
 
 def _saturate_var(gens, v: int, ring: PolyRing,
                   t_max: int | None = None) -> list:
-    """Generators of (gens) : x_v^infinity for homogeneous gens (Bayer).
+    """Generators of (gens) : x_v^infinity for bihomogeneous gens (Bayer).
 
-    With t_max, generators of the saturation up to that T-degree.
+    The division step needs the ideal homogeneous in total degree, so the
+    T-variables must carry x-weight 0, as they do in S.  With t_max,
+    generators of the saturation up to that T-degree.
     """
-    nt = len(ring.tvar_names)
-    key, negkey = _key_funcs(nt, last=v)
+    if any(ring.tweights):
+        raise ValueError("saturation needs T-variables of x-weight 0")
+    key, negkey = _key_funcs(last=v)
     core = _buchberger_core([g.terms for g in gens], key, negkey, ring.field,
-                            t_max, nt)
+                            t_max)
     out = []
     for _, terms in core:
         k = min(m[v] for m in terms)
@@ -371,26 +324,6 @@ def _saturate_var(gens, v: int, ring: PolyRing,
                      for m, c in terms.items()}
         out.append(Poly(ring, terms))
     return out
-
-
-def saturate_m(J: GroebnerBasis) -> GroebnerBasis:
-    """J : (x0,x1)^infinity as (J : x0^infinity) intersect (J : x1^infinity).
-
-    Costs two degrevlex bases, one tag elimination and one reduced basis in
-    the block order.  The division step needs J homogeneous in total degree,
-    so the T-variables must carry x-weight 0, as they do in S.  Every basis
-    stops at J's own T-degree cap.
-    """
-    if not J.generators:
-        return J
-    ring = J.ring
-    if any(ring.tweights):
-        raise ValueError("saturation needs T-variables of x-weight 0")
-    t_max = J.t_max
-    gens = list(J.generators)
-    return buchberger(intersect_ideals(_saturate_var(gens, 0, ring, t_max),
-                                       _saturate_var(gens, 1, ring, t_max),
-                                       ring, t_max), t_max)
 
 
 # -- bigraded accounting -----------------------------------------------------
@@ -495,7 +428,8 @@ def saturated_ideal(inp: PresentationInput, m: int | None = None,
                     t_max: int | None = None) -> GroebnerBasis:
     """Reduced basis of (g_1..g_m) : (x0,x1)^infinity (default: all columns).
 
-    With t_max the basis is the one restricted to T-degree <= t_max, and
+    Computed as (g_1..g_m) : x1^infinity (see the module docstring).  With
+    t_max the basis is the one restricted to T-degree <= t_max, and
     queries above that cap raise WindowError.  With rational_check=True the
     computation is repeated over the rationals (coefficients lifted
     symmetrically around zero) and the two initial ideals must agree;
@@ -505,12 +439,14 @@ def saturated_ideal(inp: PresentationInput, m: int | None = None,
     m = inp.n - 1 if m is None else m
     if not 1 <= m <= inp.n - 1:
         raise ValueError("column count out of range")
-    gs = list(sym_equations(inp))[:m]
-    K = saturate_m(buchberger(gs, t_max))
+
+    def saturate(inp):
+        gs = list(sym_equations(inp))[:m]
+        return buchberger(_saturate_var(gs, 1, inp.sring, t_max), t_max)
+
+    K = saturate(inp)
     if rational_check and inp.field.modulus is not None:
-        twin = _rational_twin(inp)
-        gsq = list(sym_equations(twin))[:m]
-        KQ = saturate_m(buchberger(gsq, t_max))
+        KQ = saturate(_rational_twin(inp))
         mine = {lead for lead, _ in K.reducers}
         if mine != {lead for lead, _ in KQ.reducers}:
             raise ArithmeticError(

@@ -60,7 +60,7 @@ def test_2_final_example_minimal_counts(final_example, final_variant):
         table = oracle.minimal_generator_bidegrees(K, ((3, 3), (1, 8)))
         assert {(x, t): c for x, t, c in table.marks()} == expected
         elapsed = time.monotonic() - start
-        assert elapsed < 10.0
+        assert elapsed < 5.0
         budgets.append(elapsed)
     print(f"\nACCEPTANCE 2: PASS — x-degree-3 counts 3+4 and 3+3 "
           f"({budgets[0]:.2f}s, {budgets[1]:.2f}s)")

@@ -8,7 +8,8 @@ slice solves and the row-sparse F_p elimination went in; the `sigmas`,
 trimmed-slice and oracle `mingens` digests were recorded before the streaming
 echelon class gave way to `linalg.independent`; the oracle basis digests
 were recorded before the F_p and Q reduction loops were merged into one
-kernel.  A deliberate change of output must replace them in the same commit
+kernel, and before the saturation by (x0,x1) became a saturation by x1
+alone.  A deliberate change of output must replace them in the same commit
 and say why.
 """
 import hashlib

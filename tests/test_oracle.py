@@ -18,10 +18,8 @@ from rees.oracle import (
     _saturate_var,
     bigraded_hilbert,
     buchberger,
-    intersect_ideals,
     minimal_generator_bidegrees,
     normal_form,
-    saturate_m,
     saturated_ideal,
 )
 from rees.generators import tower_generators
@@ -128,7 +126,7 @@ KERNEL_FIELDS = {
 @given(data=st.data())
 def test_nf_terms_matches_naive_division(name, data):
     field, coeffs = KERNEL_FIELDS[name]
-    key, negkey = _key_funcs(2)
+    key, negkey = _key_funcs()
     polys = st.dictionaries(MONOMIALS, coeffs, min_size=1, max_size=5)
     terms = data.draw(polys)
     reducers = []
@@ -140,17 +138,7 @@ def test_nf_terms_matches_naive_division(name, data):
     assert got == naive_remainder(terms, reducers, key, field.modulus)
 
 
-# -- ideal arithmetic ---------------------------------------------------------
-
-def test_intersect_principal_monomials():
-    got = intersect_ideals([p("x0*T1")], [p("x1*T1")], S3)
-    G = buchberger(got)
-    assert [str(g) for g in G.generators] == ["x0*x1*T1"]
-
-
-def test_intersect_with_empty_side():
-    assert intersect_ideals([], [p("T1")], S3) == []
-
+# -- saturation ---------------------------------------------------------------
 
 def test_saturate_by_variable_known():
     got = _saturate_var([p("x0^2*T1"), p("x0*x1*T1")], 0, S3)
@@ -158,14 +146,14 @@ def test_saturate_by_variable_known():
 
 
 def test_saturate_removes_base_torsion():
-    K = saturate_m(buchberger([p("x0*T1"), p("x1*T1")]))
+    K = buchberger(_saturate_var([p("x0*T1"), p("x1*T1")], 1, S3))
     assert [str(g) for g in K.generators] == ["T1"]
 
 
 def test_saturate_rejects_weighted_T():
     scroll = ring_scroll(F, (1,))
     with pytest.raises(ValueError, match="x-weight 0"):
-        saturate_m(buchberger([parse_poly("x0*w1", scroll)]))
+        _saturate_var([parse_poly("x0*w1", scroll)], 1, scroll)
 
 
 def test_saturation_is_stable_under_variable_saturation(quadric_cubic):
@@ -298,11 +286,61 @@ def test_queries_above_the_cap_raise(quadric_cubic):
         normal_form(parse_poly("T1", S), empty)
 
 
-def test_saturate_m_keeps_the_cap_of_its_input(quadric_cubic):
-    J = buchberger(sym_equations(quadric_cubic), t_max=2)
-    K = saturate_m(J)
-    assert K.t_max == J.t_max
-    assert K.generators == saturated_ideal(quadric_cubic, t_max=2).generators
+def test_variable_saturation_keeps_the_cap(quadric_cubic):
+    gens = _saturate_var(sym_equations(quadric_cubic), 1, quadric_cubic.sring,
+                         t_max=2)
+    assert max(bidegree(g)[1] for g in gens) == 2
+    K = saturated_ideal(quadric_cubic, t_max=2)
+    assert K.t_max == 2
+    assert K.generators == buchberger(gens, t_max=2).generators
+    assert K.generators == restricted(saturated_ideal(quadric_cubic), 2)
+
+
+# -- one variable suffices ---------------------------------------------------
+
+def saturation_disagreement(gens, ring, t_max=None):
+    """None when the saturations of (gens) by x0 and by x1 have the same
+    reduced basis, else the first generator where they differ."""
+    by_x0, by_x1 = (buchberger(_saturate_var(gens, v, ring, t_max),
+                               t_max).generators for v in (0, 1))
+    if by_x0 == by_x1:
+        return None
+    for a, b in zip(by_x0 + (None,), by_x1 + (None,)):
+        if a != b:
+            return f"by x0: {a}, by x1: {b}"
+
+
+AGREEMENT_SHAPES = [(1, 2), (2, 5), (1, 2, 2), (1, 2, 4), (1, 1, 1, 2)]
+
+
+def agreement_case(name):
+    if not name.startswith("random-"):
+        return load_case(name)
+    _, degrees, seed = name.split("-")
+    degrees = tuple(map(int, degrees.split(",")))
+    return cli.random_instance(len(degrees) + 1, degrees, int(seed), F)
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES + ["table1-rational"] + [
+    f"random-{','.join(map(str, d))}-{seed}"
+    for d in AGREEMENT_SHAPES for seed in (0, 1)])
+def test_saturation_by_either_variable_is_the_same(name):
+    # the module docstring's theorem: on a presentation whose maximal minors
+    # have gcd 1, J : x0^infinity = J : x1^infinity for every partial ideal,
+    # so both equal J : (x0,x1)^infinity; table2 is capped as above
+    inp = agreement_case(name)
+    gs = list(sym_equations(inp))
+    t_max = 8 if name == "table2" else None
+    for m in range(1, inp.n):
+        assert saturation_disagreement(gs[:m], inp.sring, t_max) is None, \
+            (name, m)
+
+
+def test_saturation_disagreement_is_reported_outside_the_hypothesis():
+    # (x0*x1*T1) is not the ideal of a presentation with coprime minors:
+    # dividing by x0 leaves x1*T1 and dividing by x1 leaves x0*T1
+    assert saturation_disagreement([p("x0*x1*T1")], S3) == \
+        "by x0: x1*T1, by x1: x0*T1"
 
 
 # -- bigraded accounting ------------------------------------------------------
