@@ -30,7 +30,11 @@ through the same loop.  The lead terms cancel inside it.  The heap-driven
 normal form `_nf_terms` calls it once per reduction step, and `_spoly_terms`
 builds the S-polynomial with two calls, one per shifted reducer.
 
-Windows are ((x_lo, x_hi), (t_lo, t_hi)), inclusive on both ends.
+Windows are ((x_lo, x_hi), (t_lo, t_hi)), inclusive on both ends.  The two
+counters work on exponent tuples and build no `Poly`: `_first_divisors` finds
+the first basis lead dividing each monomial of a piece in one numpy broadcast,
+and the one-step-down span's rows are written by shifting basis elements'
+exponents into the piece's monomial index.
 
 Every question asked of the oracle is bounded in T-degree, so every basis can
 stop at a cap t_max: the Buchberger core drops input generators of T-degree
@@ -54,9 +58,11 @@ from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from operator import sub
+from operator import add, sub
 
-from . import combinat, gradedlin
+import numpy as np
+
+from . import combinat, gradedlin, linalg
 from .field import RationalField
 from .ring import Poly, PolyRing, ring_R, sub_multiple
 from .tower import PresentationInput, load_presentation, sym_equations
@@ -336,11 +342,27 @@ def _check_window(window, G: GroebnerBasis):
     return int(xlo), int(xhi), int(tlo), int(thi)
 
 
+_DIVIDES_CELLS = 1 << 20   # monomials x leads x variables per broadcast
+
+
+def _first_divisors(monos, leads: np.ndarray) -> np.ndarray:
+    """Per exponent tuple, the first row of the int64 array leads dividing
+    it, or -1; broadcast in chunks of at most _DIVIDES_CELLS cells."""
+    mons = np.array(monos, dtype=np.int64).reshape(len(monos), leads.shape[1])
+    out = np.full(len(mons), -1, dtype=np.int64)
+    step = max(1, _DIVIDES_CELLS // leads.size)
+    for lo in range(0, len(mons), step):
+        div = (mons[lo:lo + step, None, :] >= leads[None, :, :]).all(axis=2)
+        out[lo:lo + step] = np.where(div.any(axis=1), div.argmax(axis=1), -1)
+    return out
+
+
 def bigraded_hilbert(G: GroebnerBasis, window) -> dict:
     """dim of the ideal's bidegree-(i,j) pieces over the window.
 
     The dimension is the number of monomials of S_(i,j) divisible by some
-    lead of the reduced basis (the complement counts standard monomials).
+    lead of the reduced basis (the complement counts standard monomials),
+    counted on the piece's exponent tuples.
     Raises WindowError for a window above the basis's T-degree cap.
     """
     xlo, xhi, tlo, thi = _check_window(window, G)
@@ -348,17 +370,10 @@ def bigraded_hilbert(G: GroebnerBasis, window) -> dict:
         return {(i, j): 0 for i in range(xlo, xhi + 1)
                 for j in range(tlo, thi + 1)}
     ring = G.ring
-    leads = [lead for lead, _ in G.reducers]
-    out = {}
-    for i in range(xlo, xhi + 1):
-        for j in range(tlo, thi + 1):
-            cnt = 0
-            for mu in gradedlin.piece_basis(ring, i, j):
-                m = next(iter(mu.terms))
-                if any(all(a >= b for a, b in zip(m, lead)) for lead in leads):
-                    cnt += 1
-            out[(i, j)] = cnt
-    return out
+    leads = np.array([lead for lead, _ in G.reducers], dtype=np.int64)
+    return {(i, j): int(np.count_nonzero(_first_divisors(
+                gradedlin.piece_monomials(ring, i, j), leads) >= 0))
+            for i in range(xlo, xhi + 1) for j in range(tlo, thi + 1)}
 
 
 def minimal_generator_bidegrees(G: GroebnerBasis, window,
@@ -374,31 +389,26 @@ def minimal_generator_bidegrees(G: GroebnerBasis, window,
     windowed module (the single-x-degree-slice point of view: only
     T-multiples are subtracted there).  Raises WindowError for a window above
     the basis's T-degree cap.
+
+    A piece is held as pairs (k, shift) for x^shift * g_k, one per monomial
+    mu of S_(i,j) with g_k the first basis element whose lead divides it:
+    their leads are the distinct mu, so they are a basis of the piece.
     """
     xlo, xhi, tlo, thi = _check_window(window, G)
     counts: dict = {}
     if G.generators:
         ring = G.ring
-        leads = [(lead, g) for (lead, _), g in zip(G.reducers, G.generators)]
-        xvars = [ring.var("x0"), ring.var("x1")]
-        tvars = [ring.var(name) for name in ring.tvar_names]
+        lead_list, terms = zip(*G.reducers)
+        leads = np.array(lead_list, dtype=np.int64)
+        units = [tuple(u) for u in np.eye(leads.shape[1], dtype=int).tolist()]
         pieces: dict = {}
 
         def ideal_piece(i, j):
-            # one (mu/lead)*g per monomial mu of S_(i,j) that the lead of a
-            # basis element g divides (the first such g): their leads are the
-            # distinct mu, so by the standard-monomial count (as in
-            # bigraded_hilbert) they are a basis of the ideal's piece
             if (i, j) not in pieces:
-                basis = []
-                for mu in gradedlin.piece_basis(ring, i, j):
-                    (m,) = mu.terms
-                    for lead, g in leads:
-                        if all(a >= b for a, b in zip(m, lead)):
-                            basis.append(ring.monomial(
-                                tuple(a - b for a, b in zip(m, lead))) * g)
-                            break
-                pieces[(i, j)] = basis
+                monos = gradedlin.piece_monomials(ring, i, j)
+                hits = _first_divisors(monos, leads).tolist()
+                pieces[(i, j)] = [(k, tuple(map(sub, m, lead_list[k])))
+                                  for m, k in zip(monos, hits) if k >= 0]
             return pieces[(i, j)]
 
         for i in range(xlo, xhi + 1):
@@ -406,15 +416,25 @@ def minimal_generator_bidegrees(G: GroebnerBasis, window,
                 piece = ideal_piece(i, j)
                 if not piece:
                     continue
-                below = []
-                if i - 1 >= xlo:
-                    below += [v * p for p in ideal_piece(i - 1, j)
-                              for v in xvars]
-                if j - 1 >= tlo:
-                    below += [v * p for p in ideal_piece(i, j - 1)
-                              for v in tvars]
+                steps = []
+                if i > xlo:
+                    steps += [(p, u) for p in ideal_piece(i - 1, j)
+                              for u in units[:2]]
+                if j > tlo:
+                    steps += [(p, u) for p in ideal_piece(i, j - 1)
+                              for u in units[2:]]
+                # the one-step-down span, each x^shift * g_k once
+                below = dict.fromkeys((k, tuple(map(add, s, u)))
+                                      for (k, s), u in steps)
+                index = gradedlin._piece_index(ring, i, j)
+                rows = []
+                for k, shift in below:
+                    row = [ring.field.zero] * len(index)
+                    for m, c in terms[k].items():
+                        row[index[tuple(map(add, m, shift))]] = c
+                    rows.append(row)
                 # products of ideal elements stay inside the piece
-                gained = len(piece) - gradedlin.span_dim(below, ring, i, j)
+                gained = len(piece) - linalg.rank(rows, len(index), ring.field)
                 if gained:
                     counts[(i, j)] = gained
     sep = x_separator if x_separator is not None else xlo - 1

@@ -9,8 +9,9 @@ trimmed-slice and oracle `mingens` digests were recorded before the streaming
 echelon class gave way to `linalg.independent`; the oracle basis digests
 were recorded before the F_p and Q reduction loops were merged into one
 kernel, and before the saturation by (x0,x1) became a saturation by x1
-alone.  A deliberate change of output must replace them in the same commit
-and say why.
+alone; the oracle `hilbert` and `mingens` count digests were recorded before
+the two counters moved from `Poly` products to exponent tuples.  A
+deliberate change of output must replace them in the same commit and say why.
 """
 import hashlib
 
@@ -89,6 +90,38 @@ MINGENS = {
 }
 
 
+# `oracle --what hilbert|mingens --max-x 10 --max-t 5` on every fixture
+ORACLE_COUNTS = {
+    ("hilbert", "almost_linear"):
+        "92e52391753b470aec7dbb4bb8313d1195e45fe39af109e8e15a57b39255661d",
+    ("hilbert", "final_example"):
+        "e391f32f9c8121b18601a335308ad70a77925ccaad0e91a7abb9d1c48aeb9dcc",
+    ("hilbert", "final_variant"):
+        "94a831b43ab6809b7461cb0504ae79d7cad3b72dee784c314d441d1a20f22ad4",
+    ("hilbert", "quadric_cubic"):
+        "78ef4445e62fda7cab01a629c8a161c4007b3c02ed38eef3b73e588281c22f6d",
+    ("hilbert", "table1"):
+        "dbfc44c0005786cf22fd19cad0e8d1ecae944a517ef4a2bd3d31687d1a9e6954",
+    ("hilbert", "table2"):
+        "b038f71bcaee7a7f8b2662c7b41c740bb9afecb3d154694040dd32123c0f9efb",
+    ("hilbert", "table3"):
+        "cf7b83d4f320e992b603e4771a887747446e729b296ecfeb51a16b662b95110f",
+    ("mingens", "almost_linear"):
+        "e80f170c28e0c295d8d6d40a26fd8352d29bcbffd5c7ab39f7f722114142730b",
+    ("mingens", "final_example"):
+        "fa6b4db78e1b45770ef3a8d3f8ab18777af192655b6e238bee403fab51984b76",
+    ("mingens", "final_variant"):
+        "e79bf00b5a8b0ac4783b8068974a0222090006c9ea87bc2faa412e7eb656c0da",
+    ("mingens", "quadric_cubic"):
+        "7f66118136dfe5a41983987c95b2d27de3dbf75ec67d12041f46bba02e6af84c",
+    ("mingens", "table1"):
+        "b276bf363f2eaa00acd8393e52e4c4c141036160b096c5e2a470ce1a0d45861a",
+    ("mingens", "table2"):
+        "b0efdf299a17a4a04fdababf56cdb12be91403d3d04c76c49ec0f62950ddc224",
+    ("mingens", "table3"):
+        "28d9d6c30b06100ea86f66370b36766795277c5f0ee1c531d8d6322da179369d",
+}
+
 # reduced basis of `oracle.saturated_ideal`, one `str(g)` per line; "rational"
 # saturates the instance's rational twin, so both fields' kernels are pinned
 BASES = {
@@ -152,6 +185,13 @@ def test_oracle_mingens_json_is_unchanged(capsys, name):
     got = json_digest(capsys, "oracle", fixture_path(f"{name}.json"),
                       "--what", "mingens", "--max-x", "4", "--max-t", "4")
     assert got == MINGENS[name]
+
+
+@pytest.mark.parametrize("what,name", sorted(ORACLE_COUNTS))
+def test_oracle_counts_json_is_unchanged(capsys, what, name):
+    got = json_digest(capsys, "oracle", fixture_path(f"{name}.json"),
+                      "--what", what, "--max-x", "10", "--max-t", "5")
+    assert got == ORACLE_COUNTS[(what, name)]
 
 
 @pytest.mark.parametrize("name,field", sorted(BASES))

@@ -1,17 +1,19 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import fixture_path
-from rees import cli
+from rees import cli, combinat, oracle, syzygy
 from rees.field import PrimeField, RationalField
 from rees.generators import u_span_dim
-from rees.gradedlin import piece_basis
+from rees.gradedlin import piece_basis, piece_monomials, span_dim
 from rees.oracle import (
     ORDER_DESCRIPTOR,
     GroebnerBasis,
     WindowError,
+    _first_divisors,
     _key_funcs,
     _nf_terms,
     _rational_twin,
@@ -383,3 +385,115 @@ def test_minimal_generators_reproduce_the_first_grid(table1):
     table = minimal_generator_bidegrees(K, ((3, 16), (1, 5)), x_separator=2)
     assert {(x, t): c for x, t, c in table.marks()} == {
         (3, 1): 1, (16, 1): 1, (13, 2): 1, (10, 3): 1, (7, 4): 1, (4, 5): 1}
+
+
+# -- counting from exponent tuples against Poly-product references -----------
+
+def divides(lead, m):
+    return all(a >= b for a, b in zip(m, lead))
+
+
+def reference_hilbert(G, window):
+    # brute force: count the monomials of each piece that some lead divides
+    (xlo, xhi), (tlo, thi) = window
+    leads = [lead for lead, _ in G.reducers]
+    return {(i, j): sum(any(divides(lead, m) for lead in leads)
+                        for m in piece_monomials(G.ring, i, j))
+            for i in range(xlo, xhi + 1) for j in range(tlo, thi + 1)}
+
+
+def reference_mingens(G, window):
+    # the one-step-down rank with every piece element built as a Poly product
+    (xlo, xhi), (tlo, thi) = window
+    ring = G.ring
+    leads = [(lead, g) for (lead, _), g in zip(G.reducers, G.generators)]
+    xvars = [ring.var("x0"), ring.var("x1")]
+    tvars = [ring.var(name) for name in ring.tvar_names]
+
+    def piece(i, j):
+        out = []
+        for mu in piece_basis(ring, i, j):
+            (m,) = mu.terms
+            lead, g = next(((lead, g) for lead, g in leads
+                            if divides(lead, m)), (None, None))
+            if g is not None:
+                out.append(ring.monomial(
+                    tuple(a - b for a, b in zip(m, lead))) * g)
+        return out
+
+    counts = {}
+    for i in range(xlo, xhi + 1):
+        for j in range(tlo, thi + 1):
+            here = piece(i, j)
+            below = []
+            if i > xlo:
+                below += [v * q for q in piece(i - 1, j) for v in xvars]
+            if j > tlo:
+                below += [v * q for q in piece(i, j - 1) for v in tvars]
+            gained = len(here) - span_dim(below, ring, i, j)
+            if gained:
+                counts[(i, j)] = gained
+    return counts
+
+
+COUNT_SHAPES = {"random-3-1,3": (1, 3), "random-3-2,4": (2, 4),
+                "random-4-1,2,2": (1, 2, 2), "random-5-1,1,1,2": (1, 1, 1, 2)}
+
+
+def count_case(name):
+    if name in COUNT_SHAPES:
+        degrees = COUNT_SHAPES[name]
+        return cli.random_instance(len(degrees) + 1, degrees, 0, F)
+    return load_case(name)
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES + sorted(COUNT_SHAPES))
+def test_counts_match_the_poly_product_references(name):
+    inp = count_case(name)
+    e = inp.col_degrees[-2]
+    # past the last column degree, so table1-3's T-degree 2 and 3 generators
+    # at x-degrees 10..16 are inside
+    top = max(e + 3, inp.col_degrees[-1] + 1)
+    K = saturated_ideal(inp, t_max=3)
+    # from x = 0 the x-multiples of the left column are subtracted; from
+    # x = e (and T = 2) the left column and bottom row count as generators
+    for window in (((0, top), (1, 3)), ((e, top), (2, 3))):
+        assert bigraded_hilbert(K, window) == reference_hilbert(K, window), \
+            (name, window)
+        table = minimal_generator_bidegrees(K, window)
+        assert table.counts == reference_mingens(K, window), (name, window)
+        assert table.x_separator == window[0][0] - 1
+    assert minimal_generator_bidegrees(
+        K, ((e, top), (2, 3)), x_separator=e - 1).x_separator == e - 1
+
+
+def test_first_divisors_is_the_same_in_any_chunk_size(monkeypatch):
+    leads = np.array([(1, 0, 1, 0, 0), (0, 2, 0, 0, 0), (0, 0, 1, 0, 0)])
+    monos = piece_monomials(S3, 3, 2)
+    whole = _first_divisors(monos, leads)
+    assert whole.tolist() == [
+        next((k for k, lead in enumerate(leads.tolist()) if divides(lead, m)),
+             -1) for m in monos]
+    assert 0 < (whole >= 0).sum() < len(monos)
+    monkeypatch.setattr(oracle, "_DIVIDES_CELLS", 7)
+    assert _first_divisors(monos, leads).tolist() == whole.tolist()
+    assert _first_divisors((), leads).tolist() == []
+
+
+# -- the paper's bidegree formula against the oracle -------------------------
+
+@pytest.mark.parametrize("name,sigma", [("table2", (3, 2)), ("table3", (2, 2))])
+def test_minimal_generators_match_the_bidegree_formula(name, sigma):
+    # the count window starts at x = 0 (a window whose left column is e
+    # would count that column's x-multiples as generators), and only the
+    # counts at x >= e are compared
+    inp = load_case(name)
+    top_sigma = syzygy.sigma_invariants(inp.phi, inp.n - 2).sigma
+    assert tuple(top_sigma) == sigma
+    predicted = combinat.bidegree_table(inp.col_degrees, top_sigma).counts
+    e = inp.col_degrees[-2]
+    xmax = max(x for x, _ in predicted)
+    tmax = max(t for _, t in predicted)
+    K = saturated_ideal(inp, t_max=tmax + 1)
+    table = minimal_generator_bidegrees(K, ((0, xmax + 2), (1, tmax + 1)))
+    assert {b: c for b, c in table.counts.items() if b[0] >= e} == predicted
