@@ -21,7 +21,7 @@ import os
 import random as _random
 import sys
 
-from . import combinat, generators, gradedlin, oracle, syzygy, tower
+from . import combinat, generators, gradedlin, linalg, oracle, syzygy, tower
 from .field import DEFAULT_PRIME, PrimeField, field_from_json, field_to_json
 from .ring import parse_poly, ring_R
 
@@ -92,7 +92,12 @@ def _field_with_override(descr: dict | None):
         descr = {"type": "prime", "p": DEFAULT_PRIME}
     field = field_from_json(descr)
     if env is not None and getattr(field, "modulus", None) is not None:
-        field = PrimeField(int(env))
+        try:
+            p = int(env)
+        except ValueError:
+            raise ValueError(f"REES_FIELD_P must be an integer, "
+                             f"got {env!r}") from None
+        field = PrimeField(p)
     return field
 
 
@@ -106,6 +111,8 @@ def load_instance(path: str) -> tower.PresentationInput:
             raise ValueError(f"instance file is missing {k!r}")
     field = _field_with_override(raw.get("field"))
     n = raw["n"]
+    if type(n) is not int:
+        raise ValueError("n must be an integer")
     rows = raw["phi_rows"]
     if not (isinstance(rows, list) and all(
             isinstance(row, list) and all(isinstance(e, str) for e in row)
@@ -133,15 +140,8 @@ def instance_to_json(inp: tower.PresentationInput) -> dict:
 
 def random_instance(n: int, col_degrees, seed: int, field) -> tower.PresentationInput:
     """Rejection-sample a height-two instance; deterministic per seed."""
-    if n < 3:
-        raise ValueError("need n >= 3")
-    col_degrees = tuple(int(d) for d in col_degrees)
-    if len(col_degrees) != n - 1:
-        raise ValueError("need exactly n-1 column degrees")
-    if any(d < 1 for d in col_degrees):
-        raise ValueError("column degrees must be >= 1")
-    if any(col_degrees[i] > col_degrees[i + 1] for i in range(n - 2)):
-        raise ValueError("column degrees must be nondecreasing")
+    # checked here, as the draw loop below swallows ValueError
+    col_degrees = tower.check_col_degrees(n, (int(d) for d in col_degrees))
     p = field.modulus
     if p is None:
         raise ValueError("random instances are generated over a prime field")
@@ -359,17 +359,9 @@ def _check_one(inp: tower.PresentationInput) -> list:
     for m, level in levels.items():
         for i, si in enumerate(level.sigma.sigma):
             deg = d[m - 1] - 1 + si
-            mult = []
-            for pj in level.mult_scalars[i]:
-                if pj.is_zero():
-                    continue
-                shift = deg - pj.xdeg()
-                if shift < 0:
-                    continue
-                for mono in gradedlin.piece_basis(inp.base, shift):
-                    mult.append(mono * pj)
-            ok = ok and (gradedlin.span_dim(mult, inp.base, deg)
-                         == gradedlin.piece_dim(inp.base, deg))
+            dim = gradedlin.piece_dim(inp.base, deg)
+            rows = gradedlin.multiples(level.mult_scalars[i], inp.base, deg)
+            ok = ok and linalg.rank(rows, dim, inp.field) == dim
     results.append(("multiplication scalars reach every form "
                     "(surjectivity degree)", ok, ""))
 
@@ -397,13 +389,9 @@ def _check_one(inp: tower.PresentationInput) -> list:
         results.append(("hull quotient Hilbert values", ok, ""))
         scroll = level.scroll
         ok = gradedlin.piece_dim(scroll, -1, 2) == 3 * d1
-        prods = []
-        S = inp.sring
-        for k in range(n):
-            img = level.subst(S.var(f"T{k + 1}"))
-            for nu in gradedlin.piece_basis(scroll, -1, 1):
-                prods.append(img * nu)
-        ok = ok and gradedlin.span_dim(prods, scroll, -1, 2) == 3 * d1
+        images = [level.subst(inp.sring.var(f"T{k + 1}")) for k in range(n)]
+        rows = gradedlin.multiples(images, scroll, -1, 2)
+        ok = ok and linalg.rank(rows, 3 * d1, inp.field) == 3 * d1
         results.append(("linear forms fill the (-1,2) piece", ok, ""))
         ok = True
         for i in range(-1, d1):

@@ -22,7 +22,8 @@ minimal generators of each bidegree the tower produces, and renders the grid.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from itertools import product
+from operator import itemgetter
 
 
 def _check_sigma(sigma: tuple) -> tuple[tuple, int]:
@@ -41,8 +42,21 @@ def weight(alpha: tuple, sigma: tuple) -> int:
     return sum(a * v for a, v in zip(alpha, sigma))
 
 
-def _order_key(alpha: tuple, sigma: tuple):
-    return (weight(alpha, sigma), tuple(-a for a in alpha))
+def _box(c: int, sigma: tuple, r: int):
+    """(weight, alpha) for each alpha with alpha_i <= ceil(c / sigma_i), a box
+    holding both families below, in descending lexicographic order of alpha.
+    alpha lists the first r (positive-twist) coordinates only."""
+    ranges = [range(-(-c // v), -1, -1) for v in sigma[:r]]
+    loads = [[a * v for a in box] for box, v in zip(ranges, sigma)]
+    return zip(map(sum, product(*loads)), product(*ranges))
+
+
+def _in_order(pairs: list, s: int) -> list[tuple]:
+    """The alphas of box pairs in enumeration order, padded to length s: a
+    stable sort by weight keeps descending lexicographic order within a
+    weight, which loads the earliest coordinate first."""
+    pairs.sort(key=itemgetter(0))
+    return [alpha + (0,) * (s - len(alpha)) for _, alpha in pairs]
 
 
 def below_weight_exponents(c: int, sigma: tuple) -> list[tuple]:
@@ -54,23 +68,8 @@ def below_weight_exponents(c: int, sigma: tuple) -> list[tuple]:
     sigma, r = _check_sigma(sigma)
     if c < 0:
         raise ValueError("cutoff must be nonnegative")
-    s = len(sigma)
-    out: list[tuple] = []
-
-    def walk(i: int, prefix: tuple, budget: int) -> None:
-        if i == r:
-            out.append(prefix + (0,) * (s - r))
-            return
-        step = sigma[i]
-        a = 0
-        while a * step < budget:
-            walk(i + 1, prefix + (a,), budget - a * step)
-            a += 1
-
-    if c > 0:
-        walk(0, (), c)
-    out.sort(key=lambda alpha: _order_key(alpha, sigma))
-    return out
+    return _in_order([(w, a) for w, a in _box(c, sigma, r) if w < c],
+                     len(sigma))
 
 
 def minimal_weight_exponents(c: int, sigma: tuple) -> list[tuple]:
@@ -78,34 +77,17 @@ def minimal_weight_exponents(c: int, sigma: tuple) -> list[tuple]:
 
     Requires c >= 1: at c <= 0 the zero vector is the unique minimal element
     and none of the downstream constructions apply, so that call is rejected.
-    The minimal alpha with last positive coordinate i are exactly those with
-    c <= weight < c + sigma_i; the union over i is disjoint.
+    alpha is minimal exactly when weight - sigma_i < c for every loaded i,
+    which caps alpha_i at ceil(c / sigma_i).
     """
     sigma, r = _check_sigma(sigma)
     if c <= 0:
         raise ValueError("cutoff must be positive")
-    s = len(sigma)
-    out: list[tuple] = []
-
-    def walk(i: int, last: int, prefix: tuple, acc: int) -> None:
-        if i == last:
-            # last loaded coordinate: alpha_i >= 1, total weight in [c, c+sigma_i)
-            step = sigma[i]
-            lo = max(1, -(-(c - acc) // step))          # ceil((c-acc)/step)
-            hi = (c + step - 1 - acc) // step            # weight < c + step
-            for a in range(lo, hi + 1):
-                out.append(prefix + (a,) + (0,) * (s - i - 1))
-            return
-        step = sigma[i]
-        a = 0
-        while acc + a * step < c:                        # stay below c before the last slot
-            walk(i + 1, last, prefix + (a,), acc + a * step)
-            a += 1
-
-    for last in range(r):
-        walk(0, last, (), 0)
-    out.sort(key=lambda alpha: _order_key(alpha, sigma))
-    return out
+    # sigma[0] is the largest twist, so the first test is a cheap prefilter
+    return _in_order([(w, a) for w, a in _box(c, sigma, r)
+                      if c <= w < c + sigma[0]
+                      and all(w - v < c for a_i, v in zip(a, sigma) if a_i)],
+                     len(sigma))
 
 
 def weight_drop_monomials(c: int, sigma: tuple) -> list[tuple[int, int, tuple]]:

@@ -320,15 +320,14 @@ def slice_generators(inp: PresentationInput, i: int,
     return records
 
 
-def _t_multiples(polys, ring, tdeg: int) -> list:
-    """The T-monomial multiples of the polys that have T-degree tdeg."""
-    return [mono * p for p in polys if not p.is_zero()
-            for mono in gradedlin.piece_basis(ring, 0, tdeg - p.tdeg())]
-
-
 def u_span_dim(polys, ring, xdeg: int, tdeg: int) -> int:
-    """Dimension of the bidegree-(xdeg, tdeg) piece of the k[T]-span."""
-    return gradedlin.span_dim(_t_multiples(polys, ring, tdeg), ring, xdeg, tdeg)
+    """Dimension of the bidegree-(xdeg, tdeg) piece of the k[T]-span.
+
+    The polys lie in x-degree xdeg, so their monomial multiples in the piece
+    are their T-multiples.
+    """
+    return linalg.rank(gradedlin.multiples(polys, ring, xdeg, tdeg),
+                       gradedlin.piece_dim(ring, xdeg, tdeg), ring.field)
 
 
 def trim_slice(records: list, i: int) -> list:
@@ -347,10 +346,9 @@ def trim_slice(records: list, i: int) -> list:
                    key=lambda t: (-records[t].bidegree[1], -t))
     for idx in order:
         tdeg = records[idx].bidegree[1]
-        spanned = _t_multiples([rec.poly for t, rec in enumerate(records)
-                                if alive[t] and t != idx], S, tdeg)
-        vectors = [gradedlin.coordinates(p, i, tdeg)
-                   for p in spanned + [records[idx].poly]]
+        spanned = gradedlin.multiples([rec.poly for t, rec in enumerate(records)
+                                       if alive[t] and t != idx], S, i, tdeg)
+        vectors = spanned + [gradedlin.coordinates(records[idx].poly, i, tdeg)]
         if len(spanned) not in linalg.independent(vectors, S.field):
             alive[idx] = False
     trimmed = [rec for t, rec in enumerate(records) if alive[t]]

@@ -6,10 +6,17 @@ module enumerates those bases and answers the three questions everything else
 reduces to: coordinates of a polynomial (and the polynomial of a coordinate
 vector), dimension of a span, and canonical solutions of
 sum_t a_t * g_t = target  with graded unknown coefficients.
+
+`shifted_rows` is the one writer of coefficient rows: it writes x^shift * g
+into the piece's basis positions straight from g's exponent tuples, with no
+`Poly` product.  `coordinates` is its one-row, zero-shift form, and
+`multiples` gives the rows of every monomial multiple of some polys that lands
+in a piece.
 """
 from __future__ import annotations
 
 from functools import lru_cache
+from operator import add
 
 from . import linalg
 from .ring import GradingError, Poly, PolyRing, print_key
@@ -64,16 +71,43 @@ def piece_dim(ring: PolyRing, xdeg: int, tdeg: int = 0) -> int:
     return len(piece_monomials(ring, xdeg, tdeg))
 
 
+def shifted_rows(pairs, ring: PolyRing, xdeg: int, tdeg: int = 0) -> list:
+    """Coefficient rows of x^shift * g on the piece's canonical basis.
+
+    pairs are (terms, shift): g's terms dict and an exponent tuple.  Raises
+    GradingError for a shifted term outside the piece.
+    """
+    index = _piece_index(ring, xdeg, tdeg)
+    zero = ring.field.zero
+    rows = []
+    for terms, shift in pairs:
+        row = [zero] * len(index)
+        for m, c in terms.items():
+            try:
+                row[index[tuple(map(add, m, shift))]] = c
+            except KeyError:
+                raise GradingError(
+                    f"{Poly(ring, terms)} shifted by {shift} has a term "
+                    f"outside the ({xdeg},{tdeg}) piece") from None
+        rows.append(row)
+    return rows
+
+
 def coordinates(p: Poly, xdeg: int, tdeg: int = 0):
     """Coefficient vector of p on the canonical basis of its piece."""
-    index = _piece_index(p.ring, xdeg, tdeg)
-    vec = [p.ring.field.zero] * len(index)
-    for m, c in p.terms.items():
-        try:
-            vec[index[m]] = c
-        except KeyError:
-            raise GradingError(f"{p} has a term outside the ({xdeg},{tdeg}) piece") from None
-    return vec
+    return shifted_rows([(p.terms, p.ring.zero_shift)], p.ring, xdeg, tdeg)[0]
+
+
+def multiples(polys, ring: PolyRing, xdeg: int, tdeg: int = 0) -> list:
+    """Rows of every monomial multiple mu * p that lies in the piece.
+
+    Ordered by poly, then by mu in canonical order; a zero poly, or one above
+    the piece, gives no rows.
+    """
+    return shifted_rows([(p.terms, mu) for p in polys if not p.is_zero()
+                         for mu in piece_monomials(ring, xdeg - p.xdeg(),
+                                                   tdeg - p.tdeg())],
+                        ring, xdeg, tdeg)
 
 
 def from_coordinates(vec, ring: PolyRing, xdeg: int, tdeg: int = 0) -> Poly:
@@ -104,23 +138,15 @@ def solve_combination(target: Poly, gens, ring: PolyRing):
     if target.is_zero():
         return [ring.zero() for _ in gens]
     ti, tj = target.xdeg(), target.tdeg()
-    index = _piece_index(ring, ti, tj)
     # the bidegree of each unknown a_t; T-degree -1 is empty, so a zero g_t
     # gets a_t = 0
     shifts = [(0, -1) if g.is_zero() else (ti - g.xdeg(), tj - g.tdeg())
               for g in gens]
-    columns = []
-    for g, shift in zip(gens, shifts):
-        for mu in piece_monomials(ring, *shift):
-            col = [ring.field.zero] * len(index)
-            for m, c in g.terms.items():
-                mm = tuple(a + b for a, b in zip(m, mu))
-                col[index[mm]] = c
-            columns.append(col)
-    nunk = len(columns)
-    rows = [[columns[c][r] for c in range(nunk)] for r in range(len(index))]
+    columns = multiples(gens, ring, ti, tj)
+    rows = [[col[r] for col in columns]
+            for r in range(piece_dim(ring, ti, tj))]
     rhs = coordinates(target, ti, tj)
-    sol = linalg.solve(rows, rhs, nunk, ring.field)
+    sol = linalg.solve(rows, rhs, len(columns), ring.field)
     if sol is None:
         return None
     out = []

@@ -33,8 +33,8 @@ builds the S-polynomial with two calls, one per shifted reducer.
 Windows are ((x_lo, x_hi), (t_lo, t_hi)), inclusive on both ends.  The two
 counters work on exponent tuples and build no `Poly`: `_first_divisors` finds
 the first basis lead dividing each monomial of a piece in one numpy broadcast,
-and the one-step-down span's rows are written by shifting basis elements'
-exponents into the piece's monomial index.
+and the one-step-down span's rows are written by `gradedlin.shifted_rows`
+from the basis elements' terms and their shifts.
 
 Every question asked of the oracle is bounded in T-degree, so every basis can
 stop at a cap t_max: the Buchberger core drops input generators of T-degree
@@ -426,15 +426,11 @@ def minimal_generator_bidegrees(G: GroebnerBasis, window,
                 # the one-step-down span, each x^shift * g_k once
                 below = dict.fromkeys((k, tuple(map(add, s, u)))
                                       for (k, s), u in steps)
-                index = gradedlin._piece_index(ring, i, j)
-                rows = []
-                for k, shift in below:
-                    row = [ring.field.zero] * len(index)
-                    for m, c in terms[k].items():
-                        row[index[tuple(map(add, m, shift))]] = c
-                    rows.append(row)
+                rows = gradedlin.shifted_rows(
+                    [(terms[k], shift) for k, shift in below], ring, i, j)
                 # products of ideal elements stay inside the piece
-                gained = len(piece) - linalg.rank(rows, len(index), ring.field)
+                gained = len(piece) - linalg.rank(
+                    rows, gradedlin.piece_dim(ring, i, j), ring.field)
                 if gained:
                     counts[(i, j)] = gained
     sep = x_separator if x_separator is not None else xlo - 1

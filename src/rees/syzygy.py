@@ -232,11 +232,6 @@ def graded_kernel(M: GradedMatrix, expected_rank: int, degree_budget: int) -> Gr
     field = ring.field
     q = M.ncols
     found = []          # (degree, component tuple)
-
-    def coords(vec, degs):
-        return [c for comp, d in zip(vec, degs)
-                for c in gradedlin.coordinates(comp, d)]
-
     L = 0
     while True:
         done = (len(found) == expected_rank
@@ -268,10 +263,16 @@ def graded_kernel(M: GradedMatrix, expected_rank: int, degree_budget: int) -> Gr
             basis = linalg.nullspace(list(eq_rows.values()), total, field)
             if basis:
                 # keep the candidates the x-multiples of earlier generators
-                # do not already span
-                spanned = [coords([mult * comp for comp in vec], degs)
-                           for deg0, vec in found
-                           for mult in gradedlin.piece_basis(ring, L - deg0)]
+                # do not already span: one row per multiplier, its
+                # components' rows laid side by side
+                spanned = []
+                for deg0, vec in found:
+                    mults = gradedlin.piece_monomials(ring, L - deg0, 0)
+                    blocks = [gradedlin.shifted_rows(
+                        [(comp.terms, mu) for mu in mults], ring, d)
+                        for comp, d in zip(vec, degs)]
+                    spanned += [[c for part in parts for c in part]
+                                for parts in zip(*blocks)]
                 for k in linalg.independent(spanned + basis, field):
                     if k < len(spanned):
                         continue

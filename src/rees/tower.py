@@ -47,15 +47,10 @@ class PresentationInput:
     sring: PolyRing         # k[x0,x1][T1..Tn]
 
 
-def load_presentation(field, col_degrees, phi_rows) -> PresentationInput:
-    """Validate and package a presentation matrix.
-
-    phi_rows are base-ring polynomials, n rows by n-1 columns, entry (i,j)
-    homogeneous of degree col_degrees[j] >= 1.  Zero columns are rejected, and
-    the signed maximal minors must have unit gcd (height two).
-    """
+def check_col_degrees(n: int, col_degrees) -> tuple:
+    """col_degrees as a tuple, checked to be n - 1 nondecreasing degrees >= 1
+    for some n >= 3."""
     col_degrees = tuple(col_degrees)
-    n = len(phi_rows)
     if n < 3:
         raise ValueError("need n >= 3 rows")
     if len(col_degrees) != n - 1:
@@ -64,6 +59,18 @@ def load_presentation(field, col_degrees, phi_rows) -> PresentationInput:
         raise ValueError("column degrees must be >= 1")
     if any(col_degrees[j] > col_degrees[j + 1] for j in range(n - 2)):
         raise ValueError("column degrees must be nondecreasing")
+    return col_degrees
+
+
+def load_presentation(field, col_degrees, phi_rows) -> PresentationInput:
+    """Validate and package a presentation matrix.
+
+    phi_rows are base-ring polynomials, n rows by n-1 columns, entry (i,j)
+    homogeneous of degree col_degrees[j] >= 1.  Zero columns are rejected, and
+    the signed maximal minors must have unit gcd (height two).
+    """
+    n = len(phi_rows)
+    col_degrees = check_col_degrees(n, col_degrees)
     if any(len(row) != n - 1 for row in phi_rows):
         raise ValueError(f"ragged matrix: every row needs {n - 1} entries")
     phi = matrix_from_rows(phi_rows[0][0].ring, phi_rows, col_degrees)

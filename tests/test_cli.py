@@ -1,10 +1,11 @@
 import json
+import re
 import time
 
 import pytest
 
 from conftest import fixture_path
-from rees import cli, generators, oracle
+from rees import cli, generators, oracle, tower
 from rees.field import PrimeField
 
 QUADRIC = fixture_path("quadric_cubic.json")
@@ -276,6 +277,23 @@ def test_field_override_rejects_prime_above_2_31(capsys, monkeypatch):
     assert err.startswith("error:") and "2**31" in err
 
 
+def test_field_override_must_be_an_integer(capsys, monkeypatch):
+    monkeypatch.setenv("REES_FIELD_P", "abc")
+    code, _, err = run(capsys, "info", QUADRIC)
+    assert code == 1
+    assert err.startswith("error:") and "REES_FIELD_P" in err
+
+
+@pytest.mark.parametrize("n, degrees", [
+    (2, (1,)), (3, (1, 2, 3)), (3, (0, 2)), (3, (3, 2))])
+def test_random_instance_checks_degrees_as_loading_does(n, degrees):
+    field = PrimeField(32003)
+    with pytest.raises(ValueError) as loading:
+        tower.check_col_degrees(n, degrees)
+    with pytest.raises(ValueError, match=re.escape(str(loading.value))):
+        cli.random_instance(n, degrees, 0, field)
+
+
 def test_missing_file(capsys):
     code, _, err = run(capsys, "info", fixture_path("nope.json"))
     assert code == 1
@@ -294,6 +312,11 @@ def test_missing_file(capsys):
                  "col_degrees", id="string-degree"),
     pytest.param({"n": 3, "col_degrees": [1, 2], "phi_rows": [[], [], []]},
                  "ragged", id="empty-rows"),
+    *[pytest.param({"n": n, "col_degrees": [1, 2],
+                    "phi_rows": [["x0", "x1^2"], ["x1", "x0^2"],
+                                 ["x0", "x0*x1"]]},
+                   "n must be an integer", id=f"n-{name}")
+      for n, name in (("3", "string"), (None, "null"), (3.5, "float"))],
 ])
 def test_invalid_instance_shape(capsys, tmp_path, payload, named):
     bad = tmp_path / "bad.json"

@@ -106,6 +106,26 @@ def test_below_and_minimal_partition_low_weights(c, raw):
                 assert weight(down, sigma) < c
 
 
+@given(st.integers(0, 14),
+       st.lists(st.integers(0, 5), min_size=1, max_size=4))
+@settings(max_examples=100, deadline=None)
+def test_exponent_families_match_a_brute_force(c, raw):
+    sigma = tuple(sorted(raw, reverse=True))
+    # every positive coordinate stays at most c in both families
+    box = [range(c + 1) if v else range(1) for v in sigma]
+    below, minimal = [], []
+    for a in product(*box):
+        w = weight(a, sigma)
+        if w < c:
+            below.append(a)
+        elif all(w - v < c for a_i, v in zip(a, sigma) if a_i):
+            minimal.append(a)
+    order = lambda a: (weight(a, sigma), tuple(-a_i for a_i in a))  # noqa: E731
+    assert below_weight_exponents(c, sigma) == sorted(below, key=order)
+    if c:
+        assert minimal_weight_exponents(c, sigma) == sorted(minimal, key=order)
+
+
 # -- bidegree tables ----------------------------------------------------------
 
 def marks_dict(table):

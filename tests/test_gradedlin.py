@@ -3,7 +3,7 @@ from hypothesis import given, settings, strategies as st
 
 from rees import gradedlin, linalg
 from rees.field import PrimeField
-from rees.ring import parse_poly, ring_R, ring_S, ring_scroll
+from rees.ring import GradingError, Poly, parse_poly, ring_R, ring_S, ring_scroll
 
 F = PrimeField(32003)
 R = ring_R(F)
@@ -125,3 +125,63 @@ def test_solve_combination_rejects_a_wrong_solution(monkeypatch):
     gens = [parse_poly("x0^2", R), parse_poly("x1^2", R)]
     with pytest.raises(ArithmeticError, match="re-expand"):
         gradedlin.solve_combination(parse_poly("x0^3 + x0*x1^2", R), gens, R)
+
+
+# -- the row writer against Poly-product references ---------------------------
+
+@st.composite
+def polys_and_piece(draw):
+    """A ring, a piece and a few polys: zero, inside, below or above it.
+
+    The scroll ring's pieces reach negative x-degrees, where w-multiples of a
+    poly of higher x-degree can still land."""
+    ring = draw(st.sampled_from([R, S, W]))
+    xlo = -3 if ring is W else 0
+    tmax = 0 if ring is R else 2
+    xdeg, tdeg = draw(st.integers(xlo, 3)), draw(st.integers(0, tmax))
+    polys = []
+    for _ in range(draw(st.integers(0, 3))):
+        a, b = draw(st.integers(xlo, xdeg + 1)), draw(st.integers(0, tmax))
+        monos = gradedlin.piece_monomials(ring, a, b)
+        chosen = draw(st.lists(st.sampled_from(monos), unique=True,
+                               max_size=4)) if monos else []
+        polys.append(Poly(ring, {m: F(draw(st.integers(1, 32002)))
+                                 for m in chosen}))
+    return ring, xdeg, tdeg, polys
+
+
+@given(polys_and_piece())
+@settings(max_examples=80, deadline=None)
+def test_multiples_match_poly_products(case):
+    ring, xdeg, tdeg, polys = case
+    monos = gradedlin.piece_monomials(ring, xdeg, tdeg)
+    pairs, want = [], []
+    for p in polys:
+        if p.is_zero():
+            continue
+        for mu in gradedlin.piece_monomials(ring, xdeg - p.xdeg(),
+                                            tdeg - p.tdeg()):
+            product = ring.monomial(mu) * p
+            pairs.append((p.terms, mu))
+            want.append([product.terms.get(m, 0) for m in monos])
+            assert gradedlin.coordinates(product, xdeg, tdeg) == want[-1]
+    assert gradedlin.multiples(polys, ring, xdeg, tdeg) == want
+    assert gradedlin.shifted_rows(pairs, ring, xdeg, tdeg) == want
+
+
+def test_multiples_of_zero_and_higher_polys_are_empty():
+    assert gradedlin.multiples([S.zero(), parse_poly("x0^2*T1", S)],
+                               S, 1, 1) == []
+    assert gradedlin.multiples([parse_poly("x0*T1^2", S)], S, 1, 1) == []
+    # w1 has x-degree -2, so x0 * w1 reaches (-1, 1) but x0^2 * w1 does not
+    assert gradedlin.multiples([parse_poly("x0^2*w1", W)], W, -1, 1) == []
+    assert len(gradedlin.multiples([parse_poly("x0*w1", W)], W, -1, 1)) == 1
+
+
+def test_shifted_rows_rejects_a_term_outside_the_piece():
+    p = parse_poly("x0*T1 + x1*T2", S)
+    with pytest.raises(GradingError, match=r"outside the \(1,1\) piece"):
+        gradedlin.shifted_rows([(p.terms, (1, 0, 0, 0, 0))], S, 1, 1)
+    assert gradedlin.shifted_rows([(p.terms, (1, 0, 0, 0, 0))], S, 2, 1) == [
+        gradedlin.coordinates(parse_poly("x0^2*T1 + x0*x1*T2", S), 2, 1)]
+

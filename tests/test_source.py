@@ -13,3 +13,19 @@ def test_no_assert_statements_in_the_package():
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
                   if isinstance(node, ast.Assert)]
     assert not found, f"assert statements in src/rees: {found}"
+
+
+def test_no_module_reads_another_modules_private_names():
+    # a private helper is free to change; callers go through public names
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        modules = {alias.asname or alias.name for node in ast.walk(tree)
+                   if isinstance(node, ast.ImportFrom) and node.level == 1
+                   and node.module is None for alias in node.names}
+        found += [f"{path.name}:{node.lineno} {node.value.id}.{node.attr}"
+                  for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute)
+                  and isinstance(node.value, ast.Name)
+                  and node.value.id in modules and node.attr.startswith("_")]
+    assert not found, f"private names read across modules: {found}"
