@@ -17,12 +17,14 @@ piece's image matrix once and solves it for all of them with one RREF; the
 image of each preimage is computed once and serves both the exactness check
 and the record's certificate.
 
-The recursion solves, at each exponent step alpha -> alpha - e_i, a graded
-linear system expressing the previous polynomial as a combination of the
-multiplication scalars p[i][j]; replacing each scalar by its T-linear partner
-q[i][j] multiplies the hull image by w_i.  Which coordinate is stepped first
-is a free choice ("pivot"); the resulting polynomials may differ but their
-hull images never do.
+The recursion writes, at each exponent step alpha -> alpha - e_i, the
+previous polynomial as a combination of the multiplication scalars p[i][j].
+These are base-ring forms, so `gradedlin.solve_combination` solves one
+k[x0,x1] matrix, one right-hand side per T-monomial of the previous
+polynomial.  Replacing each scalar by its T-linear partner q[i][j] multiplies
+the hull image by w_i.  Which coordinate is stepped first is a free choice
+("pivot"); the resulting polynomials may differ but their hull images never
+do.
 """
 from __future__ import annotations
 

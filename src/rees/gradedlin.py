@@ -4,8 +4,8 @@ Every bigraded piece of the ambient rings in play is a finite-dimensional
 vector space with a canonical monomial basis (descending degrevlex).  This
 module enumerates those bases and answers the three questions everything else
 reduces to: coordinates of a polynomial (and the polynomial of a coordinate
-vector), dimension of a span, and canonical solutions of
-sum_t a_t * g_t = target  with graded unknown coefficients.
+vector), dimension of a span, and canonical solutions of sum_t a_t * g_t =
+target for T-degree-0 g_t, found in k[x0,x1] one T-monomial block at a time.
 
 `shifted_rows` is the one writer of coefficient rows: it writes x^shift * g
 into the piece's basis positions straight from g's exponent tuples, with no
@@ -19,7 +19,7 @@ from functools import lru_cache
 from operator import add
 
 from . import linalg
-from .ring import GradingError, Poly, PolyRing, print_key
+from .ring import GradingError, Poly, PolyRing, bidegree, print_key, ring_R
 
 
 @lru_cache(maxsize=4096)
@@ -129,35 +129,38 @@ def span_dim(polys, ring: PolyRing, xdeg: int, tdeg: int = 0) -> int:
 def solve_combination(target: Poly, gens, ring: PolyRing):
     """Canonical graded coefficients a_t with sum a_t * g_t == target, or None.
 
-    The unknown a_t ranges over the piece of bidegree bideg(target) -
-    bideg(g_t) (an empty piece just forces a_t = 0).  The solution is the RREF
-    one: unknown coordinates ordered by (generator index, canonical monomial
-    order), pivot variables solved, free variables zero.  Every returned
+    The g_t have T-degree 0 (ValueError otherwise), so the system is solved
+    in k[x0,x1]: one matrix of the g_t's multiples in R_ti (ti + 1 rows), one
+    right-hand side per T-monomial T^b of the target, and a_t collects the
+    solutions' g_t-parts times T^b.  This is the solution the whole piece
+    S_(ti,tj) would give with unknowns ordered by (generator, canonical
+    monomial) and free variables zero: a column x^a T^b g_t touches only
+    block b's rows, the canonical order at fixed T^b orders the x^a as R_ti
+    does, so every block has the small matrix's pivots.  Every returned
     combination is re-expanded and checked exactly.
     """
+    if any(any(m[2:]) for g in gens for m in g.terms):
+        raise ValueError("solve_combination needs generators of T-degree 0")
     if target.is_zero():
         return [ring.zero() for _ in gens]
-    ti, tj = target.xdeg(), target.tdeg()
-    # the bidegree of each unknown a_t; T-degree -1 is empty, so a zero g_t
-    # gets a_t = 0
-    shifts = [(0, -1) if g.is_zero() else (ti - g.xdeg(), tj - g.tdeg())
-              for g in gens]
-    columns = multiples(gens, ring, ti, tj)
-    rows = [[col[r] for col in columns]
-            for r in range(piece_dim(ring, ti, tj))]
-    rhs = coordinates(target, ti, tj)
-    sol = linalg.solve(rows, rhs, len(columns), ring.field)
-    if sol is None:
+    ti = bidegree(target)[0]
+    base = ring_R(ring.field)
+    forms = [Poly(base, {m[:2]: c for m, c in g.terms.items()}) for g in gens]
+    blocks = {}
+    for m, c in target.terms.items():
+        blocks.setdefault(m[2:], {})[m[:2]] = c
+    columns = multiples(forms, base, ti)
+    rows = [[col[r] for col in columns] for r in range(ti + 1)]
+    rhss = shifted_rows([(t, (0, 0)) for t in blocks.values()], base, ti)
+    sols = linalg.solve_many(rows, rhss, len(columns), ring.field)
+    if sols is None:
         return None
-    out = []
-    k = 0
-    for shift in shifts:
-        size = piece_dim(ring, *shift)
-        out.append(from_coordinates(sol[k:k + size], ring, *shift))
-        k += size
-    check = ring.zero()
-    for a, g in zip(out, gens):
-        check = check + a * g
-    if check != target:
+    out, k = [], 0
+    for f in forms:
+        monos = piece_monomials(base, ti - f.xdeg(), 0) if f.terms else ()
+        out.append(Poly(ring, {mu + b: c for b, sol in zip(blocks, sols)
+                               for mu, c in zip(monos, sol[k:]) if c}))
+        k += len(monos)
+    if sum((a * g for a, g in zip(out, gens)), ring.zero()) != target:
         raise ArithmeticError("internal error: combination failed to re-expand")
     return out

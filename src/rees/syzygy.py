@@ -248,19 +248,14 @@ def graded_kernel(M: GradedMatrix, expected_rank: int, degree_budget: int) -> Gr
         monos = [gradedlin.piece_monomials(ring, d, 0) for d in degs]
         total = sum(map(len, monos))
         if total:
-            # Linear system: for each matrix row i and each unknown (j, mu),
-            # the coefficient of M[i][j]*mu on the target piece.
-            eq_rows = {}
-            unknowns = [(j, mu) for j in range(q) for mu in monos[j]]
-            for col, (j, mu) in enumerate(unknowns):
-                for i in range(M.nrows):
-                    for m, c in M.rows[i][j].terms.items():
-                        key = (i, m[0] + mu[0], m[1] + mu[1])
-                        row = eq_rows.get(key)
-                        if row is None:
-                            row = eq_rows[key] = [field.zero] * total
-                        row[col] = c
-            basis = linalg.nullspace(list(eq_rows.values()), total, field)
+            # row i of M * v lies in degree L + row_twists[i]; its equations
+            # are the transposed rows of x^mu * M[i][j] per unknown (j, mu)
+            eq_rows = []
+            for row, twist in zip(M.rows, M.row_twists):
+                eq_rows += zip(*gradedlin.shifted_rows(
+                    [(row[j].terms, mu) for j in range(q) for mu in monos[j]],
+                    ring, L + twist))
+            basis = linalg.nullspace(eq_rows, total, field)
             if basis:
                 # keep the candidates the x-multiples of earlier generators
                 # do not already span: one row per multiplier, its

@@ -10,15 +10,19 @@ echelon class gave way to `linalg.independent`; the oracle basis digests
 were recorded before the F_p and Q reduction loops were merged into one
 kernel, and before the saturation by (x0,x1) became a saturation by x1
 alone; the oracle `hilbert` and `mingens` count digests were recorded before
-the two counters moved from `Poly` products to exponent tuples.  A
-deliberate change of output must replace them in the same commit and say why.
+the two counters moved from `Poly` products to exponent tuples; the random
+n = 4, 5 tower digests were recorded before the recursion's solve moved from
+the S-piece to one base-ring system per step.  A deliberate change of output
+must replace them in the same commit and say why.
 """
 import hashlib
+import json
 
 import pytest
 
 from conftest import fixture_path
-from rees import cli, oracle
+from rees import cli, generators, oracle
+from rees.field import PrimeField
 
 GENERATORS = {
     "almost_linear": "2a3b332bae918f94fdad888f390c5b30648b23d8c4c531a17fc9ae5ee24345cd",
@@ -145,6 +149,52 @@ BASES = {
         "febcc8af1803e2dc2c7a6884223a554f18c2328b6c3c2e205d529615747ccc02",
 }
 
+# `generators.tower_generators` records at every level of
+# `cli.random_instance(n, shape, seed)` over F_32003: level >= 2 recursions
+# with several pivots, which no fixture reaches
+RANDOM_TOWERS = {
+    ((1, 2, 4), 0, 1):
+        "1c4f9da1596a305b2dff8a80334f61ab9f0eda504cdf6885d08392b8118fadcb",
+    ((1, 2, 4), 0, 2):
+        "ca20df14c8130d619b6934d2a28424b9149c4a04cb3b86641ad951117b83f413",
+    ((1, 2, 4), 1, 1):
+        "90fb43d0ca5244157a2303b99312741325e6232585d731ba7d6d13686eb65496",
+    ((1, 2, 4), 1, 2):
+        "10d9514267e4351bc7c4baabba678fb667d84806ba5e0ceb9d8ae29a05f853bd",
+    ((2, 2, 5), 0, 1):
+        "9155fc6ee7daa1764cf40c87342eaafc05638472f8e8f8a350a2fe4a60b58ba9",
+    ((2, 2, 5), 0, 2):
+        "24a9cee7d8add6e4411b4712c4de62e21a4379df754eea93d405440c881a11cc",
+    ((2, 2, 5), 1, 1):
+        "7832f50842a6513a509afa61ed6714696bf8e5f958cd884b8a432d3404f1b026",
+    ((2, 2, 5), 1, 2):
+        "fb20111ecd2cb88435ed114a8275af6a2a5841c7c960e3280b3a246d4028a2e9",
+    ((1, 1, 2, 4), 0, 1):
+        "0562d62bb49c2e4ca564f1a61abd403a04a939d021f048c8f075476e8639ff9d",
+    ((1, 1, 2, 4), 0, 2):
+        "a3e8ed01231175dd3b8f9516b7c30de9fdeca2e49d46e046048e2ead0eeb30a8",
+    ((1, 1, 2, 4), 0, 3):
+        "717eac5faca55fdb666c471a23089eb6b4503d7c66c7ff752a1f1a8ed9e2308c",
+    ((1, 1, 2, 4), 1, 1):
+        "c4bd79a69a7ff2256ac2cbda7e1d9ad4b3af2a2f786a948462a8399f227c7f9a",
+    ((1, 1, 2, 4), 1, 2):
+        "99920d67fec402555c546df41a84d77dc2340e64275bf27e487dcf14c11f4abe",
+    ((1, 1, 2, 4), 1, 3):
+        "fa2752b360ba2883f79d1753a9bdaf52354c50f57f10490dc71fd6da3c228d06",
+    ((1, 1, 1, 3), 0, 1):
+        "9f929ede5c52d3f1c961267aee67ac8e83cfa7763cf67cfe143652c61aa86c0e",
+    ((1, 1, 1, 3), 0, 2):
+        "d07bca59828852ccfb33fb377ab4d1711724814e0d3b301e03c6227435569ad7",
+    ((1, 1, 1, 3), 0, 3):
+        "ad0d92106e78e6678c74eec2b295d91811691e9189e137a6a9345cbdbe7df471",
+    ((1, 1, 1, 3), 1, 1):
+        "16f903b37a5fb38e0c1303711a7dd6d22c41c3bcb7410a9a8e07859d343462e8",
+    ((1, 1, 1, 3), 1, 2):
+        "608f2aa5fa0e7ac8cd2efa06ee4a1969ce8bc5c5298a0f995b41354f4bddc5bf",
+    ((1, 1, 1, 3), 1, 3):
+        "4b985bb8ec5ec8441cc076aa44766e211594b1d6f120624b18a05d463c7207a2",
+}
+
 
 def json_digest(capsys, *argv):
     code = cli.main(["--json", *argv])
@@ -202,3 +252,12 @@ def test_saturated_basis_is_unchanged(name, field):
     K = oracle.saturated_ideal(inp)
     text = "\n".join(str(g) for g in K.generators)
     assert hashlib.sha256(text.encode()).hexdigest() == BASES[(name, field)]
+
+
+@pytest.mark.parametrize("shape,seed,m", sorted(RANDOM_TOWERS))
+def test_random_tower_records_are_unchanged(shape, seed, m):
+    inp = cli.random_instance(len(shape) + 1, shape, seed, PrimeField(32003))
+    records = generators.tower_generators(inp, m)
+    text = json.dumps([rec.as_dict() for rec in records], sort_keys=True)
+    assert (hashlib.sha256(text.encode()).hexdigest()
+            == RANDOM_TOWERS[(shape, seed, m)])

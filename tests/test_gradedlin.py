@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rees import gradedlin, linalg
-from rees.field import PrimeField
+from rees.field import PrimeField, RationalField
 from rees.ring import GradingError, Poly, parse_poly, ring_R, ring_S, ring_scroll
 
 F = PrimeField(32003)
@@ -115,16 +115,95 @@ def test_span_dim_never_exceeds_piece(pairs):
 
 def test_solve_combination_rejects_a_wrong_solution(monkeypatch):
     # a solver fault must surface as a named error, also under python -O
-    real_solve = linalg.solve
+    real_solve_many = linalg.solve_many
 
-    def off_by_one(rows, rhs, ncols, field):
-        sol = real_solve(rows, rhs, ncols, field)
-        return [field(sol[0] + 1)] + sol[1:]
+    def off_by_one(rows, rhss, ncols, field):
+        sols = real_solve_many(rows, rhss, ncols, field)
+        return [[field(sols[0][0] + 1)] + sols[0][1:]] + sols[1:]
 
-    monkeypatch.setattr(linalg, "solve", off_by_one)
+    monkeypatch.setattr(linalg, "solve_many", off_by_one)
     gens = [parse_poly("x0^2", R), parse_poly("x1^2", R)]
     with pytest.raises(ArithmeticError, match="re-expand"):
         gradedlin.solve_combination(parse_poly("x0^3 + x0*x1^2", R), gens, R)
+
+
+def test_solve_combination_rejects_generators_with_a_T_variable():
+    gens = [parse_poly("x0^2", S), parse_poly("x1*T2", S)]
+    with pytest.raises(ValueError, match="T-degree 0"):
+        gradedlin.solve_combination(parse_poly("x0^2*x1*T2", S), gens, S)
+
+
+# -- the base-ring solve against the whole-piece solve --------------------------
+
+def s_piece_solve(target, gens, ring):
+    """Reference: one system over the whole bigraded piece of the target.
+
+    Unknowns ordered by (generator, canonical monomial order of its piece),
+    solved by one `linalg.solve`, free variables zero.
+    """
+    if target.is_zero():
+        return [ring.zero() for _ in gens]
+    ti, tj = target.xdeg(), target.tdeg()
+    columns = gradedlin.multiples(gens, ring, ti, tj)
+    rows = [[col[r] for col in columns]
+            for r in range(gradedlin.piece_dim(ring, ti, tj))]
+    sol = linalg.solve(rows, gradedlin.coordinates(target, ti, tj),
+                       len(columns), ring.field)
+    if sol is None:
+        return None
+    out, k = [], 0
+    for g in gens:
+        shift = (0, -1) if g.is_zero() else (ti - g.xdeg(), tj - g.tdeg())
+        size = gradedlin.piece_dim(ring, *shift)
+        out.append(gradedlin.from_coordinates(sol[k:k + size], ring, *shift))
+        k += size
+    return out
+
+
+@st.composite
+def combination_problems(draw):
+    """T-degree-0 generators in S with 2-4 T-variables, and a target.
+
+    The target is a random combination of the generators (solvable) or a
+    random element of its piece (often not)."""
+    field = draw(st.sampled_from([PrimeField(7), F, RationalField()]))
+    ring = ring_S(field, draw(st.integers(2, 4)))
+
+    def element(xdeg, tdeg):
+        return ring.from_terms({m: draw(st.integers(-3, 3))
+                                for m in gradedlin.piece_monomials(
+                                    ring, xdeg, tdeg)})
+
+    gens = [element(draw(st.integers(0, 3)), 0)
+            for _ in range(draw(st.integers(1, 3)))]
+    ti, tj = draw(st.integers(0, 4)), draw(st.integers(0, 2))
+    if draw(st.booleans()):
+        target = ring.zero()
+        for g in gens:
+            if not g.is_zero() and g.xdeg() <= ti:
+                target = target + element(ti - g.xdeg(), tj) * g
+    else:
+        target = element(ti, tj)
+    return ring, gens, target
+
+
+@given(combination_problems())
+@settings(max_examples=120, deadline=None)
+def test_solve_combination_matches_the_whole_piece_solve(problem):
+    ring, gens, target = problem
+    assert gradedlin.solve_combination(target, gens, ring) == s_piece_solve(
+        target, gens, ring)
+
+
+@pytest.mark.parametrize("field", [F, RationalField()])
+def test_solve_combination_unsolvable_in_both_routes(field):
+    ring = ring_S(field, 3)
+    gens = [parse_poly("x0^2", ring), parse_poly("x0*x1", ring)]
+    # the T2^2 block is solvable, but x1^3 lies outside (x0^2, x0*x1), so
+    # the T1*T3 block is not
+    target = parse_poly("x0^3*T2^2 + x1^3*T1*T3", ring)
+    assert gradedlin.solve_combination(target, gens, ring) is None
+    assert s_piece_solve(target, gens, ring) is None
 
 
 # -- the row writer against Poly-product references ---------------------------
