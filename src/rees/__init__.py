@@ -71,6 +71,7 @@ from .generators import (
 )
 from .oracle import (
     ORDER_DESCRIPTOR,
+    ExponentOverflowError,
     GroebnerBasis,
     WindowError,
     bigraded_hilbert,
@@ -98,7 +99,8 @@ __all__ = [
     "GeneratorRecord", "SliceBasis", "almost_linear_generators",
     "recursion_generators", "slice_basis", "slice_generators",
     "sylvester_form", "tower_generators", "trim_slice", "u_span_dim",
-    "ORDER_DESCRIPTOR", "GroebnerBasis", "WindowError", "bigraded_hilbert",
+    "ORDER_DESCRIPTOR", "ExponentOverflowError", "GroebnerBasis",
+    "WindowError", "bigraded_hilbert",
     "buchberger", "minimal_generator_bidegrees", "normal_form",
     "saturated_ideal",
 ]

@@ -23,12 +23,27 @@ a bihomogeneous ideal is homogeneous in total degree, which is what the
 division step needs.  Outside this input class the two variable saturations
 can differ: (x0*x1*T1) gives x1*T1 by x0 and x0*T1 by x1.
 
+The Buchberger core, its normal forms and its interreduction run on packed
+monomials (Monagan-Pearce, "Sparse polynomial division using a heap", J.
+Symb. Comput. 46, 2011): a `MonomialCodec` per term order makes each
+exponent tuple one int whose comparison is the order, so a shift is one int
+add, a lead is max(terms), the heap holds -m, and divisibility is a mask test
+on a difference.  Packing happens at the boundary only: `buchberger` and
+`_saturate_var` pack their inputs and unpack the basis, `normal_form` packs
+its argument and reduces it against `GroebnerBasis.packed`, and
+`GroebnerBasis.generators` and `.reducers` stay on exponent tuples for `Poly`
+and the counters below.  Each step reduces by the first basis lead dividing
+the largest remaining term, as on tuples.  Every core run records its work
+(pairs, skips by criterion, zero reductions, reduction steps, peak basis
+size) in `GroebnerBasis.counters`.
+
 Reduction uses the package's one multiply-accumulate kernel for F_p and Q,
 `ring.sub_multiple`, which subtracts c * x^shift * g from a working terms dict
-and reduces mod p only when the field has a modulus; `Poly` arithmetic runs
-through the same loop.  The lead terms cancel inside it.  The heap-driven
-normal form `_nf_terms` calls it once per reduction step, and `_spoly_terms`
-builds the S-polynomial with two calls, one per shifted reducer.
+and reduces mod p only when the field has a modulus; it takes the shifted
+monomials, so packed ints and `Poly`'s exponent tuples share its loop.  The
+lead terms cancel inside it.  The heap-driven normal form `_nf_terms` calls
+it once per reduction step, and `_spoly_terms` builds the S-polynomial with
+two calls, one per shifted reducer.
 
 Windows are ((x_lo, x_hi), (t_lo, t_hi)), inclusive on both ends.  The two
 counters work on exponent tuples and build no `Poly`: `_first_divisors` finds
@@ -54,11 +69,12 @@ a query that reaches above it instead of answering it.
 """
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from operator import add, sub
+from operator import add, itemgetter, mul, sub
 
 import numpy as np
 
@@ -74,45 +90,125 @@ class WindowError(ValueError):
     """A query reaches above the T-degree cap its basis was computed to."""
 
 
-# -- term order --------------------------------------------------------------
+# -- packed monomials -------------------------------------------------------
 
-def _key_funcs(last: int | None = None):
-    """Ascending comparison key and its negation on exponent tuples.
+DIGIT_BITS = 16
+DEGREE_BOUND = (1 << (DIGIT_BITS - 1)) - 1
 
-    Exponents are (e_x0, e_x1, e_T1..e_Tn); the largest key is the lead
-    monomial.  The negated key drives min-heaps that pop monomials in
-    descending order.  Keys are flat int tuples.  The default is the block
-    order; last = v gives plain degrevlex over T1 > .. > Tn > x_(1-v) > x_v,
-    the order in which a homogeneous basis divided by powers of x_v generates
-    the saturation by x_v.
+
+class ExponentOverflowError(ValueError):
+    """An exponent tuple whose total degree does not fit the packed digits."""
+
+
+class MonomialCodec:
+    """One term order on exponent tuples (e_x0, e_x1, e_T1..e_Tn) as one int.
+
+    The order's comparison key is a tuple of linear forms in the exponents,
+    and a monomial packs to that key read as one number in signed base-2^16
+    digits, the first entry most significant:
+      * block order (last=None): (T-degree, -e_Tn, .., -e_T1, x-degree,
+        -e_x1, -e_x0), degrevlex within each block, T before x, x1 last;
+      * last = v: (total degree, -e_xv, -e_x(1-v), -e_Tn, .., -e_T1), plain
+        degrevlex with x_v last, the order in which a homogeneous basis
+        divided by powers of x_v generates the saturation by x_v.
+    Every digit lies within +-DEGREE_BOUND while the total degree does, so
+    comparing ints compares keys, and the lead of a terms dict is max(terms).
+    The key is linear, so packing is additive: x^a * x^b is one int add.
+    Every exponent has a digit of its own, -e_v, so l divides m exactly when
+    every such digit of l - m, which is e_v(m) - e_v(l), is nonnegative.
+    Adding 2^15 to each degree digit below the top one (`bias`; the block
+    order's x-degree) stops it from borrowing from the digits above, and
+    then, reading l + bias - m in plain base 2^16, the lowest negative
+    exponent digit sets the top bit of its field and no field is set
+    without one: (l + bias - m) & guard == 0 is the test, `guard` holding
+    the top bit of every exponent field.
+
+    In S every term of a pair's reduction has the total degree of the pair's
+    lcm, so the core packs each lcm through `pack`, whose bound check then
+    covers the whole reduction.
     """
-    if last is not None:
-        other = 1 - last
 
-        def key(m):
-            return ((sum(m), -m[last], -m[other])
-                    + tuple(-e for e in reversed(m[2:])))
+    def __init__(self, nvars: int, last: int | None = None):
+        tdigits = [("neg", v) for v in reversed(range(2, nvars))]
+        if last is None:
+            rows = [("deg", range(2, nvars))] + tdigits \
+                + [("deg", (0, 1)), ("neg", 1), ("neg", 0)]
+        else:
+            rows = [("deg", range(nvars)), ("neg", last),
+                    ("neg", 1 - last)] + tdigits
+        self.nvars = nvars
+        self.units = [0] * nvars       # the packed exponent unit vectors
+        self.bias = self.guard = 0
+        self.fields = []               # (bit offset, v) of each -e_v digit
+        half = 1 << (DIGIT_BITS - 1)
+        for i, (kind, which) in enumerate(rows):
+            at = DIGIT_BITS * (len(rows) - 1 - i)
+            if kind == "deg":
+                for v in which:
+                    self.units[v] += 1 << at
+                if i:
+                    self.bias += half << at
+            else:
+                self.units[which] -= 1 << at
+                self.guard += half << at
+                self.fields.append((at, which))
+        # adding `offset` makes every digit nonnegative for unpacking
+        self.offset = sum(half << (DIGIT_BITS * i) for i in range(len(rows)))
 
-        def negkey(m):
-            return ((-sum(m), m[last], m[other]) + tuple(reversed(m[2:])))
-    else:
-        def key(m):
-            tex = m[2:]
-            return ((sum(tex),) + tuple(-e for e in reversed(tex))
-                    + (m[0] + m[1], -m[1], -m[0]))
+    def pack(self, m) -> int:
+        if min(m) < 0 or sum(m) > DEGREE_BOUND:
+            raise ExponentOverflowError(
+                f"exponents {tuple(m)} do not pack: each must be >= 0 and "
+                f"the total degree at most {DEGREE_BOUND}")
+        return sum(map(mul, m, self.units))
 
-        def negkey(m):
-            tex = m[2:]
-            return ((-sum(tex),) + tuple(reversed(tex))
-                    + (-m[0] - m[1], m[1], m[0]))
-    return key, negkey
+    def unpack(self, x: int) -> tuple:
+        y = x + self.offset
+        out = [0] * self.nvars
+        mask = (1 << DIGIT_BITS) - 1
+        half = 1 << (DIGIT_BITS - 1)
+        for at, v in self.fields:
+            out[v] = half - ((y >> at) & mask)
+        return tuple(out)
+
+    def divides(self, a: int, b: int) -> bool:
+        return not (a + self.bias - b) & self.guard
+
+    def pack_terms(self, terms: dict) -> dict:
+        return {self.pack(m): c for m, c in terms.items()}
+
+    def unpack_terms(self, terms: dict) -> dict:
+        return {self.unpack(m): c for m, c in terms.items()}
 
 
-# -- core reduction ----------------------------------------------------------
+@cache
+def _codec(nvars: int, last: int | None = None) -> MonomialCodec:
+    return MonomialCodec(nvars, last)
 
-def _monic(terms: dict, key, field) -> tuple:
-    """(lead, terms scaled to lead coefficient 1)."""
-    lead = max(terms, key=key)
+
+# -- core reduction on packed monomials ---------------------------------------
+
+@dataclass
+class CoreCounts:
+    """Work of one `_buchberger_core` run.
+
+    pairs: S-pairs taken from the queue (each pair once), of which coprime
+    and chain were skipped by the coprime-lead and chain criteria and zero
+    reduced to zero; steps: reduction steps of every normal form the run
+    computed, interreduction included; peak: largest basis size.
+    """
+
+    pairs: int = 0
+    coprime: int = 0
+    chain: int = 0
+    zero: int = 0
+    steps: int = 0
+    peak: int = 0
+
+
+def _monic(terms: dict, field) -> tuple:
+    """(lead, terms scaled to lead coefficient 1) on packed monomials."""
+    lead = max(terms)
     lc = terms[lead]
     if lc != 1:
         inv = field.inv(lc)
@@ -120,50 +216,53 @@ def _monic(terms: dict, key, field) -> tuple:
     return lead, terms
 
 
-def _nf_terms(terms: dict, gens: list, negkey, field) -> dict:
-    """Full normal form of a terms dict against monic (lead, terms) reducers."""
-    p = field.modulus
+def _nf_terms(terms: dict, gens: list, codec: MonomialCodec, p,
+              counts: CoreCounts | None = None) -> dict:
+    """Full normal form of a packed terms dict against monic (lead, terms)
+    reducers; each step uses the first reducer whose lead divides."""
+    bias, guard = codec.bias, codec.guard
+    tests = [(lead + bias, lead, g) for lead, g in gens]
     work = dict(terms)
-    heap = [(negkey(m), m) for m in work]
+    heap = [-m for m in work]      # a min-heap of -m pops the largest m
     heapify(heap)
     rem = {}
+    steps = 0
     while heap:
-        _, m = heappop(heap)
+        m = -heappop(heap)
         c = work.get(m)
         if not c:
             continue
-        for lead, g in gens:
-            divisible = True
-            for a, b in zip(m, lead):
-                if a < b:
-                    divisible = False
-                    break
-            if not divisible:
+        for lb, lead, g in tests:
+            if (lb - m) & guard:
                 continue
-            shift = tuple(map(sub, m, lead))
-            for nm in sub_multiple(work, c, shift, g, p):
-                heappush(heap, (negkey(nm), nm))
+            steps += 1
+            shift = m - lead
+            for nm in sub_multiple(work, c, [gm + shift for gm in g],
+                                   g.values(), p):
+                heappush(heap, -nm)
             break
         else:
             rem[m] = c
             del work[m]
+    if counts is not None:
+        counts.steps += steps
     return rem
 
 
-def _spoly_terms(gi: tuple, gj: tuple, field) -> dict:
-    """S-polynomial of two monic (lead, terms) pairs."""
+def _spoly_terms(gi: tuple, gj: tuple, lcm: int, p) -> dict:
+    """S-polynomial of two monic packed (lead, terms) pairs with lcm lcm."""
     (li, ti), (lj, tj) = gi, gj
-    lcm = tuple(map(max, li, lj))
-    p = field.modulus
+    si, sj = lcm - li, lcm - lj
     out = {}
-    sub_multiple(out, -1, tuple(map(sub, lcm, li)), ti, p)
-    sub_multiple(out, 1, tuple(map(sub, lcm, lj)), tj, p)
+    sub_multiple(out, -1, [m + si for m in ti], ti.values(), p)
+    sub_multiple(out, 1, [m + sj for m in tj], tj.values(), p)
     return out
 
 
-def _buchberger_core(term_dicts: list, key, negkey, field,
-                     t_max: int | None = None) -> list:
-    """Reduced monic basis as (lead, terms) pairs, sorted by ascending lead.
+def _buchberger_core(term_dicts: list, codec: MonomialCodec, field,
+                     t_max: int | None = None) -> tuple:
+    """Reduced monic basis as packed (lead, terms) pairs, sorted by ascending
+    lead, and the run's `CoreCounts`.
 
     Pair selection: smallest lcm first.  With a cap t_max, inputs and pairs
     above it are left out (see the module docstring).  Pairs with coprime
@@ -171,65 +270,73 @@ def _buchberger_core(term_dicts: list, key, negkey, field,
     when both associated pairs were already treated (treated pairs always
     predate the skip, so the justification is well-founded).
     """
+    p = field.modulus
     G: list = []
+    exps: list = []        # the leads as exponent tuples, for lcms and caps
     pairs: list = []
     done: set = set()
+    counts = CoreCounts()
 
     def add_gen(terms):
-        lead, terms = _monic(terms, key, field)
+        lead, terms = _monic(terms, field)
+        e = codec.unpack(lead)
         idx = len(G)
-        G.append((lead, terms))
-        for t in range(idx):
-            lcm = tuple(max(a, b) for a, b in zip(G[t][0], lead))
+        for t, et in enumerate(exps):
+            lcm = tuple(map(max, et, e))
             if t_max is None or sum(lcm[2:]) <= t_max:
-                heappush(pairs, (key(lcm), t, idx))
+                heappush(pairs, (codec.pack(lcm), t, idx))
+        G.append((lead, terms))
+        exps.append(e)
 
     for terms in term_dicts:
         if not terms:
             continue
-        if t_max is not None and sum(next(iter(terms))[2:]) > t_max:
+        if t_max is not None \
+                and sum(codec.unpack(next(iter(terms)))[2:]) > t_max:
             continue
-        nf = _nf_terms(terms, G, negkey, field) if G else dict(terms)
+        nf = _nf_terms(terms, G, codec, p, counts) if G else dict(terms)
         if nf:
             add_gen(nf)
 
     while pairs:
-        _, i, j = heappop(pairs)
+        lcm, i, j = heappop(pairs)
         if (i, j) in done:
             continue
         done.add((i, j))
-        li = G[i][0]
-        lj = G[j][0]
-        lcm = tuple(max(a, b) for a, b in zip(li, lj))
-        if all(a + b == c for a, b, c in zip(li, lj, lcm)):
+        counts.pairs += 1
+        if lcm == G[i][0] + G[j][0]:        # coprime leads
+            counts.coprime += 1
             continue
         chained = False
         for k in range(len(G)):
             if k == i or k == j:
                 continue
-            lk = G[k][0]
-            if all(a <= b for a, b in zip(lk, lcm)) \
+            if codec.divides(G[k][0], lcm) \
                     and (min(i, k), max(i, k)) in done \
                     and (min(j, k), max(j, k)) in done:
                 chained = True
                 break
         if chained:
+            counts.chain += 1
             continue
-        nf = _nf_terms(_spoly_terms(G[i], G[j], field), G, negkey, field)
+        nf = _nf_terms(_spoly_terms(G[i], G[j], lcm, p), G, codec, p, counts)
         if nf:
             add_gen(nf)
+        else:
+            counts.zero += 1
 
-    return _interreduce(G, key, negkey, field)
+    counts.peak = len(G)           # G only grows until the interreduction
+    return _interreduce(G, codec, p, counts), counts
 
 
-def _interreduce(G: list, key, negkey, field) -> list:
+def _interreduce(G: list, codec: MonomialCodec, p, counts: CoreCounts) -> list:
     kept = []
-    for g in sorted(G, key=lambda g: key(g[0])):
-        if not any(all(a <= b for a, b in zip(kl, g[0])) for kl, _ in kept):
+    for g in sorted(G, key=itemgetter(0)):
+        if not any(codec.divides(kl, g[0]) for kl, _ in kept):
             kept.append(g)
     # no kept lead divides another, so every lead survives the reduction by
     # the others and the list stays in ascending order
-    return [(lead, _nf_terms(terms, kept[:i] + kept[i + 1:], negkey, field))
+    return [(lead, _nf_terms(terms, kept[:i] + kept[i + 1:], codec, p, counts))
             for i, (lead, terms) in enumerate(kept)]
 
 
@@ -240,26 +347,38 @@ class GroebnerBasis:
     """Reduced monic basis, deterministically ordered by ascending lead.
 
     With t_max set it is the reduced basis restricted to T-degree <= t_max,
-    and queries above that cap raise `WindowError`.
+    and queries above that cap raise `WindowError`.  `counters` holds one
+    `CoreCounts` per Buchberger run that built the basis, in run order; it
+    takes no part in comparisons.
     """
 
     generators: tuple
     order: str = ORDER_DESCRIPTOR
     reduced: bool = True
     t_max: int | None = None
+    counters: tuple = dataclasses.field(default=(), compare=False)
 
     @property
     def ring(self):
         return self.generators[0].ring if self.generators else None
 
     @cached_property
-    def reducers(self) -> tuple:
-        """Monic (lead, terms) pairs in the block order, one per generator."""
+    def packed(self) -> tuple:
+        """Monic (lead, terms) pairs on packed monomials, one per generator."""
         if not self.generators:
             return ()
-        key, _ = _key_funcs()
-        return tuple(_monic(g.terms, key, self.ring.field)
+        codec = _codec(self.ring.nvars)
+        return tuple(_monic(codec.pack_terms(g.terms), self.ring.field)
                      for g in self.generators)
+
+    @cached_property
+    def reducers(self) -> tuple:
+        """`packed` on exponent tuples."""
+        if not self.generators:
+            return ()
+        codec = _codec(self.ring.nvars)
+        return tuple((codec.unpack(lead), codec.unpack_terms(terms))
+                     for lead, terms in self.packed)
 
 
 def buchberger(gens, t_max: int | None = None) -> GroebnerBasis:
@@ -276,11 +395,14 @@ def buchberger(gens, t_max: int | None = None) -> GroebnerBasis:
             raise ValueError("generators live in different rings")
         if not g.is_bihomogeneous():
             raise ValueError("generators must be bihomogeneous")
-    key, negkey = _key_funcs()
-    core = _buchberger_core([g.terms for g in gens], key, negkey, ring.field,
-                            t_max)
-    return GroebnerBasis(tuple(Poly(ring, dict(t)) for _, t in core),
-                         t_max=t_max)
+    if any(ring.tweights):
+        raise ValueError("the oracle works in S, with T of x-weight 0")
+    codec = _codec(ring.nvars)
+    core, counts = _buchberger_core([codec.pack_terms(g.terms) for g in gens],
+                                    codec, ring.field, t_max)
+    return GroebnerBasis(tuple(Poly(ring, codec.unpack_terms(t))
+                               for _, t in core),
+                         t_max=t_max, counters=(counts,))
 
 
 def _check_cap(G: GroebnerBasis, tdeg: int, what: str) -> None:
@@ -303,15 +425,17 @@ def normal_form(p: Poly, G: GroebnerBasis) -> Poly:
     ring = p.ring
     if G.ring != ring:
         raise ValueError("polynomial and basis live in different rings")
-    _, negkey = _key_funcs()
-    return Poly(ring, _nf_terms(p.terms, G.reducers, negkey, ring.field))
+    codec = _codec(ring.nvars)
+    return Poly(ring, codec.unpack_terms(_nf_terms(
+        codec.pack_terms(p.terms), G.packed, codec, ring.field.modulus)))
 
 
 # -- saturation -------------------------------------------------------------
 
 def _saturate_var(gens, v: int, ring: PolyRing,
-                  t_max: int | None = None) -> list:
-    """Generators of (gens) : x_v^infinity for bihomogeneous gens (Bayer).
+                  t_max: int | None = None) -> tuple:
+    """Generators of (gens) : x_v^infinity for bihomogeneous gens (Bayer),
+    and the `CoreCounts` of the Buchberger run.
 
     The division step needs the ideal homogeneous in total degree, so the
     T-variables must carry x-weight 0, as they do in S.  With t_max,
@@ -319,17 +443,18 @@ def _saturate_var(gens, v: int, ring: PolyRing,
     """
     if any(ring.tweights):
         raise ValueError("saturation needs T-variables of x-weight 0")
-    key, negkey = _key_funcs(last=v)
-    core = _buchberger_core([g.terms for g in gens], key, negkey, ring.field,
-                            t_max)
+    codec = _codec(ring.nvars, last=v)
+    core, counts = _buchberger_core([codec.pack_terms(g.terms) for g in gens],
+                                    codec, ring.field, t_max)
     out = []
     for _, terms in core:
+        terms = codec.unpack_terms(terms)
         k = min(m[v] for m in terms)
         if k:
             terms = {m[:v] + (m[v] - k,) + m[v + 1:]: c
                      for m, c in terms.items()}
         out.append(Poly(ring, terms))
-    return out
+    return out, counts
 
 
 # -- bigraded accounting -----------------------------------------------------
@@ -458,7 +583,9 @@ def saturated_ideal(inp: PresentationInput, m: int | None = None,
 
     def saturate(inp):
         gs = list(sym_equations(inp))[:m]
-        return buchberger(_saturate_var(gs, 1, inp.sring, t_max), t_max)
+        sat, counts = _saturate_var(gs, 1, inp.sring, t_max)
+        K = buchberger(sat, t_max)
+        return dataclasses.replace(K, counters=(counts,) + K.counters)
 
     K = saturate(inp)
     if rational_check and inp.field.modulus is not None:

@@ -17,7 +17,10 @@ T-bidegree is  sum(e_i);  for R-polynomials the single grading is x0 + x1.
 
 `sub_multiple` is the one multiply-accumulate kernel: it subtracts
 c * x^shift * g from a terms dict in place, reducing mod p only when the field
-has a modulus.  Every `Poly` operation (add, subtract, negate, scale,
+has a modulus.  It takes the monomials of x^shift * g already shifted, so
+the same loop serves exponent tuples (`shifted` forms them; a zero shift
+passes g's own keys) and the oracle's packed one-int monomials, where a shift
+is one int add.  Every `Poly` operation (add, subtract, negate, scale,
 multiply), the parser and the oracle's reduction and S-polynomials call it,
 so no other code in the package combines coefficients of two terms dicts.
 
@@ -114,16 +117,16 @@ def ring_scroll(field, sigma) -> PolyRing:
                     tuple(-s for s in sigma))
 
 
-def sub_multiple(work: dict, c, shift: tuple, g: dict, p) -> list:
+def sub_multiple(work: dict, c, monos, coeffs, p) -> list:
     """work -= c * x^shift * g in place; the monomials it added to work.
 
-    The one multiply-accumulate kernel, for both fields: terms that reach
-    zero are deleted, and p is the field's modulus, None over Q.  Callers
-    that need no shift pass the zero exponent tuple.
+    The one multiply-accumulate kernel, for both fields and both monomial
+    forms: `monos` are the monomials of x^shift * g, already shifted, and
+    `coeffs` are g's coefficients in the same order.  Terms that reach zero
+    are deleted, and p is the field's modulus, None over Q.
     """
     new = []
-    for gm, gc in g.items():
-        nm = tuple(map(add, gm, shift))
+    for nm, gc in zip(monos, coeffs):
         old = work.get(nm)
         nv = -c * gc if old is None else old - c * gc
         if p is not None:
@@ -135,6 +138,11 @@ def sub_multiple(work: dict, c, shift: tuple, g: dict, p) -> list:
         elif old is not None:
             del work[nm]
     return new
+
+
+def shifted(terms: dict, shift: tuple) -> list:
+    """The exponent tuples of x^shift * terms, in the order of terms."""
+    return [tuple(map(add, m, shift)) for m in terms]
 
 
 def print_key(exps):
@@ -202,7 +210,7 @@ class Poly:
         """self - c * other, through the one kernel."""
         self._check(other)
         out = dict(self.terms)
-        sub_multiple(out, c, self.ring.zero_shift, other.terms,
+        sub_multiple(out, c, other.terms, other.terms.values(),
                      self.ring.field.modulus)
         return Poly(self.ring, out)
 
@@ -225,7 +233,8 @@ class Poly:
         p = self.ring.field.modulus
         out = {}
         for m, c in self.terms.items():
-            sub_multiple(out, -c, m, other.terms, p)
+            sub_multiple(out, -c, shifted(other.terms, m),
+                         other.terms.values(), p)
         return Poly(self.ring, out)
 
     __rmul__ = __mul__
@@ -376,8 +385,8 @@ def parse_poly(text: str, ring: PolyRing) -> Poly:
         sign = -1 if take()[1] == "-" else 1
     while True:
         coeff, exps = parse_term()
-        sub_multiple(terms, ring.field(-sign * coeff), exps,
-                     {ring.zero_shift: 1}, ring.field.modulus)
+        sub_multiple(terms, ring.field(-sign * coeff), (exps,), (1,),
+                     ring.field.modulus)
         kind, val, pos = peek()
         if kind == "end":
             break
@@ -479,7 +488,9 @@ class RingMap:
         mod = self.target.field.modulus
         out = {}
         for m, c in p.terms.items():
-            sub_multiple(out, -c, (m[0], m[1]) + pad, self._image(m[2:]), mod)
+            image = self._image(m[2:])
+            sub_multiple(out, -c, shifted(image, (m[0], m[1]) + pad),
+                         image.values(), mod)
         return Poly(self.target, out)
 
 

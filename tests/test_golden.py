@@ -12,9 +12,12 @@ kernel, and before the saturation by (x0,x1) became a saturation by x1
 alone; the oracle `hilbert` and `mingens` count digests were recorded before
 the two counters moved from `Poly` products to exponent tuples; the random
 n = 4, 5 tower digests were recorded before the recursion's solve moved from
-the S-piece to one base-ring system per step.  A deliberate change of output
-must replace them in the same commit and say why.
+the S-piece to one base-ring system per step; the capped fixture and random
+n = 4, 5 basis digests were recorded before the oracle's reduction moved
+from exponent tuples to packed one-int monomials.  A deliberate change of
+output must replace them in the same commit and say why.
 """
+import dataclasses
 import hashlib
 import json
 
@@ -149,6 +152,35 @@ BASES = {
         "febcc8af1803e2dc2c7a6884223a554f18c2328b6c3c2e205d529615747ccc02",
 }
 
+# `oracle.saturated_ideal` capped at the T-degree `rees check` uses on the
+# fixture (its records' highest), one `str(g)` per line
+CAPPED_BASES = {
+    ("table2", 6):
+        "4f0551f6c092715efdd218f3235ac4e35bdc0b779f9acf8f6dbab9599d9eb2b8",
+    ("table3", 7):
+        "b1a4fb61c27e458925275ec9163955e70cff69d05744553ebc2002fc396469b8",
+}
+
+# uncapped `oracle.saturated_ideal` of `cli.random_instance(n, shape, seed)`
+# over F_32003: n = 4, 5 bases, which no fixture has
+RANDOM_BASES = {
+    ((1, 2, 4), 0):
+        "aa89c66e3d78831788d24b088f2c809d06f8a923320523fa2d661308205ce2a9",
+    ((1, 1, 2, 4), 0):
+        "657081ad7a6fb4eddfd1906f4cd99899e720b47ab1a637b7710f25d0d7a4ab63",
+}
+
+# `GroebnerBasis.counters` of `oracle.saturated_ideal` (the x1-saturation run,
+# then the block-order run), as (pairs, coprime, chain, zero, steps, peak);
+# recorded with a counting patch of the exponent-tuple core, so equal counts
+# mean the packed core treats the same pairs and takes the same steps
+COUNTERS = {
+    ("quadric_cubic", None): [(28, 1, 15, 6, 9, 8), (36, 1, 21, 13, 16, 9)],
+    ("final_variant", None): [(1275, 1, 1149, 76, 1957, 51),
+                              (435, 1, 368, 65, 1556, 30)],
+    ("table2", 6): [(457, 0, 366, 52, 106, 41), (467, 0, 403, 63, 198, 36)],
+}
+
 # `generators.tower_generators` records at every level of
 # `cli.random_instance(n, shape, seed)` over F_32003: level >= 2 recursions
 # with several pivots, which no fixture reaches
@@ -244,14 +276,31 @@ def test_oracle_counts_json_is_unchanged(capsys, what, name):
     assert got == ORACLE_COUNTS[(what, name)]
 
 
+def basis_digest(K):
+    text = "\n".join(str(g) for g in K.generators)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 @pytest.mark.parametrize("name,field", sorted(BASES))
 def test_saturated_basis_is_unchanged(name, field):
     inp = cli.load_instance(fixture_path(f"{name}.json"))
     if field == "rational":
         inp = oracle._rational_twin(inp)
+    assert basis_digest(oracle.saturated_ideal(inp)) == BASES[(name, field)]
+
+
+@pytest.mark.parametrize("name,cap", sorted(CAPPED_BASES))
+def test_capped_basis_is_unchanged(name, cap):
+    inp = cli.load_instance(fixture_path(f"{name}.json"))
+    K = oracle.saturated_ideal(inp, t_max=cap)
+    assert basis_digest(K) == CAPPED_BASES[(name, cap)]
+
+
+@pytest.mark.parametrize("shape,seed", sorted(RANDOM_BASES))
+def test_random_basis_is_unchanged(shape, seed):
+    inp = cli.random_instance(len(shape) + 1, shape, seed, PrimeField(32003))
     K = oracle.saturated_ideal(inp)
-    text = "\n".join(str(g) for g in K.generators)
-    assert hashlib.sha256(text.encode()).hexdigest() == BASES[(name, field)]
+    assert basis_digest(K) == RANDOM_BASES[(shape, seed)]
 
 
 @pytest.mark.parametrize("shape,seed,m", sorted(RANDOM_TOWERS))
@@ -261,3 +310,12 @@ def test_random_tower_records_are_unchanged(shape, seed, m):
     text = json.dumps([rec.as_dict() for rec in records], sort_keys=True)
     assert (hashlib.sha256(text.encode()).hexdigest()
             == RANDOM_TOWERS[(shape, seed, m)])
+
+
+@pytest.mark.parametrize("name,cap", sorted(COUNTERS, key=str))
+def test_core_counters_are_unchanged(name, cap):
+    inp = cli.load_instance(fixture_path(f"{name}.json"))
+    K = oracle.saturated_ideal(inp, t_max=cap)
+    assert [dataclasses.astuple(c) for c in K.counters] == COUNTERS[(name, cap)]
+    # the counters take no part in comparing bases
+    assert dataclasses.replace(K, counters=()) == K

@@ -10,11 +10,13 @@ from rees.field import PrimeField, RationalField
 from rees.generators import u_span_dim
 from rees.gradedlin import piece_basis, piece_monomials, span_dim
 from rees.oracle import (
+    DEGREE_BOUND,
     ORDER_DESCRIPTOR,
+    ExponentOverflowError,
     GroebnerBasis,
+    MonomialCodec,
     WindowError,
     _first_divisors,
-    _key_funcs,
     _nf_terms,
     _rational_twin,
     _saturate_var,
@@ -71,6 +73,12 @@ def test_buchberger_validation():
         buchberger([mixed])
 
 
+def test_buchberger_rejects_weighted_T():
+    scroll = ring_scroll(F, (1,))
+    with pytest.raises(ValueError, match="x-weight 0"):
+        buchberger([parse_poly("x0*w1", scroll)])
+
+
 def test_normal_form_basics():
     G = buchberger([p("T2")])
     assert normal_form(p("T1"), G) == p("T1")
@@ -87,6 +95,21 @@ def test_normal_form_detects_membership(quadric_cubic):
 
 
 # -- the reduction kernel -----------------------------------------------------
+
+def block_key(m):
+    # the block order's comparison key on exponent tuples, written out
+    tex = m[2:]
+    return ((sum(tex),) + tuple(-e for e in reversed(tex))
+            + (m[0] + m[1], -m[1], -m[0]))
+
+
+def degrevlex_key(last):
+    # plain degrevlex over T1 > .. > Tn > x_(1-last) > x_last
+    def key(m):
+        return ((sum(m), -m[last], -m[1 - last])
+                + tuple(-e for e in reversed(m[2:])))
+    return key
+
 
 def naive_remainder(terms, reducers, key, p):
     """Textbook division: cancel the largest remaining term with the first
@@ -127,28 +150,79 @@ KERNEL_FIELDS = {
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
 def test_nf_terms_matches_naive_division(name, data):
+    # the kernel runs on packed monomials; the reference on exponent tuples
     field, coeffs = KERNEL_FIELDS[name]
-    key, negkey = _key_funcs()
+    codec = MonomialCodec(4)
     polys = st.dictionaries(MONOMIALS, coeffs, min_size=1, max_size=5)
     terms = data.draw(polys)
     reducers = []
     for g in data.draw(st.lists(polys, min_size=1, max_size=3)):
-        lead = max(g, key=key)
+        lead = max(g, key=block_key)
         inv = field.inv(g[lead])
         reducers.append((lead, {m: field(c * inv) for m, c in g.items()}))
-    got = _nf_terms(terms, reducers, negkey, field)
-    assert got == naive_remainder(terms, reducers, key, field.modulus)
+    packed = [(codec.pack(lead), codec.pack_terms(g)) for lead, g in reducers]
+    got = _nf_terms(codec.pack_terms(terms), packed, codec, field.modulus)
+    assert codec.unpack_terms(got) == naive_remainder(terms, reducers,
+                                                      block_key, field.modulus)
+
+
+# -- packed monomials ----------------------------------------------------------
+
+def exponents(nvars):
+    # mostly small exponents, some large enough that a sum of two tuples
+    # nearly fills the digits
+    big = DEGREE_BOUND // (2 * nvars)
+    return st.tuples(*[st.one_of(st.integers(0, 3), st.integers(0, big))]
+                     * nvars)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+@pytest.mark.parametrize("last", [None, 0, 1])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_codec_matches_the_tuple_order(n, last, data):
+    nvars = n + 2
+    codec = MonomialCodec(nvars, last)
+    key = block_key if last is None else degrevlex_key(last)
+    a = data.draw(exponents(nvars))
+    b = data.draw(st.one_of(
+        exponents(nvars),
+        exponents(nvars).map(lambda c: tuple(x + y for x, y in zip(a, c)))))
+    pa, pb = codec.pack(a), codec.pack(b)
+    assert codec.unpack(pa) == a and codec.unpack(pb) == b
+    assert (pa < pb) == (key(a) < key(b))
+    assert (pa == pb) == (a == b)
+    assert codec.pack(tuple(x + y for x, y in zip(a, b))) == pa + pb
+    assert codec.divides(pa, pb) == all(x <= y for x, y in zip(a, b))
+    assert codec.divides(pb, pa) == all(x >= y for x, y in zip(a, b))
+
+
+def test_codec_rejects_a_degree_past_the_digit_width():
+    codec = MonomialCodec(5)
+    top = (0, 0, DEGREE_BOUND, 0, 0)
+    assert codec.unpack(codec.pack(top)) == top
+    with pytest.raises(ExponentOverflowError, match=str(DEGREE_BOUND)):
+        codec.pack((1, 0, DEGREE_BOUND, 0, 0))
+    with pytest.raises(ExponentOverflowError, match=str(DEGREE_BOUND)):
+        codec.pack((0, -1, 1, 0, 0))
+
+
+def test_buchberger_rejects_a_pair_past_the_digit_width():
+    # each input packs, but the S-pair's lcm has total degree 40001
+    gens = [p("x0^20000*T1 - x1^20000*T2"), p("x1^20000*T1 - x0^20000*T2")]
+    with pytest.raises(ExponentOverflowError, match=str(DEGREE_BOUND)):
+        buchberger(gens)
 
 
 # -- saturation ---------------------------------------------------------------
 
 def test_saturate_by_variable_known():
-    got = _saturate_var([p("x0^2*T1"), p("x0*x1*T1")], 0, S3)
+    got, _ = _saturate_var([p("x0^2*T1"), p("x0*x1*T1")], 0, S3)
     assert [str(g) for g in buchberger(got).generators] == ["T1"]
 
 
 def test_saturate_removes_base_torsion():
-    K = buchberger(_saturate_var([p("x0*T1"), p("x1*T1")], 1, S3))
+    K = buchberger(_saturate_var([p("x0*T1"), p("x1*T1")], 1, S3)[0])
     assert [str(g) for g in K.generators] == ["T1"]
 
 
@@ -162,7 +236,7 @@ def test_saturation_is_stable_under_variable_saturation(quadric_cubic):
     K = saturated_ideal(quadric_cubic)
     ring = quadric_cubic.sring
     for v in (0, 1):
-        again = buchberger(_saturate_var(list(K.generators), v, ring))
+        again = buchberger(_saturate_var(list(K.generators), v, ring)[0])
         assert again.generators == K.generators
 
 
@@ -289,8 +363,8 @@ def test_queries_above_the_cap_raise(quadric_cubic):
 
 
 def test_variable_saturation_keeps_the_cap(quadric_cubic):
-    gens = _saturate_var(sym_equations(quadric_cubic), 1, quadric_cubic.sring,
-                         t_max=2)
+    gens, _ = _saturate_var(sym_equations(quadric_cubic), 1,
+                            quadric_cubic.sring, t_max=2)
     assert max(bidegree(g)[1] for g in gens) == 2
     K = saturated_ideal(quadric_cubic, t_max=2)
     assert K.t_max == 2
@@ -303,7 +377,7 @@ def test_variable_saturation_keeps_the_cap(quadric_cubic):
 def saturation_disagreement(gens, ring, t_max=None):
     """None when the saturations of (gens) by x0 and by x1 have the same
     reduced basis, else the first generator where they differ."""
-    by_x0, by_x1 = (buchberger(_saturate_var(gens, v, ring, t_max),
+    by_x0, by_x1 = (buchberger(_saturate_var(gens, v, ring, t_max)[0],
                                t_max).generators for v in (0, 1))
     if by_x0 == by_x1:
         return None
