@@ -389,8 +389,7 @@ def _check_one(inp: tower.PresentationInput) -> list:
         results.append(("hull quotient Hilbert values", ok, ""))
         scroll = level.scroll
         ok = gradedlin.piece_dim(scroll, -1, 2) == 3 * d1
-        images = [level.subst(inp.sring.var(f"T{k + 1}")) for k in range(n)]
-        rows = gradedlin.multiples(images, scroll, -1, 2)
+        rows = gradedlin.multiples(level.subst.images, scroll, -1, 2)
         ok = ok and linalg.rank(rows, 3 * d1, inp.field) == 3 * d1
         results.append(("linear forms fill the (-1,2) piece", ok, ""))
         ok = True

@@ -12,10 +12,11 @@ and an independently checkable certificate:
   * slice records hit a recorded hull-ring target exactly.
 
 Slice records are preimages of hull-ring targets.  A `slice_generators` or
-`almost_linear_generators` call collects its targets per bidegree, builds that
-piece's image matrix once and solves it for all of them with one RREF; the
-image of each preimage is computed once and serves both the exactness check
-and the record's certificate.
+`almost_linear_generators` call collects its targets per bidegree, reads that
+piece's image matrix once from `TowerLevel.image_rows` (one row per ambient
+monomial, transposed into columns) and solves it for all of them with one
+RREF; the image of each preimage is computed once and serves both the
+exactness check and the record's certificate.
 
 The recursion writes, at each exponent step alpha -> alpha - e_i, the
 previous polynomial as a combination of the multiplication scalars p[i][j].
@@ -188,13 +189,10 @@ def slice_basis(level: TowerLevel) -> SliceBasis:
     if inp.n != 3 or level.m != 1:
         raise ValueError("slice basis is defined for n = 3 at level 1")
     d1 = inp.col_degrees[0]
-    scroll = level.scroll
-    S = inp.sring
     out = []
     for l in range(d1 - 1):
-        spanned = [gradedlin.coordinates(level.subst(mu), l, 1)
-                   for mu in gradedlin.piece_basis(S, l, 1)]
-        monos = gradedlin.piece_basis(scroll, l, 1)
+        spanned = level.image_rows(l, 1)
+        monos = gradedlin.piece_basis(level.scroll, l, 1)
         vectors = spanned + [gradedlin.coordinates(nu, l, 1) for nu in monos]
         chosen = [monos[k - len(spanned)]
                   for k in linalg.independent(vectors, inp.field)
@@ -220,14 +218,11 @@ def _preimage_records(level: TowerLevel, xdeg: int, pending) -> list:
         by_tdeg.setdefault(tdeg, []).append(target)
     preimages = {}
     for tdeg, targets in by_tdeg.items():
-        monos = gradedlin.piece_basis(S, xdeg, tdeg)
-        dim = gradedlin.piece_dim(level.scroll, xdeg, tdeg)
-        cols = [gradedlin.coordinates(level.subst(mu), xdeg, tdeg)
-                for mu in monos]
-        rows = [[cols[j][r] for j in range(len(monos))] for r in range(dim)]
+        cols = level.image_rows(xdeg, tdeg)
         sols = linalg.solve_many(
-            rows, [gradedlin.coordinates(t, xdeg, tdeg) for t in targets],
-            len(monos), level.inp.field)
+            list(zip(*cols)),
+            [gradedlin.coordinates(t, xdeg, tdeg) for t in targets],
+            len(cols), level.inp.field)
         if sols is None:
             raise ArithmeticError("hull-ring target misses the ambient image")
         preimages[tdeg] = iter([gradedlin.from_coordinates(sol, S, xdeg, tdeg)
@@ -384,12 +379,10 @@ def almost_linear_generators(inp: PresentationInput) -> list:
     records = []
 
     pres = scroll_matrix(level.sigma, field)
-    piece = gradedlin.piece_basis(level.scroll, 0, 1)
-    index = {next(iter(mu.terms)): r for r, mu in enumerate(piece)}
-    cols = [gradedlin.coordinates(level.subst(S.var(f"T{k + 1}")), 0, 1)
-            for k in range(n)]
-    rows = [[cols[k][r] for k in range(n)] for r in range(len(piece))]
-    inv = linalg.invert(rows, field)
+    index = {mu: r for r, mu in
+             enumerate(gradedlin.piece_monomials(level.scroll, 0, 1))}
+    # the ambient (0, 1) piece is T_1 .. T_n, in this order
+    inv = linalg.invert(list(zip(*level.image_rows(0, 1))), field)
     if inv is None:
         raise ArithmeticError("degree-zero hull piece is not spanned by the "
                               "coordinate images")

@@ -31,7 +31,7 @@ add, a lead is max(terms), the heap holds -m, and divisibility is a mask test
 on a difference.  Packing happens at the boundary only: `buchberger` and
 `_saturate_var` pack their inputs and unpack the basis, `normal_form` packs
 its argument and reduces it against `GroebnerBasis.packed`, and
-`GroebnerBasis.generators` and `.reducers` stay on exponent tuples for `Poly`
+`GroebnerBasis.generators` and `.leads` stay on exponent tuples for `Poly`
 and the counters below.  Each step reduces by the first basis lead dividing
 the largest remaining term, as on tuples.  Every core run records its work
 (pairs, skips by criterion, zero reductions, reduction steps, peak basis
@@ -372,13 +372,12 @@ class GroebnerBasis:
                      for g in self.generators)
 
     @cached_property
-    def reducers(self) -> tuple:
-        """`packed` on exponent tuples."""
+    def leads(self) -> tuple:
+        """The generators' lead monomials, as exponent tuples."""
         if not self.generators:
             return ()
         codec = _codec(self.ring.nvars)
-        return tuple((codec.unpack(lead), codec.unpack_terms(terms))
-                     for lead, terms in self.packed)
+        return tuple(codec.unpack(lead) for lead, _ in self.packed)
 
 
 def buchberger(gens, t_max: int | None = None) -> GroebnerBasis:
@@ -495,7 +494,7 @@ def bigraded_hilbert(G: GroebnerBasis, window) -> dict:
         return {(i, j): 0 for i in range(xlo, xhi + 1)
                 for j in range(tlo, thi + 1)}
     ring = G.ring
-    leads = np.array([lead for lead, _ in G.reducers], dtype=np.int64)
+    leads = np.array(G.leads, dtype=np.int64)
     return {(i, j): int(np.count_nonzero(_first_divisors(
                 gradedlin.piece_monomials(ring, i, j), leads) >= 0))
             for i in range(xlo, xhi + 1) for j in range(tlo, thi + 1)}
@@ -517,14 +516,14 @@ def minimal_generator_bidegrees(G: GroebnerBasis, window,
 
     A piece is held as pairs (k, shift) for x^shift * g_k, one per monomial
     mu of S_(i,j) with g_k the first basis element whose lead divides it:
-    their leads are the distinct mu, so they are a basis of the piece.
+    their leads are the distinct mu, so they are a basis of the piece.  The
+    basis is reduced and monic, so each g_k is used as it stands.
     """
     xlo, xhi, tlo, thi = _check_window(window, G)
     counts: dict = {}
     if G.generators:
         ring = G.ring
-        lead_list, terms = zip(*G.reducers)
-        leads = np.array(lead_list, dtype=np.int64)
+        leads = np.array(G.leads, dtype=np.int64)
         units = [tuple(u) for u in np.eye(leads.shape[1], dtype=int).tolist()]
         pieces: dict = {}
 
@@ -532,7 +531,7 @@ def minimal_generator_bidegrees(G: GroebnerBasis, window,
             if (i, j) not in pieces:
                 monos = gradedlin.piece_monomials(ring, i, j)
                 hits = _first_divisors(monos, leads).tolist()
-                pieces[(i, j)] = [(k, tuple(map(sub, m, lead_list[k])))
+                pieces[(i, j)] = [(k, tuple(map(sub, m, G.leads[k])))
                                   for m, k in zip(monos, hits) if k >= 0]
             return pieces[(i, j)]
 
@@ -552,7 +551,8 @@ def minimal_generator_bidegrees(G: GroebnerBasis, window,
                 below = dict.fromkeys((k, tuple(map(add, s, u)))
                                       for (k, s), u in steps)
                 rows = gradedlin.shifted_rows(
-                    [(terms[k], shift) for k, shift in below], ring, i, j)
+                    [(G.generators[k].terms, shift) for k, shift in below],
+                    ring, i, j)
                 # products of ideal elements stay inside the piece
                 gained = len(piece) - linalg.rank(
                     rows, gradedlin.piece_dim(ring, i, j), ring.field)
@@ -590,8 +590,7 @@ def saturated_ideal(inp: PresentationInput, m: int | None = None,
     K = saturate(inp)
     if rational_check and inp.field.modulus is not None:
         KQ = saturate(_rational_twin(inp))
-        mine = {lead for lead, _ in K.reducers}
-        if mine != {lead for lead, _ in KQ.reducers}:
+        if set(K.leads) != set(KQ.leads):
             raise ArithmeticError(
                 "modular basis disagrees with the rational one; "
                 "the prime looks unlucky for this instance")

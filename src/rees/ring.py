@@ -310,8 +310,9 @@ def parse_poly(text: str, ring: PolyRing) -> Poly:
     coeff := int | int '/' uint
     mono  := var ('^' uint)? ('*' var ('^' uint)?)*
 
-    Variables must belong to the ring; the result must be homogeneous (base
-    ring) or bihomogeneous (T/w rings).
+    Variables must belong to the ring, over F_p no denominator may be
+    divisible by p, and the result must be homogeneous (base ring) or
+    bihomogeneous (T/w rings).
     """
     toks = _tokenize(text)
     idx = 0
@@ -384,9 +385,14 @@ def parse_poly(text: str, ring: PolyRing) -> Poly:
     if peek()[0] == "op" and peek()[1] in "+-":
         sign = -1 if take()[1] == "-" else 1
     while True:
+        start = peek()[2]
         coeff, exps = parse_term()
-        sub_multiple(terms, ring.field(-sign * coeff), (exps,), (1,),
-                     ring.field.modulus)
+        try:
+            c = ring.field(-sign * coeff)
+        except ZeroDivisionError:
+            raise ParseError(f"coefficient {coeff} has a denominator "
+                             f"divisible by {ring.field.modulus}", start) from None
+        sub_multiple(terms, c, (exps,), (1,), ring.field.modulus)
         kind, val, pos = peek()
         if kind == "end":
             break
@@ -457,10 +463,11 @@ class RingMap:
 
     `images` are polynomials of the target ring, one per T-like variable of
     the source ring.  Each T-monomial is imaged once for the life of the map:
-    `memo` maps a T-exponent tuple to the terms of its image, and a new entry
-    is the memoized image of the monomial with one factor of its last variable
-    dropped, times that variable's image.  Applying the map adds c * x^a times
-    the image of T^b straight into one terms dict for each term c x^a T^b.
+    `memo` maps a T-exponent tuple to the terms of its image, `image` reads
+    or fills one entry, and a new entry is the memoized image of the monomial
+    with one factor of its last variable dropped, times that variable's
+    image.  Applying the map adds c * x^a times the image of T^b straight into
+    one terms dict for each term c x^a T^b.
     """
 
     __slots__ = ("images", "target", "memo")
@@ -471,13 +478,14 @@ class RingMap:
         self.memo = {(0,) * len(self.images): {target.zero_shift:
                                                target.field.one}}
 
-    def _image(self, texps):
+    def image(self, texps) -> dict:
+        """The terms of the image of T^texps, from the memo; do not mutate."""
         terms = self.memo.get(texps)
         if terms is None:
             j = max(k for k, e in enumerate(texps) if e)
             prev = texps[:j] + (texps[j] - 1,) + texps[j + 1:]
             terms = (self.images[j]
-                     * Poly(self.target, self._image(prev))).terms
+                     * Poly(self.target, self.image(prev))).terms
             self.memo[texps] = terms
         return terms
 
@@ -488,7 +496,7 @@ class RingMap:
         mod = self.target.field.modulus
         out = {}
         for m, c in p.terms.items():
-            image = self._image(m[2:])
+            image = self.image(m[2:])
             sub_multiple(out, -c, shifted(image, (m[0], m[1]) + pad),
                          image.values(), mod)
         return Poly(self.target, out)

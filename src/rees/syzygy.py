@@ -12,9 +12,9 @@ The three workhorses:
     cokernel of the first m columns, read off from the kernel of the
     transposed submatrix.
 
-Plus the scroll presentation: the 2 x (1 + sum sigma_i) matrix in fresh
-coordinates whose 2 x 2 minors cut out the scroll that the hull's Rees
-algebra lives on.
+`matrix_product` is the one product of polynomial matrices.  Plus the scroll
+presentation: the 2 x (1 + sum sigma_i) matrix in fresh coordinates whose
+2 x 2 minors cut out the scroll that the hull's Rees algebra lives on.
 """
 from __future__ import annotations
 
@@ -93,7 +93,21 @@ def matrix_from_rows(ring: PolyRing, rows, col_degrees, row_twists=None) -> Grad
     return GradedMatrix(ring, rows, tuple(col_degrees), tuple(row_twists)).validate()
 
 
-# -- determinants and minors -------------------------------------------------
+# -- products, determinants and minors ---------------------------------------
+
+def matrix_product(A, B, ring: PolyRing) -> tuple:
+    """The rows of A * B over `ring`.
+
+    Entries of A and B are polynomials of `ring` or field scalars; a scalar c
+    stands for the constant polynomial c.
+    """
+    def lift(row):
+        return [e if isinstance(e, Poly) else ring.one().scale(e) for e in row]
+
+    A, B = [lift(row) for row in A], [lift(row) for row in B]
+    return tuple(tuple(sum((a * b for a, b in zip(row, col)), ring.zero())
+                       for col in zip(*B)) for row in A)
+
 
 def determinant(rows) -> Poly:
     """Determinant of a square matrix of polynomials, by Laplace expansion."""
@@ -284,14 +298,9 @@ def graded_kernel(M: GradedMatrix, expected_rank: int, degree_budget: int) -> Gr
     kernel = GradedMatrix(ring, rows,
                           tuple(d for d, _ in found),
                           tuple(-c for c in M.col_degrees))
-    for i in range(M.nrows):
-        for k in range(kernel.ncols):
-            acc = ring.zero()
-            for j in range(q):
-                acc = acc + M.rows[i][j] * kernel.rows[j][k]
-            if not acc.is_zero():
-                raise ArithmeticError(
-                    "internal error: kernel column fails M*v = 0")
+    if any(not p.is_zero() for row in matrix_product(M.rows, rows, ring)
+           for p in row):
+        raise ArithmeticError("internal error: kernel column fails M*v = 0")
     return kernel
 
 

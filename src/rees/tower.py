@@ -18,6 +18,8 @@ the recorded coordinate change maps back and forth.  A level holds its four
 ring maps (the hull substitution along the raw and the normalized embedding,
 the coordinate change and its inverse) as `RingMap`s built once, so each
 T-monomial is imaged once per map for the life of the level.
+`TowerLevel.image_rows` writes the hull images of an ambient piece as rows
+straight from the substitution's memo, building no `Poly` per monomial.
 """
 from __future__ import annotations
 
@@ -27,7 +29,8 @@ from . import gradedlin, linalg
 from .ring import (GradingError, Poly, PolyRing, RingMap, bidegree,
                    linear_images, promote, ring_S, ring_scroll)
 from .syzygy import (GradedMatrix, HeightError, SigmaInvariants, graded_kernel,
-                     hull_embedding, matrix_from_rows, signed_maximal_minors)
+                     hull_embedding, matrix_from_rows, matrix_product,
+                     signed_maximal_minors)
 
 
 class NormalizationError(RuntimeError):
@@ -130,6 +133,18 @@ class TowerLevel:
         exps = (0, 0) + tuple(alpha)
         return self.scroll.monomial(exps)
 
+    def image_rows(self, xdeg: int, tdeg: int) -> list:
+        """Coefficient rows of subst(mu) on the hull ring's (xdeg, tdeg) piece.
+
+        One row per monomial mu of the ambient piece, in canonical order,
+        written from the memoized image of mu's T-part shifted by its x-part.
+        """
+        pad = (0,) * self.sigma.s
+        return gradedlin.shifted_rows(
+            [(self.subst.image(mu[2:]), mu[:2] + pad)
+             for mu in gradedlin.piece_monomials(self.inp.sring, xdeg, tdeg)],
+            self.scroll, xdeg, tdeg)
+
 
 def _identity(n, field):
     return tuple(tuple(field.one if i == j else field.zero for j in range(n))
@@ -150,10 +165,7 @@ def _normalize_embedding(xi: GradedMatrix, sigma: SigmaInvariants):
         ident = _identity(n, field)
         return ident, ident, xi.rows
     zero_exps = (0, 0)
-    const = []
-    for k in range(r, s):
-        row = xi.rows[k]
-        const.append([p.coefficient(zero_exps) for p in row])
+    const = [[p.coefficient(zero_exps) for p in xi.rows[k]] for k in range(r, s)]
     free_part = linalg.nullspace(const, n, field)
     if len(free_part) != n - (s - r):
         raise NormalizationError("constant rows of the embedding are dependent")
@@ -164,32 +176,17 @@ def _normalize_embedding(xi: GradedMatrix, sigma: SigmaInvariants):
         if col is None:
             raise NormalizationError("constant rows of the embedding are dependent")
         pivot_part.append(col)
-    cols = free_part + pivot_part
-    chi = tuple(tuple(cols[k][j] for k in range(n)) for j in range(n))
+    chi = tuple(zip(*free_part, *pivot_part))
     chi_inv = linalg.invert([list(row) for row in chi], field)
     if chi_inv is None:
         raise NormalizationError("column change is singular")
     chi_inv = tuple(tuple(row) for row in chi_inv)
 
-    ring = xi.ring
-    changed = []
-    for i in range(s):
-        row = []
-        for k in range(n):
-            acc = ring.zero()
-            for j in range(n):
-                c = chi[j][k]
-                if c:
-                    acc = acc + xi.rows[i][j].scale(c)
-            row.append(acc)
-        changed.append(row)
-    for k in range(s - r):
-        for j in range(n):
-            want = field.one if j == n - (s - r) + k else field.zero
-            got = changed[r + k][j].coefficient(zero_exps)
-            if got != want or (not changed[r + k][j].is_zero()
-                               and changed[r + k][j].terms.keys() - {zero_exps}):
-                raise NormalizationError("identity block did not materialize")
+    changed = [list(row) for row in matrix_product(xi.rows, chi, xi.ring)]
+    if any(changed[r + k][j]
+           != xi.ring.monomial(zero_exps, int(j == n - (s - r) + k))
+           for k in range(s - r) for j in range(n)):
+        raise NormalizationError("identity block did not materialize")
     for i in range(r):
         for k in range(s - r):
             b = changed[i][n - (s - r) + k]
@@ -214,15 +211,7 @@ def build_level(inp: PresentationInput, m: int) -> TowerLevel:
         budget = sum(sigma.sigma) - sigma.sigma[i]
         rho = graded_kernel(embed.drop_row(i), m + 1, budget)
         kernels.append(rho)
-        p_row = []
-        for j in range(rho.ncols):
-            p = inp.base.zero()
-            for t in range(inp.n):
-                entry = rho.rows[t][j]
-                if not entry.is_zero():
-                    p = p + embed.rows[i][t] * entry
-            p_row.append(p)
-        scalars.append(tuple(p_row))
+        scalars.append(matrix_product([embed.rows[i]], rho.rows, inp.base)[0])
         forms.append(linear_images(rho.rows, S))
     scroll = ring_scroll(inp.field, sigma.sigma)
     return TowerLevel(
@@ -247,13 +236,11 @@ def check_truncation_equality(level: TowerLevel, x_window, t_max: int):
     lo = min(x_window)
     if lo < d_m - 1:
         raise ValueError(f"window must start at x-degree >= {d_m - 1}")
-    S = level.inp.sring
     report = []
     for i in x_window:
         for j in range(1, t_max + 1):
-            images = [level.subst(mu) for mu in gradedlin.piece_basis(S, i, j)]
-            got = gradedlin.span_dim(images, level.scroll, i, j)
             want = gradedlin.piece_dim(level.scroll, i, j)
+            got = linalg.rank(level.image_rows(i, j), want, level.inp.field)
             report.append((i, j, got, want))
     return report
 

@@ -277,6 +277,17 @@ def test_field_override_rejects_prime_above_2_31(capsys, monkeypatch):
     assert err.startswith("error:") and "2**31" in err
 
 
+def test_denominator_divisible_by_p_is_an_input_error(capsys, tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({
+        "n": 3, "col_degrees": [1, 2], "field": {"type": "prime", "p": 32003},
+        "phi_rows": [["x0", "x1^2"], ["x1", "x0^2"], ["x0 + 1/32003*x1", "0"]]}))
+    code, _, err = run(capsys, "info", str(bad))
+    assert code == 1
+    assert err.startswith("error:") and "internal error" not in err
+    assert "position 5" in err
+
+
 def test_field_override_must_be_an_integer(capsys, monkeypatch):
     monkeypatch.setenv("REES_FIELD_P", "abc")
     code, _, err = run(capsys, "info", QUADRIC)

@@ -18,7 +18,8 @@ from rees.generators import (
 )
 from rees.ring import (Poly, RingMap, bidegree, parse_poly, ring_R,
                        ring_S)
-from rees.tower import build_level, evaluation_membership, sym_equations
+from rees.tower import (build_level, check_truncation_equality,
+                        evaluation_membership, sym_equations)
 
 F = PrimeField(32003)
 
@@ -268,13 +269,13 @@ def test_level_maps_image_each_T_monomial_once(table2, monkeypatch):
     # T-monomial a map imaged (with the divisors its image was built from) is
     # held once, and imaging the same piece bases again multiplies nothing
     seen = {}
-    real_call = RingMap.__call__
+    real_image = RingMap.image
 
-    def recording_call(self, p):
-        seen.setdefault(id(self), set()).update(m[2:] for m in p.terms)
-        return real_call(self, p)
+    def recording_image(self, texps):
+        seen.setdefault(id(self), set()).add(texps)
+        return real_image(self, texps)
 
-    monkeypatch.setattr(RingMap, "__call__", recording_call)
+    monkeypatch.setattr(RingMap, "image", recording_image)
     level = build_level(table2, 1)
     recursion_generators(level, sym_equations(table2)[1])
     basis = slice_basis(level)
@@ -307,3 +308,15 @@ def test_level_maps_image_each_T_monomial_once(table2, monkeypatch):
                 level.subst(mu)
     assert [len(ring_map.memo) for ring_map in maps] == sizes
     assert products == []
+
+    # the truncation check reads its rows from the memo and applies no map
+    calls = []
+    real_call = RingMap.__call__
+
+    def recording_call(self, p):
+        calls.append(p)
+        return real_call(self, p)
+
+    monkeypatch.setattr(RingMap, "__call__", recording_call)
+    check_truncation_equality(level, range(11, 13), 2)
+    assert calls == []

@@ -14,7 +14,9 @@ the two counters moved from `Poly` products to exponent tuples; the random
 n = 4, 5 tower digests were recorded before the recursion's solve moved from
 the S-piece to one base-ring system per step; the capped fixture and random
 n = 4, 5 basis digests were recorded before the oracle's reduction moved
-from exponent tuples to packed one-int monomials.  A deliberate change of
+from exponent tuples to packed one-int monomials; the random slice and
+almost-linear digests were recorded before the hull images of ambient
+monomials were written as rows from the maps' memo.  A deliberate change of
 output must replace them in the same commit and say why.
 """
 import dataclasses
@@ -24,7 +26,7 @@ import json
 import pytest
 
 from conftest import fixture_path
-from rees import cli, generators, oracle
+from rees import cli, generators, oracle, tower
 from rees.field import PrimeField
 
 GENERATORS = {
@@ -228,6 +230,84 @@ RANDOM_TOWERS = {
 }
 
 
+# `generators.slice_basis` (one line of monomials per x-degree; empty for
+# d_1 = 1) and `generators.slice_generators` records at x-degrees
+# d_1 - 1 .. d_2 + 1 of `cli.random_instance(3, shape, seed)` over F_32003:
+# these levels change T-coordinates (chi is not the identity), which no
+# fixture does, so a wrongly ordered image matrix shows here
+RANDOM_SLICE_BASES = {
+    ((1, 2), 0):
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ((1, 2), 1):
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ((1, 3), 0):
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ((1, 3), 1):
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+}
+
+RANDOM_SLICES = {
+    ((1, 2), 0, 0):
+        "58883c71cd4b7664283972fa771634b619a0e28698ec7729a3170c3a34e73c12",
+    ((1, 2), 0, 1):
+        "b1e1b4d61314edde629b3a5939c9b31dc6e5165d2308d87592ba75c1611ab661",
+    ((1, 2), 0, 2):
+        "15061810b09667070c85ee6b7167358fc31c68a2c218e7db11633077f8ce283c",
+    ((1, 2), 0, 3):
+        "5d3b320a68080a1ac4314cf3e4fb5c26f762bc403125abf128bda2b4ffb9f76f",
+    ((1, 2), 1, 0):
+        "9ab94ab23b4fd1da254899d8e7f67a4ab59d8a974cf7e691895820e4edfaedf8",
+    ((1, 2), 1, 1):
+        "73e789d1f344168ddc79130e0ad51830309f9dc13eba6e6445e8fbffe5dd4124",
+    ((1, 2), 1, 2):
+        "444d3657891448cc36db7ddf2fc8c196f561c67c0157c87a2d23aef6e4c29cbe",
+    ((1, 2), 1, 3):
+        "bedb17fa12b43e9847430124893356784f4f0768d781110df467040c4b003365",
+    ((1, 3), 0, 0):
+        "fd7994b82411905cd90a7c4df467a106295551b01bf100a612cc00fc739d9417",
+    ((1, 3), 0, 1):
+        "6ce91a90fb869106918312c775cc4a5d3c9c315b51dec132a48b0402f389dcf6",
+    ((1, 3), 0, 2):
+        "1c7d6ad3ba10252402e304215db35778e749191d7ad0e550b56d54486db17747",
+    ((1, 3), 0, 3):
+        "8139f86b144e8aa88bb25e69d7e27730b8fa00c12062105e313faaa23c0a4fa4",
+    ((1, 3), 0, 4):
+        "ee0b6c1fdc9b8eceaaa6cb59cc806cf2ebf70d9e4340aaa381db8a532de0df15",
+    ((1, 3), 1, 0):
+        "2c4f3b627b4acd159034df380b6cb7160799b46a41ad849579ca0b19883f2955",
+    ((1, 3), 1, 1):
+        "050806f8c5bfe5699050c1f662dea3ccb065385fefbd3767d6ee510c18a4c6c0",
+    ((1, 3), 1, 2):
+        "91c9add56a45d403f1b4dab29c381abccebff49015c61cd9ee90527ce4bdd707",
+    ((1, 3), 1, 3):
+        "b800e0d9b9604776f462481c99df1256b38ae84b9e8f9fd4a354999a471565cb",
+    ((1, 3), 1, 4):
+        "a5d5c4dd55fcc43b1b2d359e7513872513a6a561646aca26efb899cecbd9f32a",
+}
+
+# `generators.almost_linear_generators` records of `cli.random_instance(n,
+# shape, seed)` over F_32003; (1, 1) and (1, 4) change T-coordinates at
+# level n - 2
+RANDOM_ALMOST_LINEAR = {
+    ((1, 1), 0):
+        "29bcd9e14196abcc128d61168cf17ba4a584f3962d71f253653ea67b7d115b8e",
+    ((1, 1), 1):
+        "baf1d8c51cdc3d83c40dc8444e7b054c5c098ef9a717959f99d9b976f281e4af",
+    ((1, 4), 0):
+        "d778d80c96f54f7166e64ab77d20aa13a132d7b0dc14fdf336f2397ab7aaa73a",
+    ((1, 4), 1):
+        "54bae8738b69f4a674fcd270f6be3b6179b8eec5afb037f780070adaa37a6743",
+    ((1, 1, 2), 0):
+        "3aeec93d8100470432fb3d39468b79839ebc6d90a9dfe807ecc7995f4e60e3a4",
+    ((1, 1, 2), 1):
+        "a71a1425d1ec4dd1192f52185fb36c85cd7a998f2baedfceed7fccc9bd0a9d20",
+    ((1, 1, 1, 3), 0):
+        "0cd033efd55dbc9a6a2b040375e65dfa8cf8b1e13fc9e6bda416ec94636edc1c",
+    ((1, 1, 1, 3), 1):
+        "8d2e782bc7a483c9d9dac3181e58b2e131df381c711e693b6f2d92523955c3c9",
+}
+
+
 def json_digest(capsys, *argv):
     code = cli.main(["--json", *argv])
     out = capsys.readouterr().out
@@ -303,13 +383,40 @@ def test_random_basis_is_unchanged(shape, seed):
     assert basis_digest(K) == RANDOM_BASES[(shape, seed)]
 
 
+def records_digest(records):
+    text = json.dumps([rec.as_dict() for rec in records], sort_keys=True)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 @pytest.mark.parametrize("shape,seed,m", sorted(RANDOM_TOWERS))
 def test_random_tower_records_are_unchanged(shape, seed, m):
     inp = cli.random_instance(len(shape) + 1, shape, seed, PrimeField(32003))
     records = generators.tower_generators(inp, m)
-    text = json.dumps([rec.as_dict() for rec in records], sort_keys=True)
+    assert records_digest(records) == RANDOM_TOWERS[(shape, seed, m)]
+
+
+@pytest.mark.parametrize("shape,seed", sorted(RANDOM_SLICE_BASES))
+def test_random_slice_basis_is_unchanged(shape, seed):
+    inp = cli.random_instance(3, shape, seed, PrimeField(32003))
+    basis = generators.slice_basis(tower.build_level(inp, 1))
+    text = "\n".join(" ".join(str(nu) for nu in monos)
+                     for monos in basis.monomials)
     assert (hashlib.sha256(text.encode()).hexdigest()
-            == RANDOM_TOWERS[(shape, seed, m)])
+            == RANDOM_SLICE_BASES[(shape, seed)])
+
+
+@pytest.mark.parametrize("shape,seed,xdeg", sorted(RANDOM_SLICES))
+def test_random_slice_records_are_unchanged(shape, seed, xdeg):
+    inp = cli.random_instance(3, shape, seed, PrimeField(32003))
+    records = generators.slice_generators(inp, xdeg)
+    assert records_digest(records) == RANDOM_SLICES[(shape, seed, xdeg)]
+
+
+@pytest.mark.parametrize("shape,seed", sorted(RANDOM_ALMOST_LINEAR))
+def test_random_almost_linear_records_are_unchanged(shape, seed):
+    inp = cli.random_instance(len(shape) + 1, shape, seed, PrimeField(32003))
+    records = generators.almost_linear_generators(inp)
+    assert records_digest(records) == RANDOM_ALMOST_LINEAR[(shape, seed)]
 
 
 @pytest.mark.parametrize("name,cap", sorted(COUNTERS, key=str))

@@ -470,7 +470,7 @@ def divides(lead, m):
 def reference_hilbert(G, window):
     # brute force: count the monomials of each piece that some lead divides
     (xlo, xhi), (tlo, thi) = window
-    leads = [lead for lead, _ in G.reducers]
+    leads = G.leads
     return {(i, j): sum(any(divides(lead, m) for lead in leads)
                         for m in piece_monomials(G.ring, i, j))
             for i in range(xlo, xhi + 1) for j in range(tlo, thi + 1)}
@@ -480,7 +480,7 @@ def reference_mingens(G, window):
     # the one-step-down rank with every piece element built as a Poly product
     (xlo, xhi), (tlo, thi) = window
     ring = G.ring
-    leads = [(lead, g) for (lead, _), g in zip(G.reducers, G.generators)]
+    leads = list(zip(G.leads, G.generators))
     xvars = [ring.var("x0"), ring.var("x1")]
     tvars = [ring.var(name) for name in ring.tvar_names]
 

@@ -83,6 +83,18 @@ def test_parse_rejects_garbage():
         sp("T1 + x0^2")
 
 
+def test_parse_rejects_a_denominator_divisible_by_p():
+    # 1/p has no value in F_p: a parse error at the term, not a crash
+    with pytest.raises(ParseError) as err:
+        rp("x0 + 1/32003*x1")
+    assert err.value.pos == 5 and "32003" in str(err.value)
+    with pytest.raises(ParseError) as err:
+        parse_poly("3/14*x0", ring_R(F7))
+    assert err.value.pos == 0
+    assert rp("1/2*x0") == rp("16002*x0")
+    assert parse_poly("1/32003*x0", ring_R(Q)).terms == {(1, 0): Fraction(1, 32003)}
+
+
 def test_rational_coefficients_parse():
     Q = RationalField()
     RQ = ring_R(Q)

@@ -29,3 +29,39 @@ def test_no_module_reads_another_modules_private_names():
                   and isinstance(node.value, ast.Name)
                   and node.value.id in modules and node.attr.startswith("_")]
     assert not found, f"private names read across modules: {found}"
+
+
+RING_MAPS = {"subst", "subst_raw", "to_level_coords", "to_original_coords"}
+
+
+def _name(func):
+    return getattr(func, "attr", getattr(func, "id", None))
+
+
+def _images(node, tainted):
+    # whether the expression holds a ring map call, or a name bound to one
+    return any((isinstance(inner, ast.Call) and _name(inner.func) in RING_MAPS)
+               or (isinstance(inner, ast.Name) and inner.id in tainted)
+               for inner in ast.walk(node))
+
+
+def test_no_row_is_read_back_from_a_ring_map_image():
+    # hull-image rows come from `TowerLevel.image_rows`, which writes them
+    # from the maps' memo; imaging a polynomial only to read its coordinates
+    # builds a `Poly` for nothing
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for func in ast.walk(tree):
+            if not isinstance(func, ast.FunctionDef):
+                continue
+            tainted = {target.id for node in ast.walk(func)
+                       if isinstance(node, ast.Assign)
+                       and _images(node.value, ())
+                       for target in node.targets
+                       if isinstance(target, ast.Name)}
+            found += [f"{path.name}:{node.lineno}" for node in ast.walk(func)
+                      if isinstance(node, ast.Call)
+                      and _name(node.func) in ("coordinates", "span_dim")
+                      and any(_images(arg, tainted) for arg in node.args)]
+    assert not found, f"coordinates of a ring map's image in src/rees: {found}"

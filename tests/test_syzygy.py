@@ -1,8 +1,10 @@
+import random
+
 import pytest
 
 from rees import linalg, syzygy
-from rees.field import PrimeField
-from rees.ring import GradingError, parse_poly, ring_R
+from rees.field import PrimeField, RationalField
+from rees.ring import GradingError, Poly, parse_poly, ring_R
 from rees.syzygy import (
     GradedMatrix,
     HeightError,
@@ -13,6 +15,7 @@ from rees.syzygy import (
     homogeneous_gcd,
     hull_embedding,
     matrix_from_rows,
+    matrix_product,
     scroll_matrix,
     scroll_realization_images,
     sigma_invariants,
@@ -65,6 +68,57 @@ def test_transpose_and_slices():
     dropped = M.drop_row(1)
     assert dropped.nrows == 2
     assert dropped.entry(1, 1) == M.entry(2, 1)
+
+
+def naive_product(A, B, ring):
+    # the schoolbook triple loop, each product formed by the entries' kinds
+    def times(a, b):
+        if isinstance(a, Poly) and isinstance(b, Poly):
+            return a * b
+        if isinstance(a, Poly):
+            return a.scale(b)
+        if isinstance(b, Poly):
+            return b.scale(a)
+        return ring.monomial((0, 0), a * b)
+
+    out = []
+    for i in range(len(A)):
+        row = []
+        for k in range(len(B[0])):
+            acc = ring.zero()
+            for j in range(len(B)):
+                acc = acc + times(A[i][j], B[j][k])
+            row.append(acc)
+        out.append(tuple(row))
+    return tuple(out)
+
+
+@pytest.mark.parametrize("field", [PrimeField(7), PrimeField(32003),
+                                   RationalField()], ids=["F_7", "F_32003", "Q"])
+def test_matrix_product_matches_the_triple_loop(field):
+    ring = ring_R(field)
+    rng = random.Random(1)
+
+    def entry():
+        kind = rng.randrange(4)
+        if kind == 0:
+            return field.zero
+        if kind == 1:
+            return field(rng.randrange(-3, 4))
+        if kind == 2:
+            return ring.zero()
+        deg = rng.randrange(3)
+        return ring.from_terms({(deg - a, a): rng.randrange(-3, 4)
+                                for a in range(deg + 1)})
+
+    for _ in range(60):
+        p, q, r = (rng.randrange(1, 4) for _ in range(3))
+        A = [[entry() for _ in range(q)] for _ in range(p)]
+        B = [[entry() for _ in range(r)] for _ in range(q)]
+        got = matrix_product(A, B, ring)
+        assert got == naive_product(A, B, ring)
+        assert all(isinstance(e, Poly) and e.ring == ring
+                   for row in got for e in row)
 
 
 def test_determinant_known():

@@ -2,6 +2,7 @@ import dataclasses
 
 import pytest
 
+from rees import gradedlin, linalg
 from rees.cli import random_instance
 from rees.field import PrimeField
 from rees.ring import (GradingError, Poly, bidegree, parse_poly, ring_R,
@@ -149,6 +150,27 @@ def test_level_maps_agree_with_one_shot_substitution():
                                                    ring_map.target)
 
 
+@pytest.mark.parametrize("name", ["quadric_cubic", "almost_linear", "table1",
+                                  "final_example", "final_variant", "table2",
+                                  "table3", "random-1-2"])
+def test_image_rows_match_coordinates_of_subst(request, name):
+    # one row per ambient monomial, equal to the coordinates of its image;
+    # x-degree -1 has an empty ambient piece, and (-1, 2) a nonempty hull one
+    inp = (random_instance(3, (1, 2), 0, F) if name == "random-1-2"
+           else request.getfixturevalue(name))
+    S = inp.sring
+    for m in range(1, inp.n):
+        level = build_level(inp, m)
+        d_m = inp.col_degrees[m - 1]
+        for i in sorted({-1, 0, d_m - 1, d_m}):
+            for j in range(3):
+                want = [gradedlin.coordinates(level.subst(mu), i, j)
+                        for mu in gradedlin.piece_basis(S, i, j)]
+                assert level.image_rows(i, j) == want
+    assert gradedlin.piece_dim(level.scroll, -1, 2) > 0
+    assert level.image_rows(0, -1) == []
+
+
 def test_subst_agrees_with_raw_when_change_is_identity(quadric_cubic):
     level = build_level(quadric_cubic, 1)
     g2 = sym_equations(quadric_cubic)[1]
@@ -253,4 +275,17 @@ def test_normalization_rejects_uncleared_identity_columns(monkeypatch):
     _normalize_embedding(xi, sigma)
     monkeypatch.setattr(Poly, "__sub__", lambda self, other: self)
     with pytest.raises(NormalizationError, match="not cleared"):
+        _normalize_embedding(xi, sigma)
+
+
+def test_normalization_rejects_a_missing_identity_block(monkeypatch):
+    # pivot columns of the coordinate change scaled by 2 leave 2 where the
+    # constant rows need an identity block; that must surface as a named
+    # error, also under python -O
+    inp = random_instance(3, (1, 2), 0, F)
+    sigma, xi = hull_embedding(inp.phi, 1)
+    real_solve = linalg.solve
+    monkeypatch.setattr(linalg, "solve",
+                        lambda *args: [2 * v for v in real_solve(*args)])
+    with pytest.raises(NormalizationError, match="identity block"):
         _normalize_embedding(xi, sigma)
