@@ -21,7 +21,6 @@ from .ring import (
     ring_R,
     ring_S,
     ring_scroll,
-    substitute_T,
 )
 from .syzygy import (
     GradedMatrix,
@@ -30,7 +29,6 @@ from .syzygy import (
     ScrollPresentation,
     SigmaInvariants,
     graded_kernel,
-    homogeneous_gcd,
     hull_embedding,
     matrix_from_rows,
     scroll_matrix,
@@ -64,7 +62,6 @@ from .generators import (
     recursion_generators,
     slice_basis,
     slice_generators,
-    sylvester_form,
     tower_generators,
     trim_slice,
     u_span_dim,
@@ -86,9 +83,9 @@ __all__ = [
     "field_to_json",
     "GradingError", "ParseError", "Poly", "PolyRing", "RingMap",
     "bidegree", "linear_images", "parse_poly", "poly_to_str", "promote",
-    "ring_R", "ring_S", "ring_scroll", "substitute_T",
+    "ring_R", "ring_S", "ring_scroll",
     "GradedMatrix", "HeightError", "KernelBudgetError", "ScrollPresentation",
-    "SigmaInvariants", "graded_kernel", "homogeneous_gcd", "hull_embedding",
+    "SigmaInvariants", "graded_kernel", "hull_embedding",
     "matrix_from_rows", "scroll_matrix", "scroll_realization_images",
     "sigma_invariants", "signed_maximal_minors",
     "NormalizationError", "PresentationInput", "TowerLevel",
@@ -98,7 +95,7 @@ __all__ = [
     "minimal_weight_exponents", "weight", "weight_drop_monomials",
     "GeneratorRecord", "SliceBasis", "almost_linear_generators",
     "recursion_generators", "slice_basis", "slice_generators",
-    "sylvester_form", "tower_generators", "trim_slice", "u_span_dim",
+    "tower_generators", "trim_slice", "u_span_dim",
     "ORDER_DESCRIPTOR", "ExponentOverflowError", "GroebnerBasis",
     "WindowError", "bigraded_hilbert",
     "buchberger", "minimal_generator_bidegrees", "normal_form",

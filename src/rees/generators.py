@@ -33,7 +33,7 @@ from dataclasses import dataclass, field as dc_field
 
 from . import combinat, gradedlin, linalg
 from .ring import Poly, RingMap, bidegree, linear_images, promote
-from .syzygy import homogeneous_gcd, scroll_matrix, scroll_realization_images
+from .syzygy import scroll_matrix, scroll_realization_images
 from .tower import (PresentationInput, TowerLevel, build_level, sym_equations)
 
 
@@ -148,28 +148,6 @@ def tower_generators(inp: PresentationInput, m: int,
             certificate_ok=level.subst_raw(g).is_zero()))
     records.extend(recursion_generators(level, gs[m]))
     return records
-
-
-def sylvester_form(p1: Poly, p2: Poly, f: Poly, g: Poly) -> Poly:
-    """Determinant of the coefficient matrix writing f, g over p1, p2.
-
-    p1, p2 are homogeneous base-ring polynomials with no common factor
-    (otherwise ValueError "not a regular sequence"); f and g are written as
-    canonical graded combinations f = a1 p1 + a2 p2, g = b1 p1 + b2 p2
-    (ValueError "not in the ideal" if impossible) and the result is
-    a1 b2 - a2 b1.
-    """
-    if p1.is_zero() or p2.is_zero() or homogeneous_gcd([p1, p2]).xdeg() != 0:
-        raise ValueError("not a regular sequence")
-    S = f.ring
-    gens = [promote(p1, S), promote(p2, S)]
-    rows = []
-    for target in (f, g):
-        coeffs = gradedlin.solve_combination(target, gens, S)
-        if coeffs is None:
-            raise ValueError("not in the ideal generated by the pair")
-        rows.append(coeffs)
-    return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
 
 
 @dataclass(frozen=True)

@@ -2,10 +2,11 @@
 
 Every bigraded piece of the ambient rings in play is a finite-dimensional
 vector space with a canonical monomial basis (descending degrevlex).  This
-module enumerates those bases and answers the three questions everything else
-reduces to: coordinates of a polynomial (and the polynomial of a coordinate
-vector), dimension of a span, and canonical solutions of sum_t a_t * g_t =
-target for T-degree-0 g_t, found in k[x0,x1] one T-monomial block at a time.
+module enumerates those bases and answers the two questions everything else
+reduces to: coordinates of polynomials (and the polynomial of a coordinate
+vector), and canonical solutions of sum_t a_t * g_t = target for T-degree-0
+g_t, found in k[x0,x1] one T-monomial block at a time.  The dimension of a
+span is `linalg.rank` of its rows.
 
 `shifted_rows` is the one writer of coefficient rows: it writes x^shift * g
 into the piece's basis positions straight from g's exponent tuples, with no
@@ -114,16 +115,6 @@ def from_coordinates(vec, ring: PolyRing, xdeg: int, tdeg: int = 0) -> Poly:
     """The polynomial whose coefficient vector on the piece's basis is vec."""
     monos = piece_monomials(ring, xdeg, tdeg)
     return Poly(ring, {m: c for m, c in zip(monos, vec) if c})
-
-
-def span_dim(polys, ring: PolyRing, xdeg: int, tdeg: int = 0) -> int:
-    """Dimension of the span of the given polynomials inside one piece.
-
-    Zero polynomials are allowed and contribute nothing; anything nonzero must
-    lie in the stated piece.
-    """
-    rows = [coordinates(p, xdeg, tdeg) for p in polys if not p.is_zero()]
-    return linalg.rank(rows, piece_dim(ring, xdeg, tdeg), ring.field)
 
 
 def solve_combination(target: Poly, gens, ring: PolyRing):

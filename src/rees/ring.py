@@ -27,8 +27,7 @@ so no other code in the package combines coefficients of two terms dicts.
 `RingMap` holds the one T-substitution loop.  A ring map given by a matrix --
 the hull substitution T_j -> sum_i xi[i][j] w_i, or a constant change of
 T-coordinates -- is built once from the images `linear_images` returns, and
-images each T-monomial once per map, not once per call; `substitute_T` is its
-one-shot form.
+images each T-monomial once per map, not once per call.
 """
 from __future__ import annotations
 
@@ -500,16 +499,6 @@ class RingMap:
             sub_multiple(out, -c, shifted(image, (m[0], m[1]) + pad),
                          image.values(), mod)
         return Poly(self.target, out)
-
-
-def substitute_T(p: Poly, images, target: PolyRing) -> Poly:
-    """Substitute T_j -> images[j] into p, carrying x0, x1 over unchanged.
-
-    The one-shot form of `RingMap`: each T-monomial of p is imaged once for
-    this call.  Code that applies one map to many polynomials keeps a
-    `RingMap`, so each T-monomial is imaged once for the life of the map.
-    """
-    return RingMap(images, target)(p)
 
 
 def linear_images(rows, target: PolyRing) -> tuple:

@@ -3,7 +3,8 @@
 The three workhorses:
 
   * signed_maximal_minors -- the alternating-sign maximal minors of an
-    n x (n-1) presentation matrix, with the unit-gcd (height two) validation;
+    n x (n-1) presentation matrix, with the height-two validation: one rank
+    of the minors' multiples in degree 2D - 1 (D the minors' degree);
   * graded_kernel -- minimal homogeneous generators of the kernel of a graded
     map between free modules, found degree by degree (kernels over a
     two-variable polynomial ring are free, so a generator count plus a degree
@@ -140,8 +141,10 @@ def signed_maximal_minors(phi: GradedMatrix):
     """The n alternating-sign maximal minors of an n x (n-1) graded matrix.
 
     Entry i is (-1)^i * det(phi with row i deleted) (rows 0-indexed, so the
-    first minor comes with a plus sign).  Raises HeightError unless the
-    minors have unit gcd and are not all zero.
+    first minor comes with a plus sign).  Raises HeightError, naming the
+    degree of the common factor, unless the minors are not all zero and have
+    unit gcd.  The test assumes the nonzero minors share one degree, as they
+    do for the untwisted rows `load_presentation` builds (D = sum(col_degrees)).
     """
     n = phi.nrows
     if phi.ncols != n - 1:
@@ -151,80 +154,18 @@ def signed_maximal_minors(phi: GradedMatrix):
         sub = [list(phi.rows[k]) for k in range(n) if k != i]
         d = determinant(sub)
         minors.append(d if i % 2 == 0 else -d)
-    if all(f.is_zero() for f in minors):
+    nonzero = [f for f in minors if not f.is_zero()]
+    if not nonzero:
         raise HeightError("all maximal minors vanish")
-    g = homogeneous_gcd([f for f in minors if not f.is_zero()])
-    if g.xdeg() != 0:
-        raise HeightError(
-            f"height < 2: maximal minors share the common factor {g}")
+    D = nonzero[0].xdeg()
+    # Hilbert-Burch: D-forms with no common factor span all of R_(2D-1), and a
+    # common factor of degree k leaves exactly k of its 2D dimensions out
+    got = linalg.rank(gradedlin.multiples(nonzero, phi.ring, 2 * D - 1),
+                      2 * D, phi.ring.field)
+    if got < 2 * D:
+        raise HeightError(f"height < 2: maximal minors share a common factor "
+                          f"of degree {2 * D - got}")
     return minors
-
-
-# -- gcd of homogeneous bivariate polynomials --------------------------------
-
-def _poly_to_univariate(p: Poly):
-    """Split x0^a * x1^b * core and return (a, b, core coeffs in u = x0/x1)."""
-    deg = p.xdeg()
-    a = min(m[0] for m in p.terms)
-    b = min(m[1] for m in p.terms)
-    core_deg = deg - a - b
-    coeffs = [p.ring.field.zero] * (core_deg + 1)
-    for m, c in p.terms.items():
-        coeffs[m[0] - a] = c
-    return a, b, coeffs
-
-
-def _univariate_gcd(u, v, field):
-    def degree(c):
-        for i in range(len(c) - 1, -1, -1):
-            if c[i]:
-                return i
-        return -1
-
-    def rem(num, den):
-        num = list(num)
-        dd = degree(den)
-        lead_inv = field.inv(den[dd])
-        for i in range(degree(num), dd - 1, -1):
-            if not num[i]:
-                continue
-            q = field(num[i] * lead_inv)
-            for k in range(dd + 1):
-                num[i - dd + k] = field(num[i - dd + k] - q * den[k])
-        return num[:dd] if dd > 0 else []
-
-    a, b = list(u), list(v)
-    while degree(b) >= 0:
-        a, b = b, rem(a, b)
-    return a[:degree(a) + 1]
-
-
-def homogeneous_gcd(polys) -> Poly:
-    """Monic gcd of nonzero homogeneous polynomials in x0, x1.
-
-    Works through the substitution u = x0/x1: the common monomial part is
-    tracked by x0/x1 valuations and the residual factor by a univariate
-    Euclidean algorithm over the field.
-    """
-    polys = [p for p in polys if not p.is_zero()]
-    if not polys:
-        raise ValueError("gcd of an empty/zero family is undefined")
-    ring = polys[0].ring
-    field = ring.field
-    a_min = b_min = None
-    core = None
-    for p in polys:
-        a, b, coeffs = _poly_to_univariate(p)
-        a_min = a if a_min is None else min(a_min, a)
-        b_min = b if b_min is None else min(b_min, b)
-        core = coeffs if core is None else _univariate_gcd(core, coeffs, field)
-    core_deg = len(core) - 1
-    terms = {}
-    for k, c in enumerate(core):
-        if c:
-            terms[(a_min + k, b_min + core_deg - k)] = c
-    out = Poly(ring, terms)
-    return out.monic()
 
 
 # -- graded kernels -----------------------------------------------------------

@@ -250,7 +250,7 @@ def hull_quotient_hilbert(level: TowerLevel):
 
     H(i) = sum_k dim R(sigma_k)_i - n*dim R_i + sum_(k<=m) dim R(-d_k)_i,
     clamped at zero.  For n = 3, m = 1 this must equal d_1 - i - 1 on the
-    window [-1, d_1 - 1]; a mismatch raises ArithmeticError.
+    window [-1, d_1 - 1]; `rees check` and the tests compare those values.
     """
     sigma = level.sigma.sigma
     n = level.inp.n
@@ -265,10 +265,4 @@ def hull_quotient_hilbert(level: TowerLevel):
         val += sum(dim_R(i - d) for d in degs)
         return max(val, 0)
 
-    if n == 3 and level.m == 1:
-        d1 = level.inp.col_degrees[0]
-        for i in range(-1, d1):
-            if H(i) != d1 - i - 1:
-                raise ArithmeticError("hull-quotient Hilbert function "
-                                      f"mismatch at degree {i}")
     return H

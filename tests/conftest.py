@@ -2,6 +2,7 @@ import os
 
 import pytest
 
+from rees import gradedlin, linalg
 from rees.cli import load_instance
 from rees.field import PrimeField
 from rees.ring import parse_poly, ring_R
@@ -11,6 +12,17 @@ FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
 def fixture_path(name):
     return os.path.join(FIXTURES, name)
+
+
+def span_dim(polys, ring, xdeg, tdeg=0):
+    """Dimension of the span of polys inside one bigraded piece.
+
+    The tests' reference count.  Zero polynomials contribute nothing; anything
+    nonzero must lie in the stated piece.
+    """
+    rows = [gradedlin.coordinates(p, xdeg, tdeg) for p in polys
+            if not p.is_zero()]
+    return linalg.rank(rows, gradedlin.piece_dim(ring, xdeg, tdeg), ring.field)
 
 
 @pytest.fixture(scope="session")

@@ -10,6 +10,7 @@ import time
 import numpy as np
 import pytest
 
+from conftest import span_dim
 from rees import cli, combinat, gradedlin, oracle, syzygy, tower
 from rees.field import PrimeField
 from rees.generators import (
@@ -152,7 +153,7 @@ def test_5_structural_identities(request, name):
                     continue
                 for mono in gradedlin.piece_basis(inp.base, shift):
                     mult.append(mono * pj)
-            assert (gradedlin.span_dim(mult, inp.base, deg)
+            assert (span_dim(mult, inp.base, deg)
                     == gradedlin.piece_dim(inp.base, deg)), (m, i)
 
     if n == 3:
@@ -166,7 +167,7 @@ def test_5_structural_identities(request, name):
         products = [level.subst(S.var(f"T{k + 1}")) * nu
                     for k in range(n)
                     for nu in gradedlin.piece_basis(scroll, -1, 1)]
-        assert gradedlin.span_dim(products, scroll, -1, 2) == 3 * d1
+        assert span_dim(products, scroll, -1, 2) == 3 * d1
         for i in range(-1, d1):
             for j in range(5):
                 assert (gradedlin.piece_dim(scroll, i, j)

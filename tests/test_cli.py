@@ -270,6 +270,15 @@ def test_field_override(capsys, monkeypatch):
     assert payload["field"] == {"type": "prime", "p": 101}
 
 
+def test_field_override_can_break_the_height_check(capsys, monkeypatch):
+    # over F_2 the minors of almost_linear share the factor x1^4
+    monkeypatch.setenv("REES_FIELD_P", "2")
+    code, _, err = run(capsys, "check", fixture_path("almost_linear.json"))
+    assert code == 1
+    assert err == ("error: height < 2: maximal minors share a common factor "
+                   "of degree 4\n")
+
+
 def test_field_override_rejects_prime_above_2_31(capsys, monkeypatch):
     monkeypatch.setenv("REES_FIELD_P", "2147483659")
     code, _, err = run(capsys, "check", TABLE1)

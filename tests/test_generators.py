@@ -4,24 +4,20 @@ import pytest
 
 from conftest import fixture_path
 from rees.cli import load_instance
-from rees.field import PrimeField, RationalField
+from rees.field import RationalField
 from rees.gradedlin import piece_basis, piece_dim
 from rees.generators import (
     almost_linear_generators,
     recursion_generators,
     slice_basis,
     slice_generators,
-    sylvester_form,
     tower_generators,
     trim_slice,
     u_span_dim,
 )
-from rees.ring import (Poly, RingMap, bidegree, parse_poly, ring_R,
-                       ring_S)
+from rees.ring import Poly, RingMap, bidegree, parse_poly
 from rees.tower import (build_level, check_truncation_equality,
                         evaluation_membership, sym_equations)
-
-F = PrimeField(32003)
 
 
 # -- the recursion ------------------------------------------------------------
@@ -108,37 +104,6 @@ def test_tower_generators_levels(quadric_cubic, almost_linear):
     assert all(rec.certificate_ok for rec in lvl1 + lvl2)
     assert all(evaluation_membership(almost_linear,
                                      [rec.poly for rec in lvl1 + lvl2]))
-
-
-# -- sylvester forms ----------------------------------------------------------
-
-def test_sylvester_form_known():
-    R = ring_R(F)
-    S = ring_S(F, 3)
-    p1, p2 = parse_poly("x0", R), parse_poly("x1", R)
-    f = parse_poly("x0*T1 + x1*T2", S)
-    g = parse_poly("x0*T3 + x1*T1", S)
-    assert sylvester_form(p1, p2, f, g) == parse_poly("T1^2 - T2*T3", S)
-
-
-def test_sylvester_form_validation():
-    R = ring_R(F)
-    S = ring_S(F, 3)
-    f = parse_poly("x0^2*T1 + x0*x1*T2", S)
-    with pytest.raises(ValueError, match="regular sequence"):
-        sylvester_form(parse_poly("x0^2", R), parse_poly("x0*x1", R), f, f)
-    with pytest.raises(ValueError, match="not in the ideal"):
-        sylvester_form(parse_poly("x0", R), parse_poly("x1", R),
-                       parse_poly("T1", S), parse_poly("T2", S))
-
-
-def test_sylvester_form_lands_in_the_ideal(quadric_cubic):
-    # classical jacobian-dual style element built from the two equations
-    R, S = quadric_cubic.base, quadric_cubic.sring
-    g1, g2 = sym_equations(quadric_cubic)
-    syl = sylvester_form(parse_poly("x0", R), parse_poly("x1", R), g1, g2)
-    assert not syl.is_zero()
-    assert evaluation_membership(quadric_cubic, [syl]) == [True]
 
 
 # -- slice machinery ----------------------------------------------------------

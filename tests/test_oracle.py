@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import fixture_path
+from conftest import fixture_path, span_dim
 from rees import cli, combinat, oracle, syzygy
 from rees.field import PrimeField, RationalField
 from rees.generators import u_span_dim
-from rees.gradedlin import piece_basis, piece_monomials, span_dim
+from rees.gradedlin import piece_basis, piece_monomials
 from rees.oracle import (
     DEGREE_BOUND,
     ORDER_DESCRIPTOR,

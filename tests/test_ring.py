@@ -17,7 +17,6 @@ from rees.ring import (
     ring_R,
     ring_S,
     ring_scroll,
-    substitute_T,
 )
 
 F = PrimeField(32003)
@@ -154,7 +153,7 @@ def test_substitute_T_linear_images():
     W = ring_scroll(F, (1,))
     g = sp("x0^2*T1 + x0*x1*T2 + x1^2*T3")
     images = [parse_poly("x0*w1", W), parse_poly("x1*w1", W), W.zero()]
-    got = substitute_T(g, images, W)
+    got = RingMap(images, W)(g)
     assert got == parse_poly("x0^3*w1 + x0*x1^2*w1", W)
 
 
@@ -167,15 +166,15 @@ def test_linear_images_hull_substitution_matches_manual():
                       parse_poly("x0*w2", W))
     g = sp("x0^2*T1 + x0*x1*T2 + x1^2*T3")
     # x0^2(-x1 w1) + x0x1(x0 w1 - x1 w2) + x1^2(x0 w2) = 0
-    assert substitute_T(g, images, W) == W.zero()
+    assert RingMap(images, W)(g) == W.zero()
     h = sp("T1")
-    assert substitute_T(h, images, W) == parse_poly("-x1*w1", W)
+    assert RingMap(images, W)(h) == parse_poly("-x1*w1", W)
 
 
 def test_substitute_T_powers():
     W = ring_scroll(F, (1, 1))
     images = [parse_poly("x0*w1", W), parse_poly("x1*w2", W), W.zero()]
-    got = substitute_T(sp("x0*T1^2*T2"), images, W)
+    got = RingMap(images, W)(sp("x0*T1^2*T2"))
     assert got == parse_poly("x0^3*x1*w1^2*w2", W)
 
 
@@ -185,8 +184,8 @@ def test_linear_images_coordinate_change_inverts():
     chi_inv = ((F(1), F(32001), F(0)), (F(0), F(1), F(0)),
                (F(32003 - 5), F(10), F(1)))
     p = sp("x0*T1^2 + x1*T2*T3 + x0*T3^2")
-    q = substitute_T(p, linear_images(chi, S3), S3)
-    back = substitute_T(q, linear_images(chi_inv, S3), S3)
+    q = RingMap(linear_images(chi, S3), S3)(p)
+    back = RingMap(linear_images(chi_inv, S3), S3)(q)
     assert back == p
 
 
@@ -330,4 +329,4 @@ def test_substitute_T_matches_per_term_reference(case):
     for p in polys:
         want = substitute_per_term(p, images, target)
         assert ring_map(p) == want
-        assert substitute_T(p, images, target) == want
+        assert RingMap(images, target)(p) == want

@@ -2,6 +2,8 @@
 import ast
 import pathlib
 
+import rees
+
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "rees"
 
 
@@ -65,3 +67,9 @@ def test_no_row_is_read_back_from_a_ring_map_image():
                       and _name(node.func) in ("coordinates", "span_dim")
                       and any(_images(arg, tainted) for arg in node.args)]
     assert not found, f"coordinates of a ring map's image in src/rees: {found}"
+
+
+def test_every_exported_name_resolves():
+    # a deletion that leaves a stale `__all__` entry breaks `from rees import *`
+    missing = [name for name in rees.__all__ if not hasattr(rees, name)]
+    assert not missing, f"stale __all__ entries: {missing}"

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from rees import linalg, syzygy
+from rees import linalg, syzygy, tower
 from rees.field import PrimeField, RationalField
 from rees.ring import GradingError, Poly, parse_poly, ring_R
 from rees.syzygy import (
@@ -12,7 +12,6 @@ from rees.syzygy import (
     SigmaInvariants,
     graded_kernel,
     determinant,
-    homogeneous_gcd,
     hull_embedding,
     matrix_from_rows,
     matrix_product,
@@ -154,24 +153,31 @@ def test_signed_minors_quadric_values(quadric_cubic):
 def test_minors_height_failure_common_factor():
     # first column multiplied through by x0 puts every minor in (x0)
     M = mat([["x0^3", "x1^3"], ["x0^2*x1", "0"], ["x0*x1^2", "x0^3"]], (3, 3))
-    with pytest.raises(HeightError, match="common factor"):
+    with pytest.raises(HeightError, match="common factor of degree 1$"):
         signed_maximal_minors(M)
+
+
+@pytest.mark.parametrize("field", [PrimeField(7), F, RationalField()],
+                         ids=["F_7", "F_32003", "Q"])
+@pytest.mark.parametrize("g", ["x0 + 2*x1", "3*x0^2 + x0*x1 + x1^2"])
+def test_minors_height_failure_names_a_planted_factor(field, g):
+    # quadric_cubic's minors have unit gcd over every field; g times its last
+    # column puts g into every maximal minor, so the common factor is exactly g
+    base = ring_R(field)
+    rows = [["x0^2", "x1^3"], ["x0*x1", "0"], ["x1^2", "x0^3"]]
+    phi = [[parse_poly(e, base) for e in row] for row in rows]
+    tower.load_presentation(field, (2, 3), phi)
+    g = parse_poly(g, base)
+    planted = [[a, b * g] for a, b in phi]
+    with pytest.raises(HeightError,
+                       match=f"common factor of degree {g.xdeg()}$"):
+        tower.load_presentation(field, (2, 3 + g.xdeg()), planted)
 
 
 def test_minors_height_failure_rank_drop():
     M = mat([["x0", "x0"], ["x1", "x1"], ["0", "0"]], (1, 1))
     with pytest.raises(HeightError, match="vanish"):
         signed_maximal_minors(M)
-
-
-def test_homogeneous_gcd():
-    polys = [parse_poly("x0^2*x1 + x0*x1^2", R), parse_poly("x0^3*x1", R)]
-    g = homogeneous_gcd(polys)
-    assert g.monic() == parse_poly("x0*x1", R).monic()
-    assert homogeneous_gcd([parse_poly("x0^2", R),
-                            parse_poly("x1^3", R)]).xdeg() == 0
-    with pytest.raises(ValueError):
-        homogeneous_gcd([R.zero()])
 
 
 # -- graded kernels -----------------------------------------------------------
@@ -287,14 +293,14 @@ def test_scroll_minor_bidegrees():
 
 
 def test_scroll_realization_kills_minors():
-    from rees.ring import substitute_T, ring_scroll
+    from rees.ring import RingMap, ring_scroll
     sigma = SigmaInvariants((2, 1), 2, 2)
     pres = scroll_matrix(sigma, F)
     images = scroll_realization_images(pres)
     target = ring_scroll(F, sigma.sigma)
     assert len(images) == len(pres.coord_names)
     for q in pres.minors:
-        assert substitute_T(q, images, target).is_zero()
+        assert RingMap(images, target)(q).is_zero()
 
 
 def test_hull_embedding_rejects_twists_off_the_budget(monkeypatch, quadric_cubic):

@@ -2,11 +2,12 @@ import dataclasses
 
 import pytest
 
-from rees import gradedlin, linalg
+from conftest import fixture_path
+from rees import cli, gradedlin, linalg, tower
 from rees.cli import random_instance
 from rees.field import PrimeField
-from rees.ring import (GradingError, Poly, bidegree, parse_poly, ring_R,
-                       substitute_T)
+from rees.ring import (GradingError, Poly, RingMap, bidegree, parse_poly,
+                       ring_R)
 from rees.syzygy import HeightError, SigmaInvariants, hull_embedding
 from rees.tower import (
     NormalizationError,
@@ -146,8 +147,8 @@ def test_level_maps_agree_with_one_shot_substitution():
         for p in polys:
             for name in order:
                 ring_map = getattr(level, name)
-                assert ring_map(p) == substitute_T(p, ring_map.images,
-                                                   ring_map.target)
+                fresh = RingMap(ring_map.images, ring_map.target)
+                assert ring_map(p) == fresh(p)
 
 
 @pytest.mark.parametrize("name", ["quadric_cubic", "almost_linear", "table1",
@@ -255,14 +256,25 @@ def test_hull_quotient_hilbert_values(request, fixture_name, d1):
     assert H(d1 + 3) == 0
 
 
-def test_hull_quotient_hilbert_rejects_wrong_twists(quadric_cubic):
+def test_hull_quotient_hilbert_rejects_wrong_twists(monkeypatch, capsys):
     # quadric_cubic has sigma = (1, 1) at level 1; the twists (2, 1) give
-    # H(-1) = 3 instead of d_1 = 2, which must surface as a named error, also
-    # under python -O
-    level = build_level(quadric_cubic, 1)
-    wrong = dataclasses.replace(level, sigma=SigmaInvariants((2, 1), 2, 2))
-    with pytest.raises(ArithmeticError, match="Hilbert function mismatch"):
-        hull_quotient_hilbert(wrong)
+    # H(-1) = 3 instead of d_1 = 2, which `rees check` must report as a failed
+    # line of a complete report, not as an internal error
+    def wrong_level(inp, m):
+        level = build_level(inp, m)
+        if m == 1:
+            level = dataclasses.replace(
+                level, sigma=SigmaInvariants((2, 1), 2, 2))
+        return level
+
+    monkeypatch.setattr(tower, "build_level", wrong_level)
+    code = cli.main(["check", fixture_path("quadric_cubic.json")])
+    out = capsys.readouterr()
+    assert code == 2 and "internal error" not in out.err
+    assert "  FAIL  hull quotient Hilbert values\n" in out.out
+    assert "  PASS  free hull Hilbert function\n" in out.out
+    assert "  PASS  evaluation membership of all records\n" in out.out
+    assert out.out.endswith("CHECKS FAILED\n")
 
 
 def test_normalization_rejects_uncleared_identity_columns(monkeypatch):
