@@ -11,7 +11,9 @@ check, random.  Instance files are JSON:
 The environment variable REES_FIELD_P overrides the prime for prime-type
 fields (and for `random`); it must be a prime below 2**31.  `--json` switches
 every subcommand to machine-readable output.  Exit codes: 0 success,
-1 validation error, 2 internal failure.
+1 validation error, 2 a failed check (`check`, `oracle --what membership`) or
+an internal failure; only the `internal error:` line on stderr tells them
+apart.
 """
 from __future__ import annotations
 

@@ -218,6 +218,20 @@ def _preimage_records(level: TowerLevel, xdeg: int, pending) -> list:
     return records
 
 
+def _weight_drop_targets(level: TowerLevel, base: Poly, c: int,
+                         certificate: str) -> list:
+    """Pending targets base * x0^j * x1^k * w^alpha of the weight-drop family.
+
+    One (target, tdeg, alpha, detail, certificate) entry per weight-drop
+    monomial of weight c, as `_preimage_records` takes them.
+    """
+    sigma = level.sigma.sigma
+    return [(base * level.scroll.monomial((j, k) + (0,) * len(sigma))
+             * level.w_monomial(alpha), sum(alpha) + 1, alpha,
+             {"part": "weight-drop", "xsplit": [j, k]}, certificate)
+            for j, k, alpha in combinat.weight_drop_monomials(c, sigma)]
+
+
 def slice_generators(inp: PresentationInput, i: int,
                      level: TowerLevel | None = None,
                      basis: SliceBasis | None = None) -> list:
@@ -256,13 +270,9 @@ def slice_generators(inp: PresentationInput, i: int,
 
     pending = []
     if c >= 1:
-        for j, k, alpha in combinat.weight_drop_monomials(c, sigma):
-            xmono = level.scroll.monomial((j, k) + (0,) * len(sigma))
-            pending.append((
-                base * xmono * level.w_monomial(alpha), sum(alpha) + 1, alpha,
-                {"part": "weight-drop", "xsplit": [j, k]},
-                "hull image equals the second equation's image "
-                "times x^(j,k) w^alpha"))
+        pending += _weight_drop_targets(
+            level, base, c, "hull image equals the second equation's image "
+                            "times x^(j,k) w^alpha")
         if basis is None:
             basis = slice_basis(level)
         for alpha in combinat.minimal_weight_exponents(c, sigma):
@@ -351,7 +361,6 @@ def almost_linear_generators(inp: PresentationInput) -> list:
                          "to equal 1")
     m = n - 2
     level = build_level(inp, m)
-    sigma = level.sigma.sigma
     S, field = inp.sring, inp.field
     gs = sym_equations(inp)
     records = []
@@ -380,12 +389,7 @@ def almost_linear_generators(inp: PresentationInput) -> list:
     records.extend(recursion_generators(level, gs[m]))
 
     base = level.subst(level.to_level_coords(gs[m]))
-    pending = []
-    for j, k, alpha in combinat.weight_drop_monomials(d[-1], sigma):
-        xmono = level.scroll.monomial((j, k) + (0,) * len(sigma))
-        pending.append((
-            base * xmono * level.w_monomial(alpha), sum(alpha) + 1, alpha,
-            {"part": "weight-drop", "xsplit": [j, k]},
-            "hull image equals the driving image times x^(j,k) w^alpha"))
-    records.extend(_preimage_records(level, 0, pending))
+    records.extend(_preimage_records(level, 0, _weight_drop_targets(
+        level, base, d[-1],
+        "hull image equals the driving image times x^(j,k) w^alpha")))
     return records

@@ -12,7 +12,8 @@ span is `linalg.rank` of its rows.
 into the piece's basis positions straight from g's exponent tuples, with no
 `Poly` product.  `coordinates` is its one-row, zero-shift form, and
 `multiples` gives the rows of every monomial multiple of some polys that lands
-in a piece.
+in a piece, and `image_rows` the rows of a ring map's images of a piece's
+monomials, written from the map's memo.
 """
 from __future__ import annotations
 
@@ -20,7 +21,8 @@ from functools import lru_cache
 from operator import add
 
 from . import linalg
-from .ring import GradingError, Poly, PolyRing, bidegree, print_key, ring_R
+from .ring import (GradingError, Poly, PolyRing, RingMap, bidegree, print_key,
+                   ring_R)
 
 
 @lru_cache(maxsize=4096)
@@ -109,6 +111,19 @@ def multiples(polys, ring: PolyRing, xdeg: int, tdeg: int = 0) -> list:
                          for mu in piece_monomials(ring, xdeg - p.xdeg(),
                                                    tdeg - p.tdeg())],
                         ring, xdeg, tdeg)
+
+
+def image_rows(ring_map: RingMap, source: PolyRing, xdeg: int, tdeg: int) -> list:
+    """Coefficient rows of ring_map(mu) on the target's (xdeg, tdeg) piece.
+
+    One row per monomial mu of the source's (xdeg, tdeg) piece, in canonical
+    order, written from the memoized image of mu's T-part shifted by its
+    x-part, so no `Poly` is built per monomial.  The map must keep x-degrees.
+    """
+    pad = (0,) * len(ring_map.target.tvar_names)
+    return shifted_rows([(ring_map.image(mu[2:]), mu[:2] + pad)
+                         for mu in piece_monomials(source, xdeg, tdeg)],
+                        ring_map.target, xdeg, tdeg)
 
 
 def from_coordinates(vec, ring: PolyRing, xdeg: int, tdeg: int = 0) -> Poly:

@@ -118,19 +118,13 @@ def nullspace(rows, ncols, field):
     return basis
 
 
-def solve(rows, rhs, ncols, field):
-    """One solution of M v = rhs (free variables zero), or None."""
-    sols = solve_many(rows, [rhs], ncols, field)
-    return None if sols is None else sols[0]
-
-
 def solve_many(rows, rhss, ncols, field):
     """Solutions of M v = b for every b in rhss, or None if any b misses.
 
     One RREF of [M | b_1 ... b_k] serves every right-hand side.  A pivot in
     the right-hand block means some b lies outside the column space; without
     one, each solution reads off its column with free variables zero, the
-    same vector a separate solve of that b alone gives.
+    same vector as a `solve_many` of that b alone.
     """
     k = len(rhss)
     aug = [list(row) + [b[r] for b in rhss] for r, row in enumerate(rows)]

@@ -6,9 +6,9 @@ The three workhorses:
     n x (n-1) presentation matrix, with the height-two validation: one rank
     of the minors' multiples in degree 2D - 1 (D the minors' degree);
   * graded_kernel -- minimal homogeneous generators of the kernel of a graded
-    map between free modules, found degree by degree (kernels over a
-    two-variable polynomial ring are free, so a generator count plus a degree
-    budget pin the answer exactly);
+    map between free modules, found degree by degree as nullspaces of a ring
+    map's piece rows (kernels over a two-variable polynomial ring are free, so
+    a generator count plus a degree budget pin the answer exactly);
   * sigma_invariants / hull_embedding -- the twists of the free hull of the
     cokernel of the first m columns, read off from the kernel of the
     transposed submatrix.
@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import gradedlin, linalg
-from .ring import GradingError, Poly, PolyRing
+from .ring import GradingError, Poly, PolyRing, RingMap, linear_images
 
 
 class HeightError(ValueError):
@@ -173,20 +173,30 @@ def signed_maximal_minors(phi: GradedMatrix):
 def graded_kernel(M: GradedMatrix, expected_rank: int, degree_budget: int) -> GradedMatrix:
     """Minimal homogeneous generators of ker(M), as matrix columns.
 
-    A homogeneous kernel element of degree L has j-th component in degree
-    L - col_degrees[j].  Scanning L = 0, 1, ... we solve the linear system on
-    each degree piece, discard what x0/x1-multiples of earlier generators
-    already span, and keep canonical new generators.  The search succeeds when
-    expected_rank generators with degree sum degree_budget are found; running
-    past the budget raises KernelBudgetError (the symptom of an input that
-    violates the height/grading hypotheses).
+    A vector v is the T-degree-1 polynomial sum_j v_j e_j, e_j of x-degree
+    col_degrees[j], and M the ring map e_j -> sum_i M[i][j] f_i, f_i of
+    x-degree -row_twists[i].  Scanning L = 0, 1, ... the degree-L kernel is
+    the nullspace of the map's image rows on the (L, 1) piece; we discard what
+    x-multiples of earlier generators already span and keep canonical new
+    generators.  The search succeeds when expected_rank generators with
+    degree sum degree_budget are found; running past the budget raises
+    KernelBudgetError (the symptom of an input that violates the
+    height/grading hypotheses).  The unknowns follow the piece's canonical
+    order, which is by component, then x0-heavy first, when col_degrees is
+    nondecreasing, as the tower's all-zero column degrees are.
 
     Column degrees of the result are nondecreasing, and M * result == 0.
     """
     ring = M.ring
     field = ring.field
     q = M.ncols
-    found = []          # (degree, component tuple)
+    E = PolyRing(field, tuple(f"e{j + 1}" for j in range(q)), M.col_degrees)
+    F = PolyRing(field, tuple(f"f{i + 1}" for i in range(M.nrows)),
+                 tuple(-t for t in M.row_twists))
+    # a matrix with no rows (a one-row embedding with its row dropped) has no
+    # column count for linear_images to read
+    apply_M = RingMap(linear_images(M.rows, F) if M.rows else [F.zero()] * q, F)
+    found = []          # (degree, generator in E)
     L = 0
     while True:
         done = (len(found) == expected_rank
@@ -197,45 +207,23 @@ def graded_kernel(M: GradedMatrix, expected_rank: int, degree_budget: int) -> Gr
             raise KernelBudgetError(
                 f"degree budget {degree_budget} exhausted with "
                 f"{len(found)}/{expected_rank} kernel generators found")
-        # component j of a degree-L element lies in the base-ring piece of
-        # degree L - col_degrees[j] (empty when that is negative)
-        degs = [L - d for d in M.col_degrees]
-        monos = [gradedlin.piece_monomials(ring, d, 0) for d in degs]
-        total = sum(map(len, monos))
+        total = gradedlin.piece_dim(E, L, 1)
         if total:
-            # row i of M * v lies in degree L + row_twists[i]; its equations
-            # are the transposed rows of x^mu * M[i][j] per unknown (j, mu)
-            eq_rows = []
-            for row, twist in zip(M.rows, M.row_twists):
-                eq_rows += zip(*gradedlin.shifted_rows(
-                    [(row[j].terms, mu) for j in range(q) for mu in monos[j]],
-                    ring, L + twist))
-            basis = linalg.nullspace(eq_rows, total, field)
+            images = gradedlin.image_rows(apply_M, E, L, 1)
+            basis = linalg.nullspace(list(zip(*images)), total, field)
             if basis:
                 # keep the candidates the x-multiples of earlier generators
-                # do not already span: one row per multiplier, its
-                # components' rows laid side by side
-                spanned = []
-                for deg0, vec in found:
-                    mults = gradedlin.piece_monomials(ring, L - deg0, 0)
-                    blocks = [gradedlin.shifted_rows(
-                        [(comp.terms, mu) for mu in mults], ring, d)
-                        for comp, d in zip(vec, degs)]
-                    spanned += [[c for part in parts for c in part]
-                                for parts in zip(*blocks)]
+                # do not already span
+                spanned = gradedlin.multiples([v for _, v in found], E, L, 1)
                 for k in linalg.independent(spanned + basis, field):
-                    if k < len(spanned):
-                        continue
-                    cand = basis[k - len(spanned)]
-                    comps = []
-                    for d, piece in zip(degs, monos):
-                        comps.append(gradedlin.from_coordinates(
-                            cand[:len(piece)], ring, d))
-                        cand = cand[len(piece):]
-                    found.append((L, tuple(comps)))
+                    if k >= len(spanned):
+                        found.append((L, gradedlin.from_coordinates(
+                            basis[k - len(spanned)], E, L, 1)))
         L += 1
 
-    rows = tuple(tuple(vec[j] for _, vec in found) for j in range(q))
+    rows = tuple(tuple(Poly(ring, {m[:2]: c for m, c in vec.terms.items()
+                                   if m[2 + j]}) for _, vec in found)
+                 for j in range(q))
     kernel = GradedMatrix(ring, rows,
                           tuple(d for d, _ in found),
                           tuple(-c for c in M.col_degrees))
@@ -256,16 +244,20 @@ class SigmaInvariants:
     """
 
     sigma: tuple
-    r: int
-    s: int
 
     def __post_init__(self):
         if any(self.sigma[i] < self.sigma[i + 1] for i in range(len(self.sigma) - 1)):
             raise ValueError("sigma must be nonincreasing")
         if any(v < 0 for v in self.sigma):
             raise ValueError("sigma entries must be nonnegative")
-        if self.r != sum(1 for v in self.sigma if v > 0) or self.s != len(self.sigma):
-            raise ValueError("inconsistent sigma invariants")
+
+    @property
+    def r(self) -> int:
+        return sum(1 for v in self.sigma if v > 0)
+
+    @property
+    def s(self) -> int:
+        return len(self.sigma)
 
 
 def hull_embedding(phi: GradedMatrix, m: int):
@@ -284,7 +276,7 @@ def hull_embedding(phi: GradedMatrix, m: int):
     cols = sorted(range(kernel.ncols),
                   key=lambda k: -kernel.col_degrees[k])
     sigma = tuple(kernel.col_degrees[k] for k in cols)
-    inv = SigmaInvariants(sigma, sum(1 for v in sigma if v > 0), n - m)
+    inv = SigmaInvariants(sigma)
     xi_rows = tuple(tuple(kernel.rows[j][k] for j in range(n)) for k in cols)
     xi = GradedMatrix(phi.ring, xi_rows, (0,) * n, sigma)
     if sum(sigma) != budget:

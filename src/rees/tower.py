@@ -19,7 +19,7 @@ ring maps (the hull substitution along the raw and the normalized embedding,
 the coordinate change and its inverse) as `RingMap`s built once, so each
 T-monomial is imaged once per map for the life of the level.
 `TowerLevel.image_rows` writes the hull images of an ambient piece as rows
-straight from the substitution's memo, building no `Poly` per monomial.
+straight from the substitution's memo, through `gradedlin.image_rows`.
 """
 from __future__ import annotations
 
@@ -134,16 +134,9 @@ class TowerLevel:
         return self.scroll.monomial(exps)
 
     def image_rows(self, xdeg: int, tdeg: int) -> list:
-        """Coefficient rows of subst(mu) on the hull ring's (xdeg, tdeg) piece.
-
-        One row per monomial mu of the ambient piece, in canonical order,
-        written from the memoized image of mu's T-part shifted by its x-part.
-        """
-        pad = (0,) * self.sigma.s
-        return gradedlin.shifted_rows(
-            [(self.subst.image(mu[2:]), mu[:2] + pad)
-             for mu in gradedlin.piece_monomials(self.inp.sring, xdeg, tdeg)],
-            self.scroll, xdeg, tdeg)
+        """Coefficient rows of subst(mu) on the hull ring's (xdeg, tdeg) piece,
+        one per monomial mu of the ambient piece, in canonical order."""
+        return gradedlin.image_rows(self.subst, self.inp.sring, xdeg, tdeg)
 
 
 def _identity(n, field):
@@ -169,13 +162,9 @@ def _normalize_embedding(xi: GradedMatrix, sigma: SigmaInvariants):
     free_part = linalg.nullspace(const, n, field)
     if len(free_part) != n - (s - r):
         raise NormalizationError("constant rows of the embedding are dependent")
-    pivot_part = []
-    for k in range(s - r):
-        unit = [field.one if t == k else field.zero for t in range(s - r)]
-        col = linalg.solve(const, unit, n, field)
-        if col is None:
-            raise NormalizationError("constant rows of the embedding are dependent")
-        pivot_part.append(col)
+    pivot_part = linalg.solve_many(const, _identity(s - r, field), n, field)
+    if pivot_part is None:
+        raise NormalizationError("constant rows of the embedding are dependent")
     chi = tuple(zip(*free_part, *pivot_part))
     chi_inv = linalg.invert([list(row) for row in chi], field)
     if chi_inv is None:

@@ -18,18 +18,22 @@ from exponent tuples to packed one-int monomials; the random slice and
 almost-linear digests were recorded before the hull images of ambient
 monomials were written as rows from the maps' memo; the random instance
 digests were recorded before the height check moved from a Euclidean gcd to
-one rank.  A deliberate change of
+one rank; the kernel digests were recorded before `graded_kernel` moved
+from hand-written equations to a ring map's piece rows.  A deliberate change of
 output must replace them in the same commit and say why.
 """
 import dataclasses
 import hashlib
 import json
+import random
 
 import pytest
 
 from conftest import fixture_path
-from rees import cli, generators, oracle, tower
+
+from rees import cli, generators, oracle, syzygy, tower
 from rees.field import PrimeField
+from rees.ring import ring_R
 
 GENERATORS = {
     "almost_linear": "2a3b332bae918f94fdad888f390c5b30648b23d8c4c531a17fc9ae5ee24345cd",
@@ -461,3 +465,78 @@ def test_core_counters_are_unchanged(name, cap):
     assert [dataclasses.astuple(c) for c in K.counters] == COUNTERS[(name, cap)]
     # the counters take no part in comparing bases
     assert dataclasses.replace(K, counters=()) == K
+
+
+# `syzygy.graded_kernel` output: the hull embedding and the dropped-row
+# kernels at every level ("fixtures", "rational": the fixtures' rational
+# twins; "random": `cli.random_instance` shapes at p = 7 and 32003), and the
+# kernels of random matrices with unequal, nondecreasing column degrees and
+# positive row twists, which no tower level builds ("graded")
+KERNELS = {
+    "fixtures":
+        "2792d271741e993828d8adec8b4a139b45ea51d8a313b4531820df1122cf9026",
+    "graded":
+        "9b0d02e55206168fffd1aca2abad42431c51ae3db3682e3667a48b4d41dfc0f6",
+    "random":
+        "87a2903aa24e9eb8ab120b3147f48e3d70c352d4a22eec177a6ec28e2c99dfa4",
+    "rational":
+        "87638acf11a3c762ec680c035ce035ff5662edc62ae3c1382beb67ebc0398ea0",
+}
+
+FIXTURES = ("almost_linear", "final_example", "final_variant", "quadric_cubic",
+            "table1", "table2", "table3")
+
+
+def kernel_text(K):
+    return "\n".join([repr((K.col_degrees, K.row_twists))]
+                     + [" | ".join(map(str, row)) for row in K.rows])
+
+
+def tower_kernels(inp):
+    for m in range(1, inp.n):
+        yield syzygy.hull_embedding(inp.phi, m)[1]
+        yield from tower.build_level(inp, m).drop_row_kernels
+
+
+def random_graded_kernels(seeds, field):
+    """Kernels of seeded r x q matrices with q > r and generic entries.
+
+    Entry (i, j) has degree col_degrees[j] + row_twists[i]; for generic
+    entries the kernel is free of rank q - r with degrees summing to
+    sum(col_degrees) + sum(row_twists)."""
+    ring = ring_R(field)
+    for seed in seeds:
+        rng = random.Random(seed)
+        q = rng.randint(2, 4)
+        r = rng.randint(1, q - 1)
+        cols = sorted(rng.randint(0, 3) for _ in range(q))
+        if cols[0] == cols[-1]:
+            cols[-1] += 1
+        twists = [rng.randint(1, 3) for _ in range(r)]
+        rows = [[ring.from_terms({(d - a, a): rng.randrange(field.modulus)
+                                  for a in range(d + 1)})
+                 for d in (c + t for c in cols)] for t in twists]
+        M = syzygy.matrix_from_rows(ring, rows, cols, twists)
+        yield syzygy.graded_kernel(M, q - r, sum(cols) + sum(twists))
+
+
+def kernels(group):
+    if group == "graded":
+        return random_graded_kernels(range(12), PrimeField(32003))
+    if group == "random":
+        inputs = (cli.random_instance(len(shape) + 1, shape, seed, PrimeField(p))
+                  for shape in ((1, 3), (2, 5), (1, 2, 4), (1, 1, 2, 4),
+                                (1, 2, 5, 11))
+                  for seed in (0, 1) for p in (7, 32003))
+    else:
+        inputs = (cli.load_instance(fixture_path(f"{name}.json"))
+                  for name in FIXTURES)
+        if group == "rational":
+            inputs = map(oracle._rational_twin, inputs)
+    return (K for inp in inputs for K in tower_kernels(inp))
+
+
+@pytest.mark.parametrize("group", sorted(KERNELS))
+def test_kernels_are_unchanged(group):
+    text = "\n\n".join(kernel_text(K) for K in kernels(group))
+    assert hashlib.sha256(text.encode()).hexdigest() == KERNELS[group]

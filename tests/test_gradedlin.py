@@ -140,7 +140,7 @@ def s_piece_solve(target, gens, ring):
     """Reference: one system over the whole bigraded piece of the target.
 
     Unknowns ordered by (generator, canonical monomial order of its piece),
-    solved by one `linalg.solve`, free variables zero.
+    solved by one `linalg.solve_many`, free variables zero.
     """
     if target.is_zero():
         return [ring.zero() for _ in gens]
@@ -148,10 +148,11 @@ def s_piece_solve(target, gens, ring):
     columns = gradedlin.multiples(gens, ring, ti, tj)
     rows = [[col[r] for col in columns]
             for r in range(gradedlin.piece_dim(ring, ti, tj))]
-    sol = linalg.solve(rows, gradedlin.coordinates(target, ti, tj),
-                       len(columns), ring.field)
-    if sol is None:
+    sols = linalg.solve_many(rows, [gradedlin.coordinates(target, ti, tj)],
+                             len(columns), ring.field)
+    if sols is None:
         return None
+    [sol] = sols
     out, k = [], 0
     for g in gens:
         shift = (0, -1) if g.is_zero() else (ti - g.xdeg(), tj - g.tdeg())

@@ -25,16 +25,16 @@ def test_rank_and_nullspace_small():
 
 def test_solve_particular_and_inconsistent():
     A = fe([[1, 1], [0, 1]])
-    x = linalg.solve(A, [F(3), F(1)], 2, F)
-    assert x == [2, 1]
+    assert linalg.solve_many(A, [[F(3), F(1)]], 2, F) == [[2, 1]]
     # inconsistent: x + y = 0 and x + y = 1
-    assert linalg.solve(fe([[1, 1], [1, 1]]), [F(0), F(1)], 2, F) is None
+    assert linalg.solve_many(fe([[1, 1], [1, 1]]), [[F(0), F(1)]], 2, F) is None
 
 
 def test_solve_underdetermined_sets_free_vars_to_zero():
     A = fe([[1, 1, 1]])
-    x = linalg.solve(A, [F(5)], 3, F)
-    assert x is not None
+    sols = linalg.solve_many(A, [[F(5)]], 3, F)
+    assert sols is not None
+    [x] = sols
     assert sum(x) % 32003 == 5
     assert x.count(0) >= 2
 
@@ -52,8 +52,9 @@ def test_invert_round_trip():
 
 def test_rational_path():
     A = [[Fraction(1, 2), Fraction(1)], [Fraction(1), Fraction(3)]]
-    x = linalg.solve(A, [Fraction(1), Fraction(1)], 2, Q)
-    assert x is not None
+    sols = linalg.solve_many(A, [[Fraction(1), Fraction(1)]], 2, Q)
+    assert sols is not None
+    [x] = sols
     assert A[0][0] * x[0] + A[0][1] * x[1] == 1
     assert A[1][0] * x[0] + A[1][1] * x[1] == 1
     assert linalg.rank(A, 2, Q) == 2
@@ -87,8 +88,9 @@ def test_rank_nullity(rows):
 def test_solve_finds_solutions_that_exist(rows, x):
     A = fe(rows)
     rhs = [F(sum(r * c for r, c in zip(row, x))) for row in A]
-    got = linalg.solve(A, rhs, 4, F)
-    assert got is not None
+    sols = linalg.solve_many(A, [rhs], 4, F)
+    assert sols is not None
+    [got] = sols
     for row, b in zip(A, rhs):
         assert sum(r * c for r, c in zip(row, got)) % 32003 == b
 
@@ -204,8 +206,8 @@ def test_rref_mod_p_matches_reference(drawn):
 def test_solve_many_matches_separate_solves(rows, xs):
     A = fe(rows)
     rhss = [[F(sum(r * c for r, c in zip(row, x))) for row in A] for x in xs]
-    assert linalg.solve_many(A, rhss, 4, F) == [linalg.solve(A, b, 4, F)
-                                                for b in rhss]
+    assert linalg.solve_many(A, rhss, 4, F) == [
+        linalg.solve_many(A, [b], 4, F)[0] for b in rhss]
 
 
 def test_solve_many_refuses_when_any_target_misses():

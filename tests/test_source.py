@@ -49,8 +49,8 @@ def _images(node, tainted):
 
 def test_no_row_is_read_back_from_a_ring_map_image():
     # hull-image rows come from `TowerLevel.image_rows`, which writes them
-    # from the maps' memo; imaging a polynomial only to read its coordinates
-    # builds a `Poly` for nothing
+    # from the maps' memo through `gradedlin.image_rows`; imaging a
+    # polynomial only to read its coordinates builds a `Poly` for nothing
     found = []
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
@@ -67,6 +67,22 @@ def test_no_row_is_read_back_from_a_ring_map_image():
                       and _name(node.func) in ("coordinates", "span_dim")
                       and any(_images(arg, tainted) for arg in node.args)]
     assert not found, f"coordinates of a ring map's image in src/rees: {found}"
+
+
+def test_ring_map_images_are_read_only_by_the_row_writer():
+    # `gradedlin.image_rows` is the one writer of a ring map's image rows;
+    # other code applies a map or asks for those rows, and never reads the
+    # memo entry by entry
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name in ("ring.py", "gradedlin.py"):
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Call)
+                  and isinstance(node.func, ast.Attribute)
+                  and node.func.attr == "image"]
+    assert not found, f"RingMap.image called outside the row writer: {found}"
 
 
 def test_every_exported_name_resolves():

@@ -214,13 +214,13 @@ def test_graded_kernel_two_columns(table3):
 
 def test_sigma_invariants_validation():
     with pytest.raises(ValueError, match="nonincreasing"):
-        SigmaInvariants((1, 2), 2, 2)
+        SigmaInvariants((1, 2))
     with pytest.raises(ValueError, match="nonnegative"):
-        SigmaInvariants((2, -1), 1, 2)
-    with pytest.raises(ValueError, match="inconsistent"):
-        SigmaInvariants((2, 0), 2, 2)
-    inv = SigmaInvariants((3, 2), 2, 2)
+        SigmaInvariants((2, -1))
+    inv = SigmaInvariants((3, 2))
     assert inv.r == 2 and inv.s == 2
+    inv = SigmaInvariants((2, 0))
+    assert inv.r == 1 and inv.s == 2
 
 
 @pytest.mark.parametrize("fixture_name,m,expected", [
@@ -267,7 +267,7 @@ def test_hull_embedding_rows_kill_phi(quadric_cubic, table2, almost_linear):
 # -- scroll presentation ------------------------------------------------------
 
 def test_scroll_matrix_shape():
-    pres = scroll_matrix(SigmaInvariants((2, 1), 2, 2), F)
+    pres = scroll_matrix(SigmaInvariants((2, 1)), F)
     assert pres.coord_names == ("v10", "v11", "v12", "v20", "v21")
     top, bottom = pres.gamma
     assert len(top) == 4  # one x column plus sigma_1 + sigma_2
@@ -276,7 +276,7 @@ def test_scroll_matrix_shape():
 
 
 def test_scroll_matrix_zero_twist_coordinate_is_extra():
-    pres = scroll_matrix(SigmaInvariants((3, 0), 1, 2), F)
+    pres = scroll_matrix(SigmaInvariants((3, 0)), F)
     assert "v20" in pres.coord_names
     top, bottom = pres.gamma
     used = {str(t) for t in top} | {str(b) for b in bottom}
@@ -284,7 +284,7 @@ def test_scroll_matrix_zero_twist_coordinate_is_extra():
 
 
 def test_scroll_minor_bidegrees():
-    pres = scroll_matrix(SigmaInvariants((2, 2), 2, 2), F)
+    pres = scroll_matrix(SigmaInvariants((2, 2)), F)
     from rees.ring import bidegree
     degs = sorted(bidegree(q) for q in pres.minors)
     # pairs with the x column give (1,1); coordinate pairs give (0,2)
@@ -294,7 +294,7 @@ def test_scroll_minor_bidegrees():
 
 def test_scroll_realization_kills_minors():
     from rees.ring import RingMap, ring_scroll
-    sigma = SigmaInvariants((2, 1), 2, 2)
+    sigma = SigmaInvariants((2, 1))
     pres = scroll_matrix(sigma, F)
     images = scroll_realization_images(pres)
     target = ring_scroll(F, sigma.sigma)

@@ -264,7 +264,7 @@ def test_hull_quotient_hilbert_rejects_wrong_twists(monkeypatch, capsys):
         level = build_level(inp, m)
         if m == 1:
             level = dataclasses.replace(
-                level, sigma=SigmaInvariants((2, 1), 2, 2))
+                level, sigma=SigmaInvariants((2, 1)))
         return level
 
     monkeypatch.setattr(tower, "build_level", wrong_level)
@@ -296,8 +296,8 @@ def test_normalization_rejects_a_missing_identity_block(monkeypatch):
     # error, also under python -O
     inp = random_instance(3, (1, 2), 0, F)
     sigma, xi = hull_embedding(inp.phi, 1)
-    real_solve = linalg.solve
-    monkeypatch.setattr(linalg, "solve",
-                        lambda *args: [2 * v for v in real_solve(*args)])
+    real_solve = linalg.solve_many
+    monkeypatch.setattr(linalg, "solve_many", lambda *args: [
+        [2 * v for v in sol] for sol in real_solve(*args)])
     with pytest.raises(NormalizationError, match="identity block"):
         _normalize_embedding(xi, sigma)
