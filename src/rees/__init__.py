@@ -57,7 +57,6 @@ from .combinat import (
 )
 from .generators import (
     GeneratorRecord,
-    SliceBasis,
     almost_linear_generators,
     recursion_generators,
     slice_basis,
@@ -67,7 +66,6 @@ from .generators import (
     u_span_dim,
 )
 from .oracle import (
-    ORDER_DESCRIPTOR,
     ExponentOverflowError,
     GroebnerBasis,
     WindowError,
@@ -93,13 +91,12 @@ __all__ = [
     "hull_quotient_hilbert", "load_presentation", "sym_equations",
     "BidegreeTable", "below_weight_exponents", "bidegree_table",
     "minimal_weight_exponents", "weight", "weight_drop_monomials",
-    "GeneratorRecord", "SliceBasis", "almost_linear_generators",
-    "recursion_generators", "slice_basis", "slice_generators",
-    "tower_generators", "trim_slice", "u_span_dim",
-    "ORDER_DESCRIPTOR", "ExponentOverflowError", "GroebnerBasis",
-    "WindowError", "bigraded_hilbert",
-    "buchberger", "minimal_generator_bidegrees", "normal_form",
-    "saturated_ideal",
+    "GeneratorRecord", "almost_linear_generators", "recursion_generators",
+    "slice_basis", "slice_generators", "tower_generators", "trim_slice",
+    "u_span_dim",
+    "ExponentOverflowError", "GroebnerBasis", "WindowError",
+    "bigraded_hilbert", "buchberger", "minimal_generator_bidegrees",
+    "normal_form", "saturated_ideal",
 ]
 
 __version__ = "0.1.0"

@@ -23,7 +23,7 @@ import os
 import random as _random
 import sys
 
-from . import combinat, generators, gradedlin, linalg, oracle, syzygy, tower
+from . import combinat, generators, gradedlin, oracle, syzygy, tower
 from .field import DEFAULT_PRIME, PrimeField, field_from_json, field_to_json
 from .ring import parse_poly, ring_R
 
@@ -272,7 +272,7 @@ def _cmd_scroll(args) -> int:
     top, bottom = pres.gamma
     text_lines = [
         f"m = {args.m}: sigma = {list(level.sigma.sigma)}",
-        "coordinates: " + " ".join(pres.coord_names),
+        "coordinates: " + " ".join(pres.ring.tvar_names),
         "matrix:",
         "  [ " + "  ".join(str(e) for e in top) + " ]",
         "  [ " + "  ".join(str(e) for e in bottom) + " ]",
@@ -282,7 +282,7 @@ def _cmd_scroll(args) -> int:
     _emit(args, "\n".join(text_lines), {
         "m": args.m,
         "sigma": list(level.sigma.sigma),
-        "coordinates": list(pres.coord_names),
+        "coordinates": list(pres.ring.tvar_names),
         "gamma": [[str(e) for e in top], [str(e) for e in bottom]],
         "minors": [str(mnr) for mnr in pres.minors],
     })
@@ -361,9 +361,9 @@ def _check_one(inp: tower.PresentationInput) -> list:
     for m, level in levels.items():
         for i, si in enumerate(level.sigma.sigma):
             deg = d[m - 1] - 1 + si
-            dim = gradedlin.piece_dim(inp.base, deg)
-            rows = gradedlin.multiples(level.mult_scalars[i], inp.base, deg)
-            ok = ok and linalg.rank(rows, dim, inp.field) == dim
+            span = generators.u_span_dim(level.mult_scalars[i], inp.base,
+                                         deg, 0)
+            ok = ok and span == gradedlin.piece_dim(inp.base, deg)
     results.append(("multiplication scalars reach every form "
                     "(surjectivity degree)", ok, ""))
 
@@ -391,8 +391,8 @@ def _check_one(inp: tower.PresentationInput) -> list:
         results.append(("hull quotient Hilbert values", ok, ""))
         scroll = level.scroll
         ok = gradedlin.piece_dim(scroll, -1, 2) == 3 * d1
-        rows = gradedlin.multiples(level.subst.images, scroll, -1, 2)
-        ok = ok and linalg.rank(rows, 3 * d1, inp.field) == 3 * d1
+        ok = ok and generators.u_span_dim(
+            level.subst.images, scroll, -1, 2) == 3 * d1
         results.append(("linear forms fill the (-1,2) piece", ok, ""))
         ok = True
         for i in range(-1, d1):

@@ -150,19 +150,13 @@ def tower_generators(inp: PresentationInput, m: int,
     return records
 
 
-@dataclass(frozen=True)
-class SliceBasis:
+def slice_basis(level: TowerLevel) -> tuple:
     """Scroll monomials completing the embedded image, one tuple per x-degree.
 
-    monomials[l] spans a complement of the image of the ambient (l, 1) piece
+    Entry l spans a complement of the image of the ambient (l, 1) piece
     inside the hull ring's (l, 1) piece, for l = 0 .. d_1 - 2; the complement
     has dimension d_1 - l - 1.
     """
-
-    monomials: tuple
-
-
-def slice_basis(level: TowerLevel) -> SliceBasis:
     inp = level.inp
     if inp.n != 3 or level.m != 1:
         raise ValueError("slice basis is defined for n = 3 at level 1")
@@ -178,7 +172,7 @@ def slice_basis(level: TowerLevel) -> SliceBasis:
         if len(chosen) != d1 - l - 1:
             raise ArithmeticError("hull quotient has unexpected dimension")
         out.append(tuple(chosen))
-    return SliceBasis(monomials=tuple(out))
+    return tuple(out)
 
 
 def _preimage_records(level: TowerLevel, xdeg: int, pending) -> list:
@@ -234,7 +228,7 @@ def _weight_drop_targets(level: TowerLevel, base: Poly, c: int,
 
 def slice_generators(inp: PresentationInput, i: int,
                      level: TowerLevel | None = None,
-                     basis: SliceBasis | None = None) -> list:
+                     basis: tuple | None = None) -> list:
     """Generators of the degree-i slice of the Rees ideal as a k[T]-module.
 
     Defined for n = 3 and i >= d_1 - 1.  With c = d_2 - i, the supply is:
@@ -279,7 +273,7 @@ def slice_generators(inp: PresentationInput, i: int,
             ell = combinat.weight(alpha, sigma) - c
             if ell > d1 - 2:
                 continue
-            for idx, nu in enumerate(basis.monomials[ell]):
+            for idx, nu in enumerate(basis[ell]):
                 pending.append((
                     base * nu * level.w_monomial(alpha), sum(alpha) + 2, alpha,
                     {"part": "hull-basis", "excess": ell,
@@ -306,10 +300,11 @@ def slice_generators(inp: PresentationInput, i: int,
 
 
 def u_span_dim(polys, ring, xdeg: int, tdeg: int) -> int:
-    """Dimension of the bidegree-(xdeg, tdeg) piece of the k[T]-span.
+    """Dimension of the (xdeg, tdeg) piece of the ideal the polys generate.
 
-    The polys lie in x-degree xdeg, so their monomial multiples in the piece
-    are their T-multiples.
+    It counts the span of every monomial multiple that lands in the piece;
+    for polys of x-degree xdeg these are their T-multiples, the piece of
+    their k[T]-span.
     """
     return linalg.rank(gradedlin.multiples(polys, ring, xdeg, tdeg),
                        gradedlin.piece_dim(ring, xdeg, tdeg), ring.field)

@@ -93,15 +93,6 @@ def independent(vectors, field):
 
 def nullspace(rows, ncols, field):
     """Canonical basis of {v : M v = 0}, one vector per RREF free column."""
-    if ncols == 0:
-        return []
-    if not rows:
-        basis = []
-        for f in range(ncols):
-            v = [field.zero] * ncols
-            v[f] = field.one
-            basis.append(v)
-        return basis
     R, pivots = rref(rows, ncols, field)
     pivset = set(pivots)
     basis = []

@@ -83,9 +83,6 @@ from .field import RationalField
 from .ring import Poly, PolyRing, ring_R, sub_multiple
 from .tower import PresentationInput, load_presentation, sym_equations
 
-ORDER_DESCRIPTOR = "block-degrevlex(T>x, x1 last)"
-
-
 class WindowError(ValueError):
     """A query reaches above the T-degree cap its basis was computed to."""
 
@@ -353,8 +350,6 @@ class GroebnerBasis:
     """
 
     generators: tuple
-    order: str = ORDER_DESCRIPTOR
-    reduced: bool = True
     t_max: int | None = None
     counters: tuple = dataclasses.field(default=(), compare=False)
 
@@ -564,12 +559,11 @@ def minimal_generator_bidegrees(G: GroebnerBasis, window,
 
 # -- pipeline-facing wrappers ------------------------------------------------
 
-def saturated_ideal(inp: PresentationInput, m: int | None = None,
-                    rational_check: bool = False,
+def saturated_ideal(inp: PresentationInput, *, rational_check: bool = False,
                     t_max: int | None = None) -> GroebnerBasis:
-    """Reduced basis of (g_1..g_m) : (x0,x1)^infinity (default: all columns).
+    """Reduced basis of the Rees ideal (g_1..g_(n-1)) : (x0,x1)^infinity.
 
-    Computed as (g_1..g_m) : x1^infinity (see the module docstring).  With
+    Computed as (g_1..g_(n-1)) : x1^infinity (see the module docstring).  With
     t_max the basis is the one restricted to T-degree <= t_max, and
     queries above that cap raise WindowError.  With rational_check=True the
     computation is repeated over the rationals (coefficients lifted
@@ -577,12 +571,8 @@ def saturated_ideal(inp: PresentationInput, m: int | None = None,
     disagreement raises ArithmeticError (unlucky prime).  Intended for small
     instances only.
     """
-    m = inp.n - 1 if m is None else m
-    if not 1 <= m <= inp.n - 1:
-        raise ValueError("column count out of range")
-
     def saturate(inp):
-        gs = list(sym_equations(inp))[:m]
+        gs = list(sym_equations(inp))
         sat, counts = _saturate_var(gs, 1, inp.sring, t_max)
         K = buchberger(sat, t_max)
         return dataclasses.replace(K, counters=(counts,) + K.counters)

@@ -165,9 +165,7 @@ class Poly:
         w = self.ring.tweights
         return m[0] + m[1] + sum(e * wi for e, wi in zip(m[2:], w))
 
-    def xdeg(self, m=None):
-        if m is not None:
-            return self.monomial_xdeg(m)
+    def xdeg(self):
         degs = {self.monomial_xdeg(mm) for mm in self.terms}
         if len(degs) != 1:
             raise GradingError("x-degree undefined: polynomial is zero or mixed")
@@ -194,10 +192,10 @@ class Poly:
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda t: print_key(t[0]), reverse=True)
 
-    def lead_monomial(self, key=print_key):
+    def lead_monomial(self):
         if not self.terms:
             raise ValueError("zero polynomial has no lead monomial")
-        return max(self.terms, key=key)
+        return max(self.terms, key=print_key)
 
     # -- arithmetic --------------------------------------------------------
 
@@ -513,6 +511,8 @@ def linear_images(rows, target: PolyRing) -> tuple:
     s = len(target.tvar_names)
     if len(rows) != s:
         raise ValueError("one matrix row per T-like variable of the target")
+    if not rows:
+        raise ValueError("a matrix with no rows has no column count")
     units = [tuple(int(t == i) for t in range(s)) for i in range(s)]
     images = []
     for j in range(len(rows[0])):

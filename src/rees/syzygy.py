@@ -54,9 +54,6 @@ class GradedMatrix:
     def ncols(self) -> int:
         return len(self.col_degrees)
 
-    def entry(self, i: int, j: int) -> Poly:
-        return self.rows[i][j]
-
     def validate(self) -> "GradedMatrix":
         for i, row in enumerate(self.rows):
             if len(row) != self.ncols:
@@ -304,10 +301,6 @@ class ScrollPresentation:
     ring: PolyRing
     gamma: tuple          # two rows of ring elements
     minors: tuple
-
-    @property
-    def coord_names(self):
-        return self.ring.tvar_names
 
 
 def scroll_matrix(sigma: SigmaInvariants, field) -> ScrollPresentation:

@@ -147,7 +147,10 @@ def _identity(n, field):
 def _normalize_embedding(xi: GradedMatrix, sigma: SigmaInvariants):
     """Constant column change + hull row operations per the normal form.
 
-    Returns (chi, chi_inv, normalized_xi_rows).  After the change the last
+    Returns (chi, chi_inv, normalized_xi_rows).  With C the constant rows,
+    chi_inv is the unit rows at the free columns of RREF(C) followed by C, so
+    chi's columns are the canonical kernel vectors of C, then the
+    free-variables-zero solutions of C v = e_k.  After the change the last
     s - r rows are [0 | identity] and the positive-degree rows vanish on the
     last s - r columns.
     """
@@ -158,18 +161,17 @@ def _normalize_embedding(xi: GradedMatrix, sigma: SigmaInvariants):
         ident = _identity(n, field)
         return ident, ident, xi.rows
     zero_exps = (0, 0)
-    const = [[p.coefficient(zero_exps) for p in xi.rows[k]] for k in range(r, s)]
-    free_part = linalg.nullspace(const, n, field)
-    if len(free_part) != n - (s - r):
+    const = tuple(tuple(p.coefficient(zero_exps) for p in xi.rows[k])
+                  for k in range(r, s))
+    pivots = linalg.rref(const, n, field)[1]
+    if len(pivots) != s - r:
         raise NormalizationError("constant rows of the embedding are dependent")
-    pivot_part = linalg.solve_many(const, _identity(s - r, field), n, field)
-    if pivot_part is None:
-        raise NormalizationError("constant rows of the embedding are dependent")
-    chi = tuple(zip(*free_part, *pivot_part))
-    chi_inv = linalg.invert([list(row) for row in chi], field)
-    if chi_inv is None:
+    chi_inv = tuple(row for j, row in enumerate(_identity(n, field))
+                    if j not in pivots) + const
+    chi = linalg.invert(chi_inv, field)
+    if chi is None:
         raise NormalizationError("column change is singular")
-    chi_inv = tuple(tuple(row) for row in chi_inv)
+    chi = tuple(tuple(row) for row in chi)
 
     changed = [list(row) for row in matrix_product(xi.rows, chi, xi.ring)]
     if any(changed[r + k][j]

@@ -112,8 +112,8 @@ def test_slice_basis_dimensions(table2, almost_linear):
     level = build_level(table2, 1)
     basis = slice_basis(level)
     d1 = table2.col_degrees[0]
-    assert len(basis.monomials) == d1 - 1
-    for l, monos in enumerate(basis.monomials):
+    assert len(basis) == d1 - 1
+    for l, monos in enumerate(basis):
         assert len(monos) == d1 - l - 1
         for nu in monos:
             assert bidegree(nu) == (l, 1)

@@ -23,6 +23,17 @@ def test_rank_and_nullspace_small():
         assert sum(r * c for r, c in zip(row, v)) % 32003 == 0
 
 
+def test_nullspace_without_rows_or_columns():
+    # no rows: every coordinate is free, so the basis is the unit vectors;
+    # no columns: there is nothing to be free
+    for field in (PrimeField(7), Q):
+        units = [[field.one if i == j else field.zero for j in range(3)]
+                 for i in range(3)]
+        assert linalg.nullspace([], 3, field) == units
+        assert linalg.nullspace([[], []], 0, field) == []
+        assert linalg.nullspace([], 0, field) == []
+
+
 def test_solve_particular_and_inconsistent():
     A = fe([[1, 1], [0, 1]])
     assert linalg.solve_many(A, [[F(3), F(1)]], 2, F) == [[2, 1]]

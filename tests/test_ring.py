@@ -8,6 +8,7 @@ from rees.ring import (
     GradingError,
     ParseError,
     Poly,
+    PolyRing,
     RingMap,
     bidegree,
     linear_images,
@@ -192,6 +193,11 @@ def test_linear_images_coordinate_change_inverts():
 def test_linear_images_rejects_row_count_mismatch():
     with pytest.raises(ValueError, match="one matrix row"):
         linear_images(((rp("x0"), rp("x1")),), ring_scroll(F, (1, 1)))
+
+
+def test_linear_images_rejects_a_matrix_without_rows():
+    with pytest.raises(ValueError, match="no rows"):
+        linear_images((), PolyRing(PrimeField(7)))
 
 
 coeffs = st.integers(min_value=0, max_value=32002)

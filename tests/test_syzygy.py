@@ -36,7 +36,7 @@ def is_zero_product(M, vec_entries):
     for i in range(M.nrows):
         acc = R.zero()
         for j in range(M.ncols):
-            acc = acc + M.entry(i, j) * vec_entries[j]
+            acc = acc + M.rows[i][j] * vec_entries[j]
         if not acc.is_zero():
             return False
     return True
@@ -53,20 +53,20 @@ def test_matrix_validation():
 
 def test_matrix_accepts_zero_entries():
     M = mat([["x0", "0"], ["0", "x1"]], (1, 1))
-    assert M.entry(0, 1).is_zero()
+    assert M.rows[0][1].is_zero()
 
 
 def test_transpose_and_slices():
     M = mat([["x0^2", "x1^3"], ["x0*x1", "0"], ["x1^2", "x0^3"]], (2, 3))
     T = M.transpose()
     assert T.nrows == 2 and T.ncols == 3
-    assert T.entry(1, 0) == M.entry(0, 1)
+    assert T.rows[1][0] == M.rows[0][1]
     assert T.transpose().rows == M.rows
     first = M.first_columns(1)
     assert first.ncols == 1 and first.col_degrees == (2,)
     dropped = M.drop_row(1)
     assert dropped.nrows == 2
-    assert dropped.entry(1, 1) == M.entry(2, 1)
+    assert dropped.rows[1][1] == M.rows[2][1]
 
 
 def naive_product(A, B, ring):
@@ -138,7 +138,7 @@ def test_signed_minors_are_syzygies(quadric_cubic, table1, table3, final_example
         for j in range(inp.phi.ncols):
             acc = inp.base.zero()
             for i in range(inp.phi.nrows):
-                acc = acc + inp.phi.entry(i, j) * minors[i]
+                acc = acc + inp.phi.rows[i][j] * minors[i]
             assert acc.is_zero()
 
 
@@ -188,7 +188,7 @@ def test_graded_kernel_single_row():
     K = graded_kernel(M, 1, 2)
     assert K.ncols == 1
     assert K.col_degrees == (2,)
-    col = [K.entry(i, 0) for i in range(2)]
+    col = [K.rows[i][0] for i in range(2)]
     assert is_zero_product(M, col)
     # proportional to (x1, -x0)
     assert (col[0] * parse_poly("x0", R) + col[1] * parse_poly("x1", R)).is_zero()
@@ -206,7 +206,7 @@ def test_graded_kernel_two_columns(table3):
     K = graded_kernel(T, 2, 4)
     assert K.col_degrees == (2, 2)
     for k in range(K.ncols):
-        col = [K.entry(i, k) for i in range(K.nrows)]
+        col = [K.rows[i][k] for i in range(K.nrows)]
         assert is_zero_product(T, col)
 
 
@@ -260,7 +260,7 @@ def test_hull_embedding_rows_kill_phi(quadric_cubic, table2, almost_linear):
             for j in range(m):
                 acc = inp.base.zero()
                 for t in range(inp.n):
-                    acc = acc + xi.entry(i, t) * phim.entry(t, j)
+                    acc = acc + xi.rows[i][t] * phim.rows[t][j]
                 assert acc.is_zero()
 
 
@@ -268,7 +268,7 @@ def test_hull_embedding_rows_kill_phi(quadric_cubic, table2, almost_linear):
 
 def test_scroll_matrix_shape():
     pres = scroll_matrix(SigmaInvariants((2, 1)), F)
-    assert pres.coord_names == ("v10", "v11", "v12", "v20", "v21")
+    assert pres.ring.tvar_names == ("v10", "v11", "v12", "v20", "v21")
     top, bottom = pres.gamma
     assert len(top) == 4  # one x column plus sigma_1 + sigma_2
     assert len(pres.minors) == 6
@@ -277,7 +277,7 @@ def test_scroll_matrix_shape():
 
 def test_scroll_matrix_zero_twist_coordinate_is_extra():
     pres = scroll_matrix(SigmaInvariants((3, 0)), F)
-    assert "v20" in pres.coord_names
+    assert "v20" in pres.ring.tvar_names
     top, bottom = pres.gamma
     used = {str(t) for t in top} | {str(b) for b in bottom}
     assert "v20" not in used
@@ -298,7 +298,7 @@ def test_scroll_realization_kills_minors():
     pres = scroll_matrix(sigma, F)
     images = scroll_realization_images(pres)
     target = ring_scroll(F, sigma.sigma)
-    assert len(images) == len(pres.coord_names)
+    assert len(images) == len(pres.ring.tvar_names)
     for q in pres.minors:
         assert RingMap(images, target)(q).is_zero()
 

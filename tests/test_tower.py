@@ -8,7 +8,8 @@ from rees.cli import random_instance
 from rees.field import PrimeField
 from rees.ring import (GradingError, Poly, RingMap, bidegree, parse_poly,
                        ring_R)
-from rees.syzygy import HeightError, SigmaInvariants, hull_embedding
+from rees.syzygy import (GradedMatrix, HeightError, SigmaInvariants,
+                         hull_embedding)
 from rees.tower import (
     NormalizationError,
     _normalize_embedding,
@@ -277,6 +278,33 @@ def test_hull_quotient_hilbert_rejects_wrong_twists(monkeypatch, capsys):
     assert out.out.endswith("CHECKS FAILED\n")
 
 
+def test_normal_form_coordinate_change_is_canonical(table1):
+    # chi's columns are the canonical kernel vectors of the constant rows C,
+    # then the free-variables-zero solutions of C v = e_k; chi^-1 ends in C
+    for inp in (table1, random_instance(3, (1, 2), 0, F)):
+        sigma, xi = hull_embedding(inp.phi, 1)
+        chi, chi_inv, _ = _normalize_embedding(xi, sigma)
+        n, k = inp.n, sigma.s - sigma.r
+        const = [[p.coefficient((0, 0)) for p in row]
+                 for row in xi.rows[sigma.r:]]
+        units = [[F.one if i == j else F.zero for j in range(k)]
+                 for i in range(k)]
+        columns = (linalg.nullspace(const, n, F)
+                   + linalg.solve_many(const, units, n, F))
+        assert chi == tuple(zip(*columns))
+        assert [list(row) for row in chi_inv[n - k:]] == const
+
+
+def test_normalization_rejects_dependent_constant_rows():
+    # two equal zero-twist rows leave the constant rows one pivot short of
+    # an identity block
+    x0, x1, one, zero = R.var("x0"), R.var("x1"), R.one(), R.zero()
+    xi = GradedMatrix(R, ((x0, x1, zero), (one, zero, zero), (one, zero, zero)),
+                      (0, 0, 0), (1, 0, 0))
+    with pytest.raises(NormalizationError, match="dependent"):
+        _normalize_embedding(xi, SigmaInvariants((1, 0, 0)))
+
+
 def test_normalization_rejects_uncleared_identity_columns(monkeypatch):
     # the random (1, 2) instance has sigma = (1, 0) at level 1, so its
     # positive-degree row is cleared against the constant row; with the
@@ -291,13 +319,13 @@ def test_normalization_rejects_uncleared_identity_columns(monkeypatch):
 
 
 def test_normalization_rejects_a_missing_identity_block(monkeypatch):
-    # pivot columns of the coordinate change scaled by 2 leave 2 where the
+    # the last column of the coordinate change scaled by 2 leaves 2 where the
     # constant rows need an identity block; that must surface as a named
     # error, also under python -O
     inp = random_instance(3, (1, 2), 0, F)
     sigma, xi = hull_embedding(inp.phi, 1)
-    real_solve = linalg.solve_many
-    monkeypatch.setattr(linalg, "solve_many", lambda *args: [
-        [2 * v for v in sol] for sol in real_solve(*args)])
+    real_invert = linalg.invert
+    monkeypatch.setattr(linalg, "invert", lambda *args: [
+        row[:-1] + [2 * row[-1]] for row in real_invert(*args)])
     with pytest.raises(NormalizationError, match="identity block"):
         _normalize_embedding(xi, sigma)
