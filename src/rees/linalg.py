@@ -4,12 +4,14 @@ Each field has one elimination route.  Prime-field matrices ride numpy int64
 (safe because `PrimeField` only accepts p < 2**31) with row-sparse
 elimination: each pivot step touches only the columns from the pivot rightward
 (everything left of it is already zero in the pivot row) and only the rows
-with a nonzero entry in the pivot column.  Rational matrices use plain
-Fraction Gaussian elimination.  `rref` is the only elimination: rank is the
-pivot count of the reduced row echelon form, `independent` answers greedy
-basis and membership questions with the pivot columns of the vectors set side
-by side, and `solve_many` solves one matrix for many right-hand sides with a
-single RREF of the augmented matrix.  All routines are deterministic:
+with a nonzero entry in the pivot column.  Rational matrices are scaled to
+integers and reduced by fraction-free Gauss-Jordan elimination, whose entries
+grow like minors rather than like the Fraction sums of plain elimination.
+`rref` is the only elimination: rank is the pivot count of the reduced row
+echelon form, `independent` answers greedy basis and membership questions
+with the pivot columns of the vectors set side by side, and `solve_many`
+solves one matrix for many right-hand sides with a single RREF of the
+augmented matrix.  All routines are deterministic:
 pivots are chosen left to right, canonical nullspace/solution vectors come
 straight out of the reduced row echelon form with free variables set to zero
 (nullspace: one vector per free column, that free coordinate set to one).
@@ -17,6 +19,7 @@ straight out of the reduced row echelon form with free variables set to zero
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 import numpy as np
 
@@ -57,8 +60,18 @@ def _rref_fp(rows, ncols, p):
 
 
 def _rref_frac(rows, ncols, field):
-    M = [[Fraction(v) for v in row] for row in rows]
+    # fraction-free Gauss-Jordan (Bareiss, Math. Comp. 22, 1968): scale each
+    # row to integers, which changes no RREF, then eliminate with
+    # M[i] = (piv * M[i] - M[i][c] * M[r]) / prev, prev the previous pivot.
+    # Every entry stays a minor of the scaled matrix, so the division is
+    # exact, and every pivot row ends up as the last pivot times its RREF row
+    M = []
+    for row in rows:
+        row = [Fraction(v) for v in row]
+        den = lcm(*(v.denominator for v in row))
+        M.append([v.numerator * (den // v.denominator) for v in row])
     r = 0
+    prev = 1
     pivots = []
     for c in range(ncols):
         if r == len(M):
@@ -67,15 +80,17 @@ def _rref_frac(rows, ncols, field):
         if sel is None:
             continue
         M[r], M[sel] = M[sel], M[r]
-        inv = 1 / M[r][c]
-        M[r] = [v * inv for v in M[r]]
+        pivot_row = M[r]
+        piv = pivot_row[c]
         for i in range(len(M)):
-            if i != r and M[i][c]:
+            if i != r:
                 f = M[i][c]
-                M[i] = [a - f * b for a, b in zip(M[i], M[r])]
+                M[i] = [(piv * a - f * b) // prev
+                        for a, b in zip(M[i], pivot_row)]
+        prev = piv
         pivots.append(c)
         r += 1
-    return M[:r], pivots
+    return [[Fraction(v, prev) for v in row] for row in M[:r]], pivots
 
 
 def rank(rows, ncols, field) -> int:

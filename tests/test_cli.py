@@ -48,6 +48,18 @@ def test_sigmas(capsys):
     assert payload == {"m": 1, "sigma": [1, 1], "r": 2, "s": 2}
 
 
+@pytest.mark.parametrize("name", ["almost_linear", "final_example",
+                                  "final_variant", "quadric_cubic", "table1",
+                                  "table2", "table3"])
+def test_sigmas_at_the_top_level_is_the_minors_degree(capsys, name):
+    path = fixture_path(f"{name}.json")
+    inp = cli.load_instance(path)
+    m = inp.n - 1
+    code, payload, _ = run_json(capsys, "sigmas", path, "-m", str(m))
+    assert code == 0
+    assert payload == {"m": m, "sigma": [sum(inp.col_degrees)], "r": 1, "s": 1}
+
+
 def test_sigmas_requires_level(capsys):
     code, _, err = run(capsys, "sigmas", QUADRIC)
     assert code == 1

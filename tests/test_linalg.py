@@ -182,16 +182,43 @@ def gauss_jordan_mod_p(rows, ncols, p):
     return M[:r], pivots
 
 
+def gauss_jordan_over_Q(rows, ncols):
+    """Textbook Fraction reduced row echelon form over the first ncols columns."""
+    M = [[Fraction(v) for v in row] for row in rows]
+    r = 0
+    pivots = []
+    for c in range(ncols):
+        if r == len(M):
+            break
+        sel = next((i for i in range(r, len(M)) if M[i][c]), None)
+        if sel is None:
+            continue
+        M[r], M[sel] = M[sel], M[r]
+        inv = 1 / M[r][c]
+        M[r] = [v * inv for v in M[r]]
+        for i in range(len(M)):
+            if i != r and M[i][c]:
+                f = M[i][c]
+                M[i] = [a - f * b for a, b in zip(M[i], M[r])]
+        pivots.append(c)
+        r += 1
+    return M[:r], pivots
+
+
 @st.composite
-def mod_p_matrices(draw):
-    """Up to 8 x 10 over 0..p-1, with repeated rows and zeroed columns."""
+def search_matrices(draw, entry=st.one_of(st.just(0), st.integers(0, 32002))):
+    """Up to 8 x 10 over 0..p-1 (or other entries), with repeated rows, sums
+    of two rows and zeroed columns."""
     nrows = draw(st.integers(1, 8))
     ncols = draw(st.integers(1, 10))
-    entry = st.one_of(st.just(0), st.integers(0, 32002))
     rows = draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols),
                          min_size=nrows, max_size=nrows))
     for i in draw(st.lists(st.integers(0, nrows - 1), max_size=3)):
         rows.append(list(rows[i]))
+    for i, j in draw(st.lists(st.tuples(st.integers(0, nrows - 1),
+                                        st.integers(0, nrows - 1)),
+                              max_size=2)):
+        rows.append([a + b for a, b in zip(rows[i], rows[j])])
     for c in draw(st.sets(st.integers(0, ncols - 1), max_size=3)):
         for row in rows:
             row[c] = 0
@@ -201,7 +228,7 @@ def mod_p_matrices(draw):
     return rows, search
 
 
-@given(mod_p_matrices())
+@given(search_matrices())
 @settings(max_examples=200)
 def test_rref_mod_p_matches_reference(drawn):
     rows, search = drawn
@@ -209,6 +236,18 @@ def test_rref_mod_p_matches_reference(drawn):
     want_rows, want_pivots = gauss_jordan_mod_p(rows, search, 32003)
     assert got_pivots == want_pivots
     assert got_rows == want_rows
+
+
+@given(search_matrices(st.one_of(st.just(0),
+                                st.fractions(-40, 40, max_denominator=12))))
+@settings(max_examples=200)
+def test_rref_over_Q_matches_reference(drawn):
+    rows, search = drawn
+    got_rows, got_pivots = linalg.rref(rows, search, Q)
+    want_rows, want_pivots = gauss_jordan_over_Q(rows, search)
+    assert got_pivots == want_pivots
+    assert got_rows == want_rows
+    assert all(type(v) is Fraction for row in got_rows for v in row)
 
 
 @given(small_matrix, st.lists(st.lists(st.integers(0, 6), min_size=4,

@@ -1,8 +1,10 @@
 import random
+import time
 
 import pytest
 
-from rees import linalg, syzygy, tower
+from conftest import fixture_path
+from rees import cli, linalg, oracle, syzygy, tower
 from rees.field import PrimeField, RationalField
 from rees.ring import GradingError, Poly, parse_poly, ring_R
 from rees.syzygy import (
@@ -305,7 +307,9 @@ def test_scroll_realization_kills_minors():
 
 def test_hull_embedding_rejects_twists_off_the_budget(monkeypatch, quadric_cubic):
     # a kernel whose degrees miss the budget must surface as a named error,
-    # also under python -O
+    # also under python -O; level 1 of n = 3 is below the top level, so the
+    # twists still come from graded_kernel
+    assert 1 < quadric_cubic.n - 1
     real_kernel = syzygy.graded_kernel
 
     def lifted(M, expected_rank, degree_budget):
@@ -329,3 +333,85 @@ def test_graded_kernel_rejects_a_wrong_kernel_vector(monkeypatch):
     monkeypatch.setattr(linalg, "nullspace", shifted)
     with pytest.raises(ArithmeticError, match="M\\*v = 0"):
         graded_kernel(mat([["x0", "x1"]], (1, 1)), 1, 2)
+
+
+# -- the top level: signed maximal minors -------------------------------------
+
+FIXTURE_NAMES = ("almost_linear", "final_example", "final_variant",
+                 "quadric_cubic", "table1", "table2", "table3")
+
+
+def fixture_instances():
+    for name in FIXTURE_NAMES:
+        inp = cli.load_instance(fixture_path(f"{name}.json"))
+        yield name, inp
+        yield f"{name}-Q", oracle._rational_twin(inp)
+
+
+def random_instances():
+    for shape in ((1, 3), (2, 5), (1, 2, 4), (1, 1, 2, 4), (1, 2, 5, 11)):
+        for seed in (0, 1):
+            for p in (7, 32003):
+                yield (f"{shape}-{seed}-F{p}",
+                       cli.random_instance(len(shape) + 1, shape, seed,
+                                           PrimeField(p)))
+
+
+def degree_scan(phi):
+    """The top level's hull embedding as the kernel scan over L = 0..D finds it."""
+    n = phi.nrows
+    K = graded_kernel(phi.transpose(), 1, sum(phi.col_degrees))
+    row = tuple(K.rows[j][0] for j in range(n))
+    return SigmaInvariants(K.col_degrees), GradedMatrix(
+        phi.ring, (row,), (0,) * n, K.col_degrees)
+
+
+def typed_entries(xi):
+    return [[sorted((m, c, type(c)) for m, c in p.terms.items()) for p in row]
+            for row in xi.rows]
+
+
+@pytest.mark.parametrize("group", ["fixtures", "random"])
+def test_top_hull_embedding_equals_the_degree_scan(group):
+    instances = fixture_instances() if group == "fixtures" else random_instances()
+    for name, inp in instances:
+        inv, xi = hull_embedding(inp.phi, inp.n - 1)
+        want_inv, want_xi = degree_scan(inp.phi)
+        assert inv == want_inv, name
+        assert inv.sigma == (sum(inp.col_degrees),), name
+        assert xi == want_xi, name
+        assert typed_entries(xi) == typed_entries(want_xi), name
+
+
+def test_top_hull_embedding_checks_the_height():
+    # every minor lies in (x0), so the kernel generator is minors / x0
+    M = mat([["x0^3", "x1^3"], ["x0^2*x1", "0"], ["x0*x1^2", "x0^3"]], (3, 3))
+    with pytest.raises(HeightError, match="common factor of degree 1$"):
+        hull_embedding(M, 2)
+
+
+def test_top_hull_embedding_rejects_a_wrong_minor(monkeypatch, table2):
+    # a minors fault must surface as a named error, also under python -O
+    real_minors = syzygy.signed_maximal_minors
+
+    def planted(phi):
+        minors = real_minors(phi)
+        terms = dict(minors[0].terms)
+        m = next(iter(terms))
+        terms[m] = phi.ring.field(terms[m] + 1)
+        return [Poly(phi.ring, terms)] + minors[1:]
+
+    monkeypatch.setattr(syzygy, "signed_maximal_minors", planted)
+    with pytest.raises(ArithmeticError, match="xi\\*phi = 0"):
+        hull_embedding(table2.phi, 2)
+
+
+def test_rational_hull_embeddings_finish_within_budget():
+    # the n = 5 rational rung: the top level's kernel scan took 45 s here
+    inp = oracle._rational_twin(
+        cli.random_instance(5, (1, 2, 5, 11), 0, PrimeField(32003)))
+    start = time.perf_counter()
+    for m in range(1, inp.n):
+        inv, _ = hull_embedding(inp.phi, m)
+        assert sum(inv.sigma) == sum(inp.col_degrees[:m])
+    assert time.perf_counter() - start < 2.0
