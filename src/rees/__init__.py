@@ -29,11 +29,9 @@ from .syzygy import (
     ScrollPresentation,
     SigmaInvariants,
     graded_kernel,
-    hull_embedding,
     matrix_from_rows,
     scroll_matrix,
     scroll_realization_images,
-    sigma_invariants,
     signed_maximal_minors,
 )
 from .tower import (
@@ -43,6 +41,7 @@ from .tower import (
     build_level,
     check_truncation_equality,
     evaluation_membership,
+    hull_embedding,
     hull_quotient_hilbert,
     load_presentation,
     sym_equations,
@@ -83,12 +82,12 @@ __all__ = [
     "bidegree", "linear_images", "parse_poly", "poly_to_str", "promote",
     "ring_R", "ring_S", "ring_scroll",
     "GradedMatrix", "HeightError", "KernelBudgetError", "ScrollPresentation",
-    "SigmaInvariants", "graded_kernel", "hull_embedding",
-    "matrix_from_rows", "scroll_matrix", "scroll_realization_images",
-    "sigma_invariants", "signed_maximal_minors",
+    "SigmaInvariants", "graded_kernel", "matrix_from_rows", "scroll_matrix",
+    "scroll_realization_images", "signed_maximal_minors",
     "NormalizationError", "PresentationInput", "TowerLevel",
     "build_level", "check_truncation_equality", "evaluation_membership",
-    "hull_quotient_hilbert", "load_presentation", "sym_equations",
+    "hull_embedding", "hull_quotient_hilbert", "load_presentation",
+    "sym_equations",
     "BidegreeTable", "below_weight_exponents", "bidegree_table",
     "minimal_weight_exponents", "weight", "weight_drop_monomials",
     "GeneratorRecord", "almost_linear_generators", "recursion_generators",

@@ -210,7 +210,7 @@ def _cmd_info(args) -> int:
 
 def _cmd_sigmas(args) -> int:
     inp = load_instance(args.file)
-    inv = syzygy.sigma_invariants(inp.phi, args.m)
+    inv = tower.hull_embedding(inp, args.m)[0]
     text = (f"m = {args.m}: sigma = {list(inv.sigma)}, "
             f"r = {inv.r} positive, s = {inv.s}")
     _emit(args, text, {"m": args.m, "sigma": list(inv.sigma),
@@ -220,7 +220,7 @@ def _cmd_sigmas(args) -> int:
 
 def _cmd_bidegrees(args) -> int:
     inp = load_instance(args.file)
-    inv = syzygy.sigma_invariants(inp.phi, inp.n - 2)
+    inv = tower.hull_embedding(inp, inp.n - 2)[0]
     table = combinat.bidegree_table(inp.col_degrees, inv.sigma)
     _emit(args, table.render(), {
         "sigma": list(inv.sigma),

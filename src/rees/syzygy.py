@@ -1,24 +1,22 @@
 """Graded matrices over k[x0,x1] and the syzygy computations built on them.
 
-The three workhorses:
+The two workhorses:
 
   * signed_maximal_minors -- the alternating-sign maximal minors of an
     n x (n-1) presentation matrix, with the height-two validation: one rank
     of the minors' multiples in degree 2D - 1 (D the minors' degree);
+    `tower.load_presentation` is its one caller, and the presentation keeps
+    the minors;
   * graded_kernel -- minimal homogeneous generators of the kernel of a graded
     map between free modules, found degree by degree as nullspaces of a ring
     map's piece rows (kernels over a two-variable polynomial ring are free, so
-    a generator count plus a degree budget pin the answer exactly);
-  * sigma_invariants / hull_embedding -- the twists of the free hull of the
-    cokernel of the first m columns, read off from the kernel of the
-    transposed submatrix: by graded_kernel for m < n - 1, and at the top
-    level m = n - 1 from the signed maximal minors, which generate that
-    rank-one kernel in degree D by Hilbert-Burch; scaled as the degree-D
-    nullspace scales its one vector, they are what graded_kernel would find.
+    a generator count plus a degree budget pin the answer exactly).
 
-`matrix_product` is the one product of polynomial matrices.  Plus the scroll
-presentation: the 2 x (1 + sum sigma_i) matrix in fresh coordinates whose
-2 x 2 minors cut out the scroll that the hull's Rees algebra lives on.
+`SigmaInvariants` holds a level's hull twists, which `tower.hull_embedding`
+reads off these two.  `matrix_product` is the one product of polynomial
+matrices.  Plus the scroll presentation: the 2 x (1 + sum sigma_i) matrix in
+fresh coordinates whose 2 x 2 minors cut out the scroll that the hull's Rees
+algebra lives on.
 """
 from __future__ import annotations
 
@@ -58,6 +56,9 @@ class GradedMatrix:
         return len(self.col_degrees)
 
     def validate(self) -> "GradedMatrix":
+        if len(self.row_twists) != self.nrows:
+            raise ValueError(f"row twist count {len(self.row_twists)} "
+                             f"differs from row count {self.nrows}")
         for i, row in enumerate(self.rows):
             if len(row) != self.ncols:
                 raise ValueError("ragged matrix")
@@ -170,12 +171,6 @@ def signed_maximal_minors(phi: GradedMatrix):
 
 # -- graded kernels -----------------------------------------------------------
 
-def _unknowns_ring(field, degrees) -> PolyRing:
-    """The ring whose (L, 1) piece holds graded_kernel's degree-L unknowns."""
-    return PolyRing(field, tuple(f"e{j + 1}" for j in range(len(degrees))),
-                    tuple(degrees))
-
-
 def graded_kernel(M: GradedMatrix, expected_rank: int, degree_budget: int) -> GradedMatrix:
     """Minimal homogeneous generators of ker(M), as matrix columns.
 
@@ -196,7 +191,7 @@ def graded_kernel(M: GradedMatrix, expected_rank: int, degree_budget: int) -> Gr
     ring = M.ring
     field = ring.field
     q = M.ncols
-    E = _unknowns_ring(field, M.col_degrees)
+    E = PolyRing(field, tuple(f"e{j + 1}" for j in range(q)), M.col_degrees)
     F = PolyRing(field, tuple(f"f{i + 1}" for i in range(M.nrows)),
                  tuple(-t for t in M.row_twists))
     # a matrix with no rows (a one-row embedding with its row dropped) has no
@@ -264,73 +259,6 @@ class SigmaInvariants:
     @property
     def s(self) -> int:
         return len(self.sigma)
-
-
-def hull_embedding(phi: GradedMatrix, m: int):
-    """(SigmaInvariants, xi) for the level-m cokernel.
-
-    xi is the s x n matrix over R whose rows generate the kernel of the
-    transpose of the first m columns, listed by nonincreasing row degree
-    (stable within a degree, so equal-degree rows keep the canonical kernel
-    order).  Row i is homogeneous of degree sigma_i and xi * phi_m = 0.
-
-    Levels m < n - 1 read the rows off `graded_kernel`.  The top level m =
-    n - 1 reads them off Hilbert-Burch instead: for height two the kernel of
-    phi^T is free of rank one, generated by the signed maximal minors in
-    degree D = sum(col_degrees), so xi is that minors vector scaled to make
-    its last nonzero coordinate in the kernel scan's canonical (D, 1) order
-    one.  The degree-D kernel is a line, and the one RREF free column of its
-    nullspace is its vector's last nonzero coordinate, set to one; so both
-    routes give the same xi, and the top level skips D + 1 nullspaces of
-    which all but the last are empty.
-    """
-    n = phi.nrows
-    if not 1 <= m <= n - 1:
-        raise ValueError(f"level m must be in 1..{n - 1}")
-    budget = sum(phi.col_degrees[:m])
-    if m == n - 1:
-        sigma, xi_rows = _minors_embedding(phi)
-    else:
-        kernel = graded_kernel(phi.first_columns(m).transpose(), n - m, budget)
-        cols = sorted(range(kernel.ncols),
-                      key=lambda k: -kernel.col_degrees[k])
-        sigma = tuple(kernel.col_degrees[k] for k in cols)
-        xi_rows = tuple(tuple(kernel.rows[j][k] for j in range(n))
-                        for k in cols)
-    inv = SigmaInvariants(sigma)
-    xi = GradedMatrix(phi.ring, xi_rows, (0,) * n, sigma)
-    if sum(sigma) != budget:
-        raise ArithmeticError(f"internal error: hull twists {sigma} do not "
-                              f"sum to the degree budget {budget}")
-    return inv, xi
-
-
-def _minors_embedding(phi: GradedMatrix):
-    """(sigma, xi rows) of the top level: the signed maximal minors, scaled.
-
-    The minors' height check (HeightError) is the precondition: with a common
-    factor the kernel generator would be the minors divided by it.  Their
-    coordinates are read on the (L, 1) piece of `graded_kernel`'s ring E of
-    phi^T, L the vector's degree, and divided by the last nonzero one.
-    """
-    minors = signed_maximal_minors(phi)
-    ring, n = phi.ring, phi.nrows
-    i = next(i for i, f in enumerate(minors) if not f.is_zero())
-    L = minors[i].xdeg() + phi.row_twists[i]
-    unit = [(0,) * j + (1,) + (0,) * (n - 1 - j) for j in range(n)]
-    vec = Poly(_unknowns_ring(ring.field, phi.row_twists),
-               {mono + unit[j]: c for j, f in enumerate(minors)
-                for mono, c in f.terms.items()})
-    last = next(c for c in reversed(gradedlin.coordinates(vec, L, 1)) if c)
-    scale = ring.field.inv(last)
-    row = tuple(f.scale(scale) for f in minors)
-    if any(not p.is_zero() for p in matrix_product([row], phi.rows, ring)[0]):
-        raise ArithmeticError("internal error: the minors vector fails xi*phi = 0")
-    return (L,), (row,)
-
-
-def sigma_invariants(phi: GradedMatrix, m: int) -> SigmaInvariants:
-    return hull_embedding(phi, m)[0]
 
 
 # -- scroll presentation ------------------------------------------------------

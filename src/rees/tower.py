@@ -2,7 +2,9 @@
 
 Fixing 1 <= m <= n-1, the cokernel of the first m columns of the presentation
 matrix embeds into a free module with twists sigma_1 >= ... >= sigma_s
-(s = n - m).  A TowerLevel packages:
+(s = n - m).  `hull_embedding` finds it, by `graded_kernel` below the top
+level and from the presentation's minors at the top level m = n - 1.
+A TowerLevel packages:
 
   * the embedding matrix in raw and normalized form (normalization makes the
     degree-zero rows an identity block via a constant change of T-coordinates,
@@ -28,9 +30,8 @@ from dataclasses import dataclass
 from . import gradedlin, linalg
 from .ring import (GradingError, Poly, PolyRing, RingMap, bidegree,
                    linear_images, promote, ring_S, ring_scroll)
-from .syzygy import (GradedMatrix, HeightError, SigmaInvariants, graded_kernel,
-                     hull_embedding, matrix_from_rows, matrix_product,
-                     signed_maximal_minors)
+from .syzygy import (GradedMatrix, SigmaInvariants, graded_kernel,
+                     matrix_from_rows, matrix_product, signed_maximal_minors)
 
 
 class NormalizationError(RuntimeError):
@@ -83,6 +84,48 @@ def load_presentation(field, col_degrees, phi_rows) -> PresentationInput:
     minors = tuple(signed_maximal_minors(phi))
     return PresentationInput(field, n, col_degrees, phi,
                              minors, phi.ring, ring_S(field, n))
+
+
+def hull_embedding(inp: PresentationInput, m: int):
+    """(SigmaInvariants, xi) for the level-m cokernel.
+
+    xi is the s x n matrix over R whose rows generate the kernel of the
+    transpose of the first m columns, listed by nonincreasing row degree
+    (stable within a degree, so equal-degree rows keep the canonical kernel
+    order).  Row i is homogeneous of degree sigma_i and xi * phi_m = 0.
+
+    Levels m < n - 1 read the rows off `graded_kernel`.  At the top level m =
+    n - 1 the kernel of phi^T is free of rank one, generated in degree D =
+    sum(col_degrees) by inp.minors (Hilbert-Burch; their gcd was checked on
+    loading).  They are scaled as graded_kernel's degree-D nullspace scales
+    its one vector, whose RREF free column is its last nonzero coordinate:
+    the last coefficient of the last nonzero minor becomes one.
+    """
+    n, phi = inp.n, inp.phi
+    if not 1 <= m <= n - 1:
+        raise ValueError(f"level m must be in 1..{n - 1}")
+    budget = sum(inp.col_degrees[:m])
+    if m == n - 1:
+        f = next(f for f in reversed(inp.minors) if not f.is_zero())
+        scale = inp.field.inv(next(
+            c for c in reversed(gradedlin.coordinates(f, f.xdeg())) if c))
+        xi_rows = (tuple(g.scale(scale) for g in inp.minors),)
+        if any(not p.is_zero()
+               for p in matrix_product(xi_rows, phi.rows, inp.base)[0]):
+            raise ArithmeticError(
+                "internal error: the minors vector fails xi*phi = 0")
+        sigma = (f.xdeg(),)
+    else:
+        kernel = graded_kernel(phi.first_columns(m).transpose(), n - m, budget)
+        cols = sorted(range(kernel.ncols),
+                      key=lambda k: -kernel.col_degrees[k])
+        sigma = tuple(kernel.col_degrees[k] for k in cols)
+        xi_rows = tuple(tuple(kernel.rows[j][k] for j in range(n))
+                        for k in cols)
+    if sum(sigma) != budget:
+        raise ArithmeticError(f"internal error: hull twists {sigma} do not "
+                              f"sum to the degree budget {budget}")
+    return SigmaInvariants(sigma), GradedMatrix(inp.base, xi_rows, (0,) * n, sigma)
 
 
 def sym_equations(inp: PresentationInput) -> tuple:
@@ -193,7 +236,7 @@ def _normalize_embedding(xi: GradedMatrix, sigma: SigmaInvariants):
 
 def build_level(inp: PresentationInput, m: int) -> TowerLevel:
     """All level-m data: embedding, normalization, and multiplication tables."""
-    sigma, xi_raw = hull_embedding(inp.phi, m)
+    sigma, xi_raw = hull_embedding(inp, m)
     chi, chi_inv, norm_rows = _normalize_embedding(xi_raw, sigma)
     embed = GradedMatrix(inp.base, norm_rows, (0,) * inp.n, sigma.sigma).validate()
     S = inp.sring

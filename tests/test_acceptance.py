@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from conftest import span_dim
-from rees import cli, combinat, gradedlin, oracle, syzygy, tower
+from rees import cli, combinat, gradedlin, oracle, tower
 from rees.field import PrimeField
 from rees.generators import (
     recursion_generators,
@@ -136,7 +136,7 @@ def test_5_structural_identities(request, name):
     n, d = inp.n, inp.col_degrees
 
     for m in range(1, n):
-        inv = syzygy.sigma_invariants(inp.phi, m)
+        inv = tower.hull_embedding(inp, m)[0]
         assert sum(inv.sigma) == sum(d[:m])
         assert inv.s == n - m
 

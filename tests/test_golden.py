@@ -68,6 +68,7 @@ SLICES = {
 }
 
 # (fixture, level) for every level 1..n-1: the twists come from graded_kernel
+# below the top level, and from the presentation's minors at the top level
 SIGMAS = {
     ("almost_linear", 1): "fdfeb965c0d719e20ef05960741f71bd30340a6faa2381570986d9589c6a256e",
     ("almost_linear", 2): "668607c863110c6e7684502057b15a914cc061569cb2935db72341ae24362a47",
@@ -467,11 +468,13 @@ def test_core_counters_are_unchanged(name, cap):
     assert dataclasses.replace(K, counters=()) == K
 
 
-# `syzygy.graded_kernel` output: the hull embedding and the dropped-row
-# kernels at every level ("fixtures", "rational": the fixtures' rational
-# twins; "random": `cli.random_instance` shapes at p = 7 and 32003), and the
-# kernels of random matrices with unequal, nondecreasing column degrees and
-# positive row twists, which no tower level builds ("graded")
+# `syzygy.graded_kernel` output: the hull embedding (at the top level the
+# presentation's minors, scaled as the kernel scan scales them) and the
+# dropped-row kernels at every level ("fixtures", "rational": the fixtures'
+# rational twins; "random": `cli.random_instance` shapes at p = 7 and
+# 32003), and the kernels of random matrices with unequal, nondecreasing
+# column degrees and positive row twists, which no tower level builds
+# ("graded")
 KERNELS = {
     "fixtures":
         "2792d271741e993828d8adec8b4a139b45ea51d8a313b4531820df1122cf9026",
@@ -494,7 +497,7 @@ def kernel_text(K):
 
 def tower_kernels(inp):
     for m in range(1, inp.n):
-        yield syzygy.hull_embedding(inp.phi, m)[1]
+        yield tower.hull_embedding(inp, m)[1]
         yield from tower.build_level(inp, m).drop_row_kernels
 
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import fixture_path, span_dim
-from rees import cli, combinat, oracle, syzygy
+from rees import cli, combinat, oracle, tower
 from rees.field import PrimeField, RationalField
 from rees.generators import u_span_dim
 from rees.gradedlin import piece_basis, piece_monomials
@@ -553,7 +553,7 @@ def test_minimal_generators_match_the_bidegree_formula(name, sigma):
     # would count that column's x-multiples as generators), and only the
     # counts at x >= e are compared
     inp = load_case(name)
-    top_sigma = syzygy.sigma_invariants(inp.phi, inp.n - 2).sigma
+    top_sigma = tower.hull_embedding(inp, inp.n - 2)[0].sigma
     assert tuple(top_sigma) == sigma
     predicted = combinat.bidegree_table(inp.col_degrees, top_sigma).counts
     e = inp.col_degrees[-2]

@@ -85,6 +85,20 @@ def test_ring_map_images_are_read_only_by_the_row_writer():
     assert not found, f"RingMap.image called outside the row writer: {found}"
 
 
+def test_only_load_presentation_computes_the_minors():
+    # the presentation owns its minors: `load_presentation` computes them and
+    # their height check once, and every later user reads `inp.minors`
+    callers = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        callers += [f"{path.name}:{getattr(top, 'name', top.lineno)}"
+                    for top in tree.body for node in ast.walk(top)
+                    if isinstance(node, ast.Call)
+                    and _name(node.func) == "signed_maximal_minors"]
+    assert callers == ["tower.py:load_presentation"], \
+        f"signed_maximal_minors called outside load_presentation: {callers}"
+
+
 def test_every_exported_name_resolves():
     # a deletion that leaves a stale `__all__` entry breaks `from rees import *`
     missing = [name for name in rees.__all__ if not hasattr(rees, name)]

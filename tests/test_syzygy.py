@@ -1,3 +1,4 @@
+import dataclasses
 import random
 import time
 
@@ -14,14 +15,13 @@ from rees.syzygy import (
     SigmaInvariants,
     graded_kernel,
     determinant,
-    hull_embedding,
     matrix_from_rows,
     matrix_product,
     scroll_matrix,
     scroll_realization_images,
-    sigma_invariants,
     signed_maximal_minors,
 )
+from rees.tower import hull_embedding, load_presentation
 
 F = PrimeField(32003)
 R = ring_R(F)
@@ -51,6 +51,18 @@ def test_matrix_validation():
         mat([["x0", "x1"], ["x0"]], (1, 1))
     with pytest.raises(GradingError):
         mat([["x0^2"], ["x1"]], (1,))
+
+
+def test_matrix_validation_counts_the_row_twists():
+    # one twist per row: too few used to die with an IndexError, and too many
+    # were accepted until graded_kernel failed on its weights
+    x0, x1 = R.var("x0"), R.var("x1")
+    with pytest.raises(ValueError, match="row twist count 1 differs from "
+                                         "row count 2"):
+        matrix_from_rows(R, [[x0], [x1]], (1,), (0,))
+    with pytest.raises(ValueError, match="row twist count 2 differs from "
+                                         "row count 1"):
+        matrix_from_rows(R, [[x0]], (1,), (0, 5))
 
 
 def test_matrix_accepts_zero_entries():
@@ -236,7 +248,7 @@ def test_sigma_invariants_validation():
 ])
 def test_sigma_on_instances(request, fixture_name, m, expected):
     inp = request.getfixturevalue(fixture_name)
-    inv = sigma_invariants(inp.phi, m)
+    inv = hull_embedding(inp, m)[0]
     assert inv.sigma == expected
     assert sum(inv.sigma) == sum(inp.col_degrees[:m])
     assert inv.s == inp.n - m
@@ -244,9 +256,12 @@ def test_sigma_on_instances(request, fixture_name, m, expected):
 
 
 def test_sigma_split_generator():
-    # a syzygy column missing its last entry forces a zero twist
-    M = mat([["x0^2", "x1^3"], ["x1^2", "0"], ["0", "x0^3"]], (2, 3))
-    inv = sigma_invariants(M, 1)
+    # a syzygy column missing its last entry forces a zero twist; the minors
+    # x0^3*x1^2, -x0^5 and -x1^5 have unit gcd
+    rows = [["x0^2", "x1^3"], ["x1^2", "0"], ["0", "x0^3"]]
+    inp = load_presentation(F, (2, 3), [[parse_poly(e, R) for e in row]
+                                        for row in rows])
+    inv = hull_embedding(inp, 1)[0]
     assert inv.sigma == (2, 0)
     assert inv.r == 1
 
@@ -254,7 +269,7 @@ def test_sigma_split_generator():
 def test_hull_embedding_rows_kill_phi(quadric_cubic, table2, almost_linear):
     for inp, m in ((quadric_cubic, 1), (table2, 1),
                    (almost_linear, 1), (almost_linear, 2)):
-        inv, xi = hull_embedding(inp.phi, m)
+        inv, xi = hull_embedding(inp, m)
         assert xi.nrows == inv.s and xi.ncols == inp.n
         assert xi.row_twists == inv.sigma
         phim = inp.phi.first_columns(m)
@@ -310,16 +325,16 @@ def test_hull_embedding_rejects_twists_off_the_budget(monkeypatch, quadric_cubic
     # also under python -O; level 1 of n = 3 is below the top level, so the
     # twists still come from graded_kernel
     assert 1 < quadric_cubic.n - 1
-    real_kernel = syzygy.graded_kernel
+    real_kernel = tower.graded_kernel
 
     def lifted(M, expected_rank, degree_budget):
         K = real_kernel(M, expected_rank, degree_budget)
         return GradedMatrix(K.ring, K.rows,
                             tuple(d + 1 for d in K.col_degrees), K.row_twists)
 
-    monkeypatch.setattr(syzygy, "graded_kernel", lifted)
+    monkeypatch.setattr(tower, "graded_kernel", lifted)
     with pytest.raises(ArithmeticError, match="degree budget"):
-        hull_embedding(quadric_cubic.phi, 1)
+        hull_embedding(quadric_cubic, 1)
 
 
 def test_graded_kernel_rejects_a_wrong_kernel_vector(monkeypatch):
@@ -375,7 +390,7 @@ def typed_entries(xi):
 def test_top_hull_embedding_equals_the_degree_scan(group):
     instances = fixture_instances() if group == "fixtures" else random_instances()
     for name, inp in instances:
-        inv, xi = hull_embedding(inp.phi, inp.n - 1)
+        inv, xi = hull_embedding(inp, inp.n - 1)
         want_inv, want_xi = degree_scan(inp.phi)
         assert inv == want_inv, name
         assert inv.sigma == (sum(inp.col_degrees),), name
@@ -384,26 +399,48 @@ def test_top_hull_embedding_equals_the_degree_scan(group):
 
 
 def test_top_hull_embedding_checks_the_height():
-    # every minor lies in (x0), so the kernel generator is minors / x0
-    M = mat([["x0^3", "x1^3"], ["x0^2*x1", "0"], ["x0*x1^2", "x0^3"]], (3, 3))
+    # every minor lies in (x0), so the kernel generator would be minors / x0;
+    # the top level reads the minors unchecked, so no presentation, and hence
+    # no top level, may exist for this matrix
+    rows = [["x0^3", "x1^3"], ["x0^2*x1", "0"], ["x0*x1^2", "x0^3"]]
     with pytest.raises(HeightError, match="common factor of degree 1$"):
-        hull_embedding(M, 2)
+        load_presentation(F, (3, 3), [[parse_poly(e, R) for e in row]
+                                      for row in rows])
 
 
-def test_top_hull_embedding_rejects_a_wrong_minor(monkeypatch, table2):
+def test_top_hull_embedding_rejects_a_wrong_minor(table2):
     # a minors fault must surface as a named error, also under python -O
-    real_minors = syzygy.signed_maximal_minors
-
-    def planted(phi):
-        minors = real_minors(phi)
-        terms = dict(minors[0].terms)
-        m = next(iter(terms))
-        terms[m] = phi.ring.field(terms[m] + 1)
-        return [Poly(phi.ring, terms)] + minors[1:]
-
-    monkeypatch.setattr(syzygy, "signed_maximal_minors", planted)
+    terms = dict(table2.minors[0].terms)
+    m = next(iter(terms))
+    terms[m] = table2.field(terms[m] + 1)
+    planted = dataclasses.replace(
+        table2, minors=(Poly(table2.base, terms),) + table2.minors[1:])
     with pytest.raises(ArithmeticError, match="xi\\*phi = 0"):
-        hull_embedding(table2.phi, 2)
+        hull_embedding(planted, 2)
+
+
+@pytest.mark.parametrize("name", ["table2", "rational_twin"])
+def test_top_hull_embedding_reads_the_stored_minors(monkeypatch, table2, name):
+    # the presentation computed the minors and their height check once; the
+    # top level neither recomputes the minors nor repeats the rank
+    inp = table2 if name == "table2" else oracle._rational_twin(
+        cli.random_instance(5, (1, 2, 5, 11), 0, PrimeField(32003)))
+    calls = []
+
+    def counted(owner, attr):
+        real = getattr(owner, attr)
+
+        def wrapper(*args, **kwargs):
+            calls.append(attr)
+            return real(*args, **kwargs)
+        monkeypatch.setattr(owner, attr, wrapper)
+
+    counted(syzygy, "signed_maximal_minors")
+    counted(tower, "signed_maximal_minors")
+    counted(linalg, "rank")
+    inv = hull_embedding(inp, inp.n - 1)[0]
+    assert inv.sigma == (sum(inp.col_degrees),)
+    assert calls == []
 
 
 def test_rational_hull_embeddings_finish_within_budget():
@@ -412,6 +449,6 @@ def test_rational_hull_embeddings_finish_within_budget():
         cli.random_instance(5, (1, 2, 5, 11), 0, PrimeField(32003)))
     start = time.perf_counter()
     for m in range(1, inp.n):
-        inv, _ = hull_embedding(inp.phi, m)
+        inv, _ = hull_embedding(inp, m)
         assert sum(inv.sigma) == sum(inp.col_degrees[:m])
-    assert time.perf_counter() - start < 2.0
+    assert time.perf_counter() - start < 0.3

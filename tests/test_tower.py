@@ -8,14 +8,14 @@ from rees.cli import random_instance
 from rees.field import PrimeField
 from rees.ring import (GradingError, Poly, RingMap, bidegree, parse_poly,
                        ring_R)
-from rees.syzygy import (GradedMatrix, HeightError, SigmaInvariants,
-                         hull_embedding)
+from rees.syzygy import GradedMatrix, HeightError, SigmaInvariants
 from rees.tower import (
     NormalizationError,
     _normalize_embedding,
     build_level,
     check_truncation_equality,
     evaluation_membership,
+    hull_embedding,
     hull_quotient_hilbert,
     load_presentation,
     sym_equations,
@@ -282,7 +282,7 @@ def test_normal_form_coordinate_change_is_canonical(table1):
     # chi's columns are the canonical kernel vectors of the constant rows C,
     # then the free-variables-zero solutions of C v = e_k; chi^-1 ends in C
     for inp in (table1, random_instance(3, (1, 2), 0, F)):
-        sigma, xi = hull_embedding(inp.phi, 1)
+        sigma, xi = hull_embedding(inp, 1)
         chi, chi_inv, _ = _normalize_embedding(xi, sigma)
         n, k = inp.n, sigma.s - sigma.r
         const = [[p.coefficient((0, 0)) for p in row]
@@ -311,7 +311,7 @@ def test_normalization_rejects_uncleared_identity_columns(monkeypatch):
     # clearing subtraction broken that must surface as a named error, also
     # under python -O
     inp = random_instance(3, (1, 2), 0, F)
-    sigma, xi = hull_embedding(inp.phi, 1)
+    sigma, xi = hull_embedding(inp, 1)
     _normalize_embedding(xi, sigma)
     monkeypatch.setattr(Poly, "__sub__", lambda self, other: self)
     with pytest.raises(NormalizationError, match="not cleared"):
@@ -323,7 +323,7 @@ def test_normalization_rejects_a_missing_identity_block(monkeypatch):
     # constant rows need an identity block; that must surface as a named
     # error, also under python -O
     inp = random_instance(3, (1, 2), 0, F)
-    sigma, xi = hull_embedding(inp.phi, 1)
+    sigma, xi = hull_embedding(inp, 1)
     real_invert = linalg.invert
     monkeypatch.setattr(linalg, "invert", lambda *args: [
         row[:-1] + [2 * row[-1]] for row in real_invert(*args)])
