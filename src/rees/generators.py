@@ -87,11 +87,10 @@ def recursion_generators(level: TowerLevel, g_next: Poly,
     sigma = level.sigma.sigma
     S = inp.sring
     alphas = combinat.below_weight_exponents(d_next - d_m + 1, sigma)
-    base_image = level.subst_raw(g_next)
     scalars = [[promote(p, S) for p in row] for row in level.mult_scalars]
 
     memo: dict = {}
-    records = []
+    details = []
     for alpha in alphas:
         if not any(alpha):
             h = level.to_level_coords(g_next)
@@ -111,13 +110,33 @@ def recursion_generators(level: TowerLevel, g_next: Poly,
                     h = h + a_j * q_j
             detail = {"pivot": i + 1}
         memo[alpha] = h
-        poly = level.to_original_coords(h)
+        details.append(detail)
+    # one batch for the family's coordinate changes; the certificates go in
+    # consecutive batches that gather no more memo rows than the family's
+    # largest record, since one batch of all of them held 148,629 rows on a
+    # random n = 5 instance
+    polys = level.to_original_coords.apply_all(memo[a] for a in alphas)
+    subst = level.subst_raw
+    subst.fill(m[2:] for p in [g_next] + polys for m in p.terms)
+    sizes = [sum(stop - start for start, stop in
+                 (subst.memo[m[2:]] for m in p.terms)) for p in polys]
+    batches, size, cap = [[g_next]], 0, max(sizes)
+    for poly, rows in zip(polys, sizes):
+        if size + rows > cap:
+            batches.append([])
+            size = 0
+        batches[-1].append(poly)
+        size += rows
+    base_image, *images = (image for batch in batches
+                           for image in subst.apply_all(batch))
+    records = []
+    for alpha, detail, poly, image in zip(alphas, details, polys, images):
         bid = bidegree(poly)
         expected = (d_next - combinat.weight(alpha, sigma), sum(alpha) + 1)
         if bid != expected:
             raise ArithmeticError(f"recursion emitted bidegree {bid}, "
                                   f"expected {expected}")
-        ok = level.subst_raw(poly) == base_image * level.w_monomial(alpha)
+        ok = image == base_image * level.w_monomial(alpha)
         records.append(GeneratorRecord(
             poly=poly, bidegree=bid, provenance="recursion", alpha=alpha,
             detail=detail,
@@ -139,13 +158,12 @@ def tower_generators(inp: PresentationInput, m: int,
         level = build_level(inp, m)
     gs = sym_equations(inp)
     records = []
-    for j in range(m):
-        g = gs[j]
+    for j, image in enumerate(level.subst_raw.apply_all(gs[:m])):
         records.append(GeneratorRecord(
-            poly=g, bidegree=bidegree(g), provenance="sym-equation",
+            poly=gs[j], bidegree=bidegree(gs[j]), provenance="sym-equation",
             alpha=None, detail={"column": j + 1},
             certificate="hull image vanishes",
-            certificate_ok=level.subst_raw(g).is_zero()))
+            certificate_ok=image.is_zero()))
     records.extend(recursion_generators(level, gs[m]))
     return records
 
@@ -181,8 +199,8 @@ def _preimage_records(level: TowerLevel, xdeg: int, pending) -> list:
     `pending` lists (hull-ring target, tdeg, alpha, detail, certificate) in
     emission order, and the records come back in that order.  The targets of
     one T-degree share the piece's image matrix, built once and solved for all
-    of them by one RREF.  Each preimage is imaged once; that image both checks
-    the preimage and certifies the record.
+    of them by one RREF.  The preimages are imaged once, in one batch; each
+    image both checks its preimage and certifies the record.
     """
     S = level.inp.sring
     by_tdeg: dict = {}
@@ -199,14 +217,17 @@ def _preimage_records(level: TowerLevel, xdeg: int, pending) -> list:
             raise ArithmeticError("hull-ring target misses the ambient image")
         preimages[tdeg] = iter([gradedlin.from_coordinates(sol, S, xdeg, tdeg)
                                 for sol in sols])
+    hs = [next(preimages[tdeg]) for _, tdeg, *_ in pending]
+    images = level.subst.apply_all(hs)
+    polys = level.to_original_coords.apply_all(hs)
     records = []
-    for target, tdeg, alpha, detail, certificate in pending:
-        h = next(preimages[tdeg])
-        ok = level.subst(h) == target
+    for (target, tdeg, alpha, detail, certificate), image, poly in zip(
+            pending, images, polys):
+        ok = image == target
         if not ok:
             raise ArithmeticError("preimage check failed")
         records.append(GeneratorRecord(
-            poly=level.to_original_coords(h), bidegree=(xdeg, tdeg),
+            poly=poly, bidegree=(xdeg, tdeg),
             provenance="slice", alpha=alpha, detail=detail,
             certificate=certificate, certificate_ok=ok))
     return records
@@ -248,19 +269,20 @@ def slice_generators(inp: PresentationInput, i: int,
     sigma = level.sigma.sigma
     S = inp.sring
     g1, g2 = sym_equations(inp)
-    base = level.subst(level.to_level_coords(g2))
+    base = level.driving_image
     c = d2 - i
     records = []
 
-    for a in range(i - d1 + 1):
-        mono = S.monomial((i - d1 - a, a) + (0,) * inp.n)
-        poly = g1 * mono
+    multiples = [g1 * S.monomial((i - d1 - a, a) + (0,) * inp.n)
+                 for a in range(i - d1 + 1)]
+    for a, (poly, image) in enumerate(
+            zip(multiples, level.subst_raw.apply_all(multiples))):
         records.append(GeneratorRecord(
             poly=poly, bidegree=(i, 1), provenance="slice", alpha=None,
             detail={"part": "first-equation-multiple",
                     "x0": i - d1 - a, "x1": a},
             certificate="hull image vanishes",
-            certificate_ok=level.subst_raw(poly).is_zero()))
+            certificate_ok=image.is_zero()))
 
     pending = []
     if c >= 1:
@@ -373,17 +395,18 @@ def almost_linear_generators(inp: PresentationInput) -> list:
                          for img in scroll_realization_images(pres)], S)
     ncols = len(pres.gamma[0])
     pairs = [(a, b) for a in range(ncols) for b in range(a + 1, ncols)]
-    for (a, b), minor in zip(pairs, pres.minors):
-        poly = level.to_original_coords(pull_back(minor))
+    polys = level.to_original_coords.apply_all(pull_back.apply_all(pres.minors))
+    images = level.subst_raw.apply_all(polys)
+    for (a, b), poly, image in zip(pairs, polys, images):
         records.append(GeneratorRecord(
             poly=poly, bidegree=bidegree(poly), provenance="scroll",
             alpha=None, detail={"columns": [a + 1, b + 1]},
             certificate="hull image vanishes",
-            certificate_ok=level.subst_raw(poly).is_zero()))
+            certificate_ok=image.is_zero()))
 
     records.extend(recursion_generators(level, gs[m]))
 
-    base = level.subst(level.to_level_coords(gs[m]))
+    base = level.driving_image
     records.extend(_preimage_records(level, 0, _weight_drop_targets(
         level, base, d[-1],
         "hull image equals the driving image times x^(j,k) w^alpha")))

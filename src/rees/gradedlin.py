@@ -13,12 +13,14 @@ into the piece's basis positions straight from g's exponent tuples, with no
 `Poly` product.  `coordinates` is its one-row, zero-shift form, and
 `multiples` gives the rows of every monomial multiple of some polys that lands
 in a piece, and `image_rows` the rows of a ring map's images of a piece's
-monomials, written from the map's memo.
+monomials, written from the map's array memo.
 """
 from __future__ import annotations
 
 from functools import lru_cache
 from operator import add
+
+import numpy as np
 
 from . import linalg
 from .ring import (GradingError, Poly, PolyRing, RingMap, bidegree, print_key,
@@ -117,13 +119,25 @@ def image_rows(ring_map: RingMap, source: PolyRing, xdeg: int, tdeg: int) -> lis
     """Coefficient rows of ring_map(mu) on the target's (xdeg, tdeg) piece.
 
     One row per monomial mu of the source's (xdeg, tdeg) piece, in canonical
-    order, written from the memoized image of mu's T-part shifted by its
-    x-part, so no `Poly` is built per monomial.  The map must keep x-degrees.
+    order: the memo rows of mu's T-part (`RingMap.image`, one call for the
+    piece) shifted by mu's x-part and written into the piece's positions, so
+    no `Poly` is built per monomial.  The map must keep x-degrees.
     """
-    pad = (0,) * len(ring_map.target.tvar_names)
-    return shifted_rows([(ring_map.image(mu[2:]), mu[:2] + pad)
-                         for mu in piece_monomials(source, xdeg, tdeg)],
-                        ring_map.target, xdeg, tdeg)
+    target = ring_map.target
+    monos = piece_monomials(source, xdeg, tdeg)
+    index = _piece_index(target, xdeg, tdeg)
+    owner, exps, coeffs = ring_map.image(mu[2:] for mu in monos)
+    exps[:, :2] += np.array([mu[:2] for mu in monos],
+                            dtype=np.int64).reshape(-1, 2)[owner]
+    zero = target.field.zero
+    rows = [[zero] * len(index) for _ in monos]
+    for k, m, c in zip(owner.tolist(), exps.tolist(), coeffs.tolist()):
+        try:
+            rows[k][index[tuple(m)]] = c
+        except KeyError:
+            raise GradingError(f"the image of {monos[k]} has a term outside "
+                               f"the ({xdeg},{tdeg}) piece") from None
+    return rows
 
 
 def from_coordinates(vec, ring: PolyRing, xdeg: int, tdeg: int = 0) -> Poly:

@@ -15,26 +15,31 @@ Groebner layer needs inhomogeneous intermediates — but `bidegree` validates it
 The x-bidegree of a monomial is  x0 + x1 + sum(e_i * weight_i)  and the
 T-bidegree is  sum(e_i);  for R-polynomials the single grading is x0 + x1.
 
-`sub_multiple` is the one multiply-accumulate kernel: it subtracts
-c * x^shift * g from a terms dict in place, reducing mod p only when the field
-has a modulus.  It takes the monomials of x^shift * g already shifted, so
-the same loop serves exponent tuples (`shifted` forms them; a zero shift
-passes g's own keys) and the oracle's packed one-int monomials, where a shift
-is one int add.  Every `Poly` operation (add, subtract, negate, scale,
-multiply), the parser and the oracle's reduction and S-polynomials call it,
-so no other code in the package combines coefficients of two terms dicts.
+`sub_multiple` is the one multiply-accumulate kernel for terms dicts: it
+subtracts c * x^shift * g from a terms dict in place, reducing mod p only when
+the field has a modulus.  It takes the monomials of x^shift * g already
+shifted, so the same loop serves exponent tuples (`shifted` forms them; a zero
+shift passes g's own keys) and the oracle's packed one-int monomials, where a
+shift is one int add.  Every `Poly` operation (add, subtract, negate, scale,
+multiply), the parser and the oracle's reduction and S-polynomials call it.
 
-`RingMap` holds the one T-substitution loop.  A ring map given by a matrix --
-the hull substitution T_j -> sum_i xi[i][j] w_i, or a constant change of
-T-coordinates -- is built once from the images `linear_images` returns, and
-images each T-monomial once per map, not once per call.
+`RingMap` holds the one T-substitution, and applies it through arrays.  A ring
+map given by a matrix -- the hull substitution T_j -> sum_i xi[i][j] w_i, a
+constant change of T-coordinates, or the evaluation T_i -> y * f_i -- is built
+once from its images (`linear_images` returns a matrix's), memoizes the image
+of each T-monomial once as integer arrays, and applies to a whole batch of
+polynomials with one gather, one sort and one `reduceat`.
 """
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
+from math import prod
 from operator import add
+
+import numpy as np
 
 
 class ParseError(ValueError):
@@ -459,44 +464,174 @@ class RingMap:
     """The ring map T_j -> images[j] into `target`, carrying x0, x1 over.
 
     `images` are polynomials of the target ring, one per T-like variable of
-    the source ring.  Each T-monomial is imaged once for the life of the map:
-    `memo` maps a T-exponent tuple to the terms of its image, `image` reads
-    or fills one entry, and a new entry is the memoized image of the monomial
-    with one factor of its last variable dropped, times that variable's
-    image.  Applying the map adds c * x^a times the image of T^b straight into
-    one terms dict for each term c x^a T^b.
+    the source ring.  Each T-monomial T^b is imaged once for the life of the
+    map, into one memo of arrays: a row per term of the image, holding its
+    full target exponent tuple (x0 included, as an image need not be
+    x-homogeneous) and its coefficient, and `memo` maps b to its rows'
+    slice.  `fill` forms new entries a T-degree at a time, the image of T_j
+    times the entry of T^(b - e_j) for j the last variable of T^b, through
+    the kernel that applies the map, and `image` reads a batch of entries
+    for `gradedlin.image_rows`.
+
+    `apply_all` is the one apply routine: every term c x^a T^b of every
+    polynomial of the batch gathers b's rows, shifted by x^a and scaled by
+    c, and one sort and one `reduceat` merge equal monomials, so a batch
+    pays numpy's fixed cost once; `__call__` is its one-polynomial form.
+    Over F_p each product is reduced mod p before the sums (below
+    p**2 < 2**62, exact in int64); over Q the same code runs on `Fraction`
+    object arrays.
     """
 
-    __slots__ = ("images", "target", "memo")
+    __slots__ = ("images", "target", "memo", "_units", "_exps", "_coeffs",
+                 "_top")
 
     def __init__(self, images, target: PolyRing):
         self.images = tuple(images)
         self.target = target
-        self.memo = {(0,) * len(self.images): {target.zero_shift:
-                                               target.field.one}}
+        if any(img.ring is not target and img.ring != target
+               for img in self.images):
+            raise ValueError("every image of a ring map must live in its "
+                             "target ring")
+        # the rows open with the image of T^0, then the image of each T_j,
+        # whose slice `_units` keeps and `memo` lists once asked for
+        terms = [{target.zero_shift: target.field.one}]
+        terms += [img.terms for img in self.images]
+        self._exps = np.array([m for t in terms for m in t],
+                              dtype=np.int64).reshape(-1, target.nvars)
+        self._coeffs = self._coeff_array([c for t in terms
+                                          for c in t.values()])
+        self._top = self._exps.max(axis=0)       # largest exponent per column
+        ends = list(accumulate(map(len, terms)))
+        self._units = tuple(zip(ends[:-1], ends[1:]))
+        self.memo = {(0,) * len(self.images): (0, 1)}
 
-    def image(self, texps) -> dict:
-        """The terms of the image of T^texps, from the memo; do not mutate."""
-        terms = self.memo.get(texps)
-        if terms is None:
-            j = max(k for k, e in enumerate(texps) if e)
-            prev = texps[:j] + (texps[j] - 1,) + texps[j + 1:]
-            terms = (self.images[j]
-                     * Poly(self.target, self.image(prev))).terms
-            self.memo[texps] = terms
-        return terms
+    def _coeff_array(self, coeffs):
+        dtype = object if self.target.field.modulus is None else np.int64
+        return np.array(coeffs, dtype=dtype)
+
+    def _rows(self, spans):
+        """(term, idx): the memo index of every row of every slice of spans,
+        in order, with the index of its slice."""
+        lens = spans[:, 1] - spans[:, 0]
+        term = np.arange(len(lens)).repeat(lens)
+        idx = (spans[:, 0] - lens.cumsum() + lens).repeat(lens)
+        idx += np.arange(len(idx))
+        return term, idx
+
+    def _merge(self, owner, spans, coeffs, shifts):
+        """sum_k coeffs_k * x^shifts_k * (memo rows spans_k), one sum per
+        owner (nondecreasing): (owner, exps, coeffs) sorted by owner, then by
+        monomial, with equal monomials merged and zero sums dropped.  A shift
+        gives the leading exponents, x0 and x1, and the T-part if it has one.
+
+        A gathered row is held as four ints (its term, its memo row, its
+        key and its product), not as an exponent tuple: the key reads the
+        owner and the exponents as digits, each in the radix one past its
+        largest value, and exponents are read back for the merged rows only.
+        """
+        mod = self.target.field.modulus
+        term, idx = self._rows(spans)
+        if not len(term):
+            return owner[:0], self._exps[:0], self._coeffs[:0]
+        lead = shifts.shape[1]
+        radices = self._top + 1
+        radices[:lead] += shifts.max(axis=0)
+        radices = [int(owner[-1]) + 1] + radices.tolist()
+        if prod(radices) >= 1 << 63:
+            raise OverflowError("monomial keys do not fit in int64")
+        weights = np.array([prod(radices[i:]) for i in range(2, len(radices))]
+                           + [1], dtype=np.int64)
+        key = ((self._exps @ weights)[idx]
+               + (owner * prod(radices[1:]) + shifts @ weights[:lead])[term])
+        products = self._coeffs[idx] * coeffs[term]
+        if mod is not None:
+            products %= mod
+        order = key.argsort()
+        key = key[order]
+        heads = np.empty(len(key), dtype=bool)
+        heads[0] = True
+        np.not_equal(key[1:], key[:-1], out=heads[1:])
+        heads = heads.nonzero()[0]
+        sums = np.add.reduceat(products[order], heads)
+        if mod is not None:
+            sums %= mod
+        live = sums != 0
+        picked = order[heads[live]]
+        term, exps = term[picked], self._exps[idx[picked]]
+        exps[:, :lead] += shifts[term]
+        return owner[term], exps, sums[live]
+
+    def fill(self, texps):
+        """Memo entries for every T-exponent tuple of texps, one `_merge` per
+        T-degree."""
+        need = {}
+        for b in set(texps).difference(self.memo):
+            while b not in self.memo and b not in need:
+                j = max(k for k, e in enumerate(b) if e)
+                prev = b[:j] + (b[j] - 1,) + b[j + 1:]
+                need[b] = (j, prev)
+                b = prev
+        by_degree = {}
+        for b, (j, prev) in need.items():
+            by_degree.setdefault(sum(b), []).append((b, j, prev))
+        for deg, batch in sorted(by_degree.items()):
+            if deg == 1:
+                self.memo.update((b, self._units[j]) for b, j, _ in batch)
+                continue
+            # each row of the image of T_j, as a term, acts on T^(b - e_j)
+            unit, idx = self._rows(np.array(
+                [self._units[j] for _, j, _ in batch], dtype=np.int64))
+            prevs = np.array([self.memo[prev] for _, _, prev in batch],
+                             dtype=np.int64)
+            owner, exps, coeffs = self._merge(
+                unit, prevs[unit], self._coeffs[idx], self._exps[idx])
+            bounds = (len(self._coeffs) + np.searchsorted(
+                owner, np.arange(len(batch) + 1))).tolist()
+            self._exps = np.concatenate((self._exps, exps))
+            self._coeffs = np.concatenate((self._coeffs, coeffs))
+            self._top = np.maximum(self._top, exps.max(axis=0, initial=0))
+            self.memo.update((b, (bounds[k], bounds[k + 1]))
+                             for k, (b, _, _) in enumerate(batch))
+
+    def image(self, texps) -> tuple:
+        """(term, exps, coeffs): the rows of the image of every T^b of texps,
+        each row with the index of its b in texps and its target exponent
+        tuple as a row of an int array."""
+        texps = list(texps)
+        self.fill(texps)
+        term, idx = self._rows(np.array([self.memo[b] for b in texps],
+                                        dtype=np.int64).reshape(-1, 2))
+        return term, self._exps[idx], self._coeffs[idx]
+
+    def apply_all(self, polys) -> list:
+        """The images of polys, in order, from one `_merge` of the batch."""
+        polys = list(polys)
+        owners, monos, coeffs = [], [], []
+        for k, p in enumerate(polys):
+            if len(p.ring.tvar_names) != len(self.images):
+                raise ValueError("one image per T-like variable required")
+            if p.ring.field != self.target.field:
+                raise ValueError(f"a polynomial over {p.ring.field} cannot go "
+                                 f"through a map into {self.target.field}")
+            owners += [k] * len(p.terms)
+            monos += p.terms
+            coeffs += p.terms.values()
+        self.fill(m[2:] for m in monos)
+        # per term: its polynomial, the memo slice of its T-part, its x-part
+        terms = np.array([(k,) + self.memo[m[2:]] + m[:2]
+                          for k, m in zip(owners, monos)],
+                         dtype=np.int64).reshape(-1, 5)
+        owner, exps, coeffs = self._merge(terms[:, 0], terms[:, 1:3],
+                                          self._coeff_array(coeffs),
+                                          terms[:, 3:])
+        bounds = np.searchsorted(owner, np.arange(len(polys) + 1)).tolist()
+        monos = list(map(tuple, exps.tolist()))
+        coeffs = coeffs.tolist()
+        return [Poly(self.target, dict(zip(monos[a:b], coeffs[a:b])))
+                for a, b in zip(bounds, bounds[1:])]
 
     def __call__(self, p: Poly) -> Poly:
-        if len(p.ring.tvar_names) != len(self.images):
-            raise ValueError("one image per T-like variable required")
-        pad = (0,) * len(self.target.tvar_names)
-        mod = self.target.field.modulus
-        out = {}
-        for m, c in p.terms.items():
-            image = self.image(m[2:])
-            sub_multiple(out, -c, shifted(image, (m[0], m[1]) + pad),
-                         image.values(), mod)
-        return Poly(self.target, out)
+        return self.apply_all([p])[0]
 
 
 def linear_images(rows, target: PolyRing) -> tuple:

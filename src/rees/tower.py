@@ -19,13 +19,16 @@ Everything user-facing is reported in the caller's original T-coordinates;
 the recorded coordinate change maps back and forth.  A level holds its four
 ring maps (the hull substitution along the raw and the normalized embedding,
 the coordinate change and its inverse) as `RingMap`s built once, so each
-T-monomial is imaged once per map for the life of the level.
-`TowerLevel.image_rows` writes the hull images of an ambient piece as rows
-straight from the substitution's memo, through `gradedlin.image_rows`.
+T-monomial is imaged once per map for the life of the level, and callers apply
+them a family of polynomials at a time.  `TowerLevel.image_rows` writes the
+hull images of an ambient piece as rows straight from the substitution's
+memo, through `gradedlin.image_rows`; `TowerLevel.driving_image` images the
+driving equation once per level.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from . import gradedlin, linalg
 from .ring import (GradingError, Poly, PolyRing, RingMap, bidegree,
@@ -144,12 +147,12 @@ def evaluation_membership(inp: PresentationInput, polys) -> list:
     This is exact membership in the full defining ideal of the Rees algebra,
     checked by plain polynomial expansion in k[x0,x1,y] -- no basis
     computation involved, so it cross-checks every other engine.  All polys
-    go through one map, so each T-monomial is expanded once.
+    go through one map in one batch, so each T-monomial is expanded once.
     """
     target = PolyRing(inp.field, ("y",), (0,))
     y = target.var("y")
     evaluate = RingMap([promote(f, target) * y for f in inp.minors], target)
-    return [evaluate(p).is_zero() for p in polys]
+    return [image.is_zero() for image in evaluate.apply_all(polys)]
 
 
 @dataclass(frozen=True)
@@ -175,6 +178,12 @@ class TowerLevel:
     def w_monomial(self, alpha) -> Poly:
         exps = (0, 0) + tuple(alpha)
         return self.scroll.monomial(exps)
+
+    @cached_property
+    def driving_image(self) -> Poly:
+        """subst of the driving equation g_(m+1), in level coordinates: the
+        base of the slice and weight-drop targets, imaged once per level."""
+        return self.subst(self.to_level_coords(sym_equations(self.inp)[self.m]))
 
     def image_rows(self, xdeg: int, tdeg: int) -> list:
         """Coefficient rows of subst(mu) on the hull ring's (xdeg, tdeg) piece,

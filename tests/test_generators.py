@@ -1,8 +1,10 @@
+import dataclasses
 import json
 
 import pytest
 
 from conftest import fixture_path
+from rees import gradedlin
 from rees.cli import load_instance
 from rees.field import RationalField
 from rees.gradedlin import piece_basis, piece_dim
@@ -227,6 +229,73 @@ def test_recursion_and_slices_over_the_rationals(tmp_path):
     assert all(evaluation_membership(inp, [rec.poly for rec in records]))
 
 
+# -- planted faults -------------------------------------------------------------
+
+def _bump_one_coefficient(p):
+    """p with the coefficient of its first term changed, bidegree kept."""
+    field = p.ring.field
+    m, c = next(iter(p.terms.items()))
+    new = field(c + 1) or field(c + 2)
+    return Poly(p.ring, {**p.terms, m: new})
+
+
+class _PlantedMap(RingMap):
+    """A ring map whose batches come back with one image changed."""
+
+    __slots__ = ("at",)
+
+    def apply_all(self, polys):
+        out = super().apply_all(polys)
+        if len(out) > self.at:
+            out[self.at] = _bump_one_coefficient(out[self.at])
+        return out
+
+
+def test_a_planted_recursion_fault_fails_only_its_own_certificate(table2):
+    # the family's coordinate changes run as one batch; a coefficient changed
+    # in one record must fail that record's certificate and no other
+    level = build_level(table2, 1)
+    g2 = sym_equations(table2)[1]
+    clean = recursion_generators(level, g2)
+    assert len(clean) > 3 and all(rec.certificate_ok for rec in clean)
+    for at in (1, len(clean) - 1):
+        planted = _PlantedMap(level.to_original_coords.images,
+                              level.to_original_coords.target)
+        planted.at = at
+        records = recursion_generators(
+            dataclasses.replace(level, to_original_coords=planted), g2)
+        assert [rec.bidegree for rec in records] == \
+            [rec.bidegree for rec in clean]
+        assert [rec.certificate_ok for rec in records] == \
+            [k != at for k in range(len(clean))]
+
+
+def test_a_planted_slice_preimage_fault_fails_the_preimage_check(
+        table1, monkeypatch):
+    # every preimage of a slice is imaged in one batch; a coefficient changed
+    # in one of them must still fail the check
+    level = build_level(table1, 1)
+    basis = slice_basis(level)
+    d1 = table1.col_degrees[0]
+    records = slice_generators(table1, d1, level=level, basis=basis)
+    preimages = [rec for rec in records if rec.detail.get("part")
+                 in ("weight-drop", "hull-basis", "hull-piece")]
+    assert len(preimages) > 2
+    real = gradedlin.from_coordinates
+    for at in (0, len(preimages) - 1):
+        calls = []
+
+        def planted(vec, ring, xdeg, tdeg=0):
+            p = real(vec, ring, xdeg, tdeg)
+            calls.append(p)
+            return _bump_one_coefficient(p) if len(calls) - 1 == at else p
+
+        monkeypatch.setattr(gradedlin, "from_coordinates", planted)
+        with pytest.raises(ArithmeticError, match="preimage check failed"):
+            slice_generators(table1, d1, level=level, basis=basis)
+        monkeypatch.setattr(gradedlin, "from_coordinates", real)
+
+
 # -- work counts --------------------------------------------------------------
 
 def test_level_maps_image_each_T_monomial_once(table2, monkeypatch):
@@ -234,13 +303,14 @@ def test_level_maps_image_each_T_monomial_once(table2, monkeypatch):
     # T-monomial a map imaged (with the divisors its image was built from) is
     # held once, and imaging the same piece bases again multiplies nothing
     seen = {}
-    real_image = RingMap.image
+    real_fill = RingMap.fill
 
-    def recording_image(self, texps):
-        seen.setdefault(id(self), set()).add(texps)
-        return real_image(self, texps)
+    def recording_fill(self, texps):
+        texps = list(texps)
+        seen.setdefault(id(self), set()).update(texps)
+        return real_fill(self, texps)
 
-    monkeypatch.setattr(RingMap, "image", recording_image)
+    monkeypatch.setattr(RingMap, "fill", recording_fill)
     level = build_level(table2, 1)
     recursion_generators(level, sym_equations(table2)[1])
     basis = slice_basis(level)
@@ -276,12 +346,12 @@ def test_level_maps_image_each_T_monomial_once(table2, monkeypatch):
 
     # the truncation check reads its rows from the memo and applies no map
     calls = []
-    real_call = RingMap.__call__
+    real_apply = RingMap.apply_all
 
-    def recording_call(self, p):
-        calls.append(p)
-        return real_call(self, p)
+    def recording_apply(self, polys):
+        calls.append(polys)
+        return real_apply(self, polys)
 
-    monkeypatch.setattr(RingMap, "__call__", recording_call)
+    monkeypatch.setattr(RingMap, "apply_all", recording_apply)
     check_truncation_equality(level, range(11, 13), 2)
     assert calls == []

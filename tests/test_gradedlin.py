@@ -4,7 +4,8 @@ from hypothesis import given, settings, strategies as st
 from conftest import span_dim
 from rees import gradedlin, linalg
 from rees.field import PrimeField, RationalField
-from rees.ring import GradingError, Poly, parse_poly, ring_R, ring_S, ring_scroll
+from rees.ring import (GradingError, Poly, RingMap, parse_poly, ring_R, ring_S,
+                       ring_scroll)
 
 F = PrimeField(32003)
 R = ring_R(F)
@@ -266,3 +267,12 @@ def test_shifted_rows_rejects_a_term_outside_the_piece():
     assert gradedlin.shifted_rows([(p.terms, (1, 0, 0, 0, 0))], S, 2, 1) == [
         gradedlin.coordinates(parse_poly("x0^2*T1 + x0*x1*T2", S), 2, 1)]
 
+
+def test_image_rows_rejects_a_map_that_moves_x_degrees():
+    # T1 -> x0*T1 raises the x-degree, so the image of T1 leaves the (0,1)
+    # piece its row would be written into
+    F = PrimeField(7)
+    S = ring_S(F, 2)
+    ring_map = RingMap([parse_poly("x0*T1", S), parse_poly("T2", S)], S)
+    with pytest.raises(GradingError, match=r"outside the \(0,1\) piece"):
+        gradedlin.image_rows(ring_map, S, 0, 1)

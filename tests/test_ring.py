@@ -22,6 +22,7 @@ from rees.ring import (
 
 F = PrimeField(32003)
 F7 = PrimeField(7)
+P31 = PrimeField(2**31 - 1)     # the largest allowed modulus
 Q = RationalField()
 R = ring_R(F)
 S3 = ring_S(F, 3)
@@ -285,7 +286,9 @@ def field_coeffs(field):
     if field.modulus is None:
         return st.fractions(min_value=-9, max_value=9,
                             max_denominator=5).filter(bool)
-    return st.integers(1, field.modulus - 1)
+    p = field.modulus
+    # residues just below p make every product of two of them near p**2
+    return st.one_of(st.integers(1, p - 1), st.integers(max(1, p - 9), p - 1))
 
 
 @st.composite
@@ -295,10 +298,10 @@ def substitution_cases(draw):
     Every polynomial takes its T-monomials from one pool, which may hold the
     T-degree-0 monomial and several T-monomials of one degree, and has several
     x-monomials per T-monomial.  The target is S again (a change of
-    T-coordinates) or a scroll ring (a hull substitution); F_7, F_32003 and Q
-    are drawn.
+    T-coordinates) or a scroll ring (a hull substitution); F_7, F_32003,
+    F_(2^31 - 1) and Q are drawn.
     """
-    field = draw(st.sampled_from([F7, F, Q]))
+    field = draw(st.sampled_from([F7, F, P31, Q]))
     coeff = field_coeffs(field)
     S = ring_S(field, 3)
     pool = draw(st.lists(st.tuples(*[st.integers(0, 2)] * 3),
@@ -336,3 +339,69 @@ def test_substitute_T_matches_per_term_reference(case):
         want = substitute_per_term(p, images, target)
         assert ring_map(p) == want
         assert RingMap(images, target)(p) == want
+
+
+@given(substitution_cases())
+@settings(max_examples=100, deadline=None)
+def test_apply_all_equals_the_one_polynomial_calls(case):
+    # one batch, zero polynomials and mixed x-degrees included, must give
+    # every polynomial the image a call of its own gives it
+    polys, images, target = case
+    want = [RingMap(images, target)(p) for p in polys]
+    assert RingMap(images, target).apply_all(polys) == want
+    assert RingMap(images, target).apply_all([]) == []
+
+
+@pytest.mark.parametrize("field", [F7, F, P31, Q], ids=str)
+def test_apply_all_batches_zero_and_mixed_degree_polynomials(field):
+    S = ring_S(field, 2)
+    W = ring_scroll(field, (1, 0))
+    # images and polynomials of mixed x-degree, built from their terms
+    images = [W.from_terms({(1, 0, 1, 0): 3, (0, 1, 0, 1): 1}),
+              W.from_terms({(0, 1, 1, 0): 1, (0, 0, 0, 1): -1})]
+    polys = [S.zero(),
+             S.from_terms({(2, 0, 2, 0): 1, (1, 1, 1, 1): -5, (0, 0, 0, 2): 1}),
+             S.zero(),
+             S.from_terms({(0, 1, 0, 3): 1, (3, 0, 1, 0): 2}),
+             S.one()]
+    ring_map = RingMap(images, W)
+    batch = ring_map.apply_all(polys)
+    assert batch == [substitute_per_term(p, images, W) for p in polys]
+    assert batch == [RingMap(images, W)(p) for p in polys]
+    assert batch[0] == batch[2] == W.zero() and batch[4] == W.one()
+    assert ring_map.apply_all([]) == []
+
+
+def test_products_near_the_largest_modulus_are_reduced_before_summing():
+    # T1 -> (p-1) x1 and T2 -> (p-1) x0 send the 42 terms
+    # (p-1) x0^i x1^(41-i) T1^i T2^(41-i) to x0^41 x1^41 each; the memo holds
+    # (p-1)^41 = p-1 for every T-monomial, so the image's one coefficient sums
+    # 42 products (p-1)^2, near 2^62 each
+    p = P31.modulus
+    S = ring_S(P31, 2)
+    R = ring_R(P31)
+    images = [Poly(R, {(0, 1): p - 1}), Poly(R, {(1, 0): p - 1})]
+    k = 41
+    poly = Poly(S, {(i, k - i, i, k - i): p - 1 for i in range(k + 1)})
+    got = RingMap(images, R)(poly)
+    assert got == Poly(R, {(k, k): (k + 1) * (-1) ** (k + 1) % p})
+    assert got == substitute_per_term(poly, images, R)
+
+
+def test_ring_map_rejects_an_image_outside_its_target():
+    W = ring_scroll(F, (1,))
+    with pytest.raises(ValueError, match="target ring"):
+        RingMap([parse_poly("x0*w1", W), sp("T1")], W)
+
+
+def test_ring_map_rejects_a_polynomial_over_another_field():
+    # an F_7 polynomial through an F_11 map once came out as 3*w1, its
+    # coefficient read mod 11
+    F11 = PrimeField(11)
+    W = ring_scroll(F11, (0,))
+    ring_map = RingMap([parse_poly("w1", W)], W)
+    p7 = parse_poly("3*T1", ring_S(F7, 1))
+    with pytest.raises(ValueError, match="cannot go through a map"):
+        ring_map(p7)
+    with pytest.raises(ValueError, match="cannot go through a map"):
+        ring_map.apply_all([parse_poly("T1", ring_S(F11, 1)), p7])

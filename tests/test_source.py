@@ -49,7 +49,7 @@ def _images(node, tainted):
 
 def test_no_row_is_read_back_from_a_ring_map_image():
     # hull-image rows come from `TowerLevel.image_rows`, which writes them
-    # from the maps' memo through `gradedlin.image_rows`; imaging a
+    # from the maps' array memo through `gradedlin.image_rows`; imaging a
     # polynomial only to read its coordinates builds a `Poly` for nothing
     found = []
     for path in sorted(SRC.glob("*.py")):
@@ -71,8 +71,8 @@ def test_no_row_is_read_back_from_a_ring_map_image():
 
 def test_ring_map_images_are_read_only_by_the_row_writer():
     # `gradedlin.image_rows` is the one writer of a ring map's image rows;
-    # other code applies a map or asks for those rows, and never reads the
-    # memo entry by entry
+    # other code applies a map (`apply_all`, or a call) or asks for those
+    # rows, and never reads the memo's arrays through `RingMap.image`
     found = []
     for path in sorted(SRC.glob("*.py")):
         if path.name in ("ring.py", "gradedlin.py"):

@@ -1,4 +1,5 @@
 import dataclasses
+import time
 
 import pytest
 
@@ -6,6 +7,7 @@ from conftest import fixture_path
 from rees import cli, gradedlin, linalg, tower
 from rees.cli import random_instance
 from rees.field import PrimeField
+from rees.generators import tower_generators
 from rees.ring import (GradingError, Poly, RingMap, bidegree, parse_poly,
                        ring_R)
 from rees.syzygy import GradedMatrix, HeightError, SigmaInvariants
@@ -90,6 +92,20 @@ def test_evaluation_membership_basics(quadric_cubic):
     assert evaluation_membership(quadric_cubic, polys) == [
         True, True, False, False, True]
     assert evaluation_membership(quadric_cubic, []) == []
+
+
+def test_membership_of_a_large_gap_finishes_within_budget():
+    # the 57 records of table1's first random twin reach T-degree 14 with
+    # degree-19 minors; the dict expansion took 4.6 s, the array memo and
+    # one batch take about 0.4 s.  Budgets may only get tighter.
+    inp = random_instance(3, (3, 16), 0, F)
+    polys = [rec.poly for rec in tower_generators(inp, 1)]
+    assert len(polys) == 57
+    start = time.monotonic()
+    verdicts = evaluation_membership(inp, polys)
+    elapsed = time.monotonic() - start
+    assert all(verdicts)
+    assert elapsed < 1.0, f"membership took {elapsed:.2f} s"
 
 
 # -- level construction -------------------------------------------------------
