@@ -1,7 +1,9 @@
 """Command-line interface: JSON instances in, tables/records/reports out.
 
 Subcommands: info, sigmas, bidegrees, generators, slice, scroll, oracle,
-check, random.  Instance files are JSON:
+check, random.  `check` lists the lines of `rees.checks` and reports them;
+`oracle --what membership` reads the same records and capped basis through a
+`checks.Context`.  Instance files are JSON:
 
     {"field": {"type": "prime", "p": 32003},
      "n": 3,
@@ -23,7 +25,7 @@ import os
 import random as _random
 import sys
 
-from . import combinat, generators, gradedlin, oracle, syzygy, tower
+from . import checks, combinat, generators, oracle, syzygy, tower
 from .field import DEFAULT_PRIME, PrimeField, field_from_json, field_to_json
 from .ring import parse_poly, ring_R
 
@@ -181,10 +183,8 @@ def _emit(args, text: str, payload) -> None:
 def _record_lines(records) -> list:
     out = []
     for rec in records:
-        alpha = "" if rec.alpha is None else f" alpha={tuple(rec.alpha)}"
         flag = "ok" if rec.certificate_ok else "FAILED"
-        out.append(f"  ({rec.bidegree[0]},{rec.bidegree[1]}) "
-                   f"[{rec.provenance}]{alpha} certificate={flag}")
+        out.append(f"  {checks.name(rec, listing=True)} certificate={flag}")
         out.append(f"    {rec.poly}")
     return out
 
@@ -289,23 +289,14 @@ def _cmd_scroll(args) -> int:
     return 0
 
 
-def _records_cap(records) -> int:
-    """The highest T-degree among the records: their membership's cap."""
-    return max((rec.bidegree[1] for rec in records), default=0)
-
-
 def _cmd_oracle(args) -> int:
     inp = load_instance(args.file)
     if args.max_x < 0 or args.max_t < 0:
         raise ValueError("window bounds must be nonnegative")
-    window = ((0, args.max_x), (0, args.max_t))
     if args.what == "membership":
-        records = [(m, rec) for m in range(1, inp.n - 1)
-                   for rec in generators.tower_generators(inp, m)]
-        t_max = _records_cap(rec for _, rec in records)
-    else:
-        t_max = args.max_t
-    K = oracle.saturated_ideal(inp, t_max=t_max)
+        return _membership(checks.Context(inp), args)
+    window = ((0, args.max_x), (0, args.max_t))
+    K = oracle.saturated_ideal(inp, t_max=args.max_t)
     if args.what == "hilbert":
         dims = oracle.bigraded_hilbert(K, window)
         lines = [f"ideal piece dimensions (x up to {args.max_x}, "
@@ -316,112 +307,39 @@ def _cmd_oracle(args) -> int:
         _emit(args, "\n".join(lines),
               {"what": "hilbert",
                "dims": [[i, j, dim] for (i, j), dim in sorted(dims.items())]})
-    elif args.what == "mingens":
+    else:
         table = oracle.minimal_generator_bidegrees(
             K, window, x_separator=inp.col_degrees[-2] - 1)
         _emit(args, table.render(),
               {"what": "mingens",
                "x_separator": table.x_separator,
                "marks": [[x, t, c] for x, t, c in table.marks()]})
-    else:
-        rows = [(m, rec, oracle.normal_form(rec.poly, K).is_zero())
-                for m, rec in records]
-        lines = [f"membership of {len(rows)} records in the saturated ideal:"]
-        for m, rec, ok in rows:
-            alpha = "" if rec.alpha is None else f" alpha={tuple(rec.alpha)}"
-            lines.append(f"  m={m} ({rec.bidegree[0]},{rec.bidegree[1]}) "
-                         f"[{rec.provenance}]{alpha}: "
-                         + ("member" if ok else "NOT A MEMBER"))
-        _emit(args, "\n".join(lines),
-              {"what": "membership",
-               "records": [{"m": m, **rec.as_dict(),
-                            "normal_form_zero": ok}
-                           for m, rec, ok in rows]})
-        if not all(ok for _, _, ok in rows):
-            return 2
     return 0
 
 
-_RESIDUE_CHARS = 80   # a failing check's note shows this much of the residue
+def _membership(ctx: checks.Context, args) -> int:
+    """Every record's verdict against the basis capped at the records' cap."""
+    rows = [(m, rec, nf.is_zero()) for m, rec, nf in checks.normal_forms(ctx)]
+    lines = [f"membership of {len(rows)} records in the saturated ideal:"]
+    lines += [f"  {checks.name(rec, m, listing=True)}: "
+              + ("member" if ok else "NOT A MEMBER") for m, rec, ok in rows]
+    _emit(args, "\n".join(lines),
+          {"what": "membership",
+           "records": [{"m": m, **rec.as_dict(), "normal_form_zero": ok}
+                       for m, rec, ok in rows]})
+    return 0 if all(ok for _, _, ok in rows) else 2
 
 
 def _check_one(inp: tower.PresentationInput) -> list:
-    """Run every cross-check on one instance; list of (label, ok, note)."""
-    results = []
-    n, d = inp.n, inp.col_degrees
-
-    levels = {m: tower.build_level(inp, m) for m in range(1, n)}
-    ok = True
-    for m, level in levels.items():
-        inv = level.sigma
-        ok = ok and sum(inv.sigma) == sum(d[:m]) and inv.s == n - m
-    results.append(("twist bookkeeping (sum and count)", ok, ""))
-
-    ok = True
-    for m, level in levels.items():
-        for i, si in enumerate(level.sigma.sigma):
-            deg = d[m - 1] - 1 + si
-            span = generators.u_span_dim(level.mult_scalars[i], inp.base,
-                                         deg, 0)
-            ok = ok and span == gradedlin.piece_dim(inp.base, deg)
-    results.append(("multiplication scalars reach every form "
-                    "(surjectivity degree)", ok, ""))
-
-    all_records = []
-    ok = True
-    for m in range(1, n - 1):
-        recs = generators.tower_generators(inp, m, level=levels[m])
-        all_records.extend((m, r) for r in recs)
-        ok = ok and all(r.certificate_ok for r in recs)
-    results.append(("substitution certificates", ok, ""))
-
-    ok = True
-    for m, level in levels.items():
-        lo = max(d[m - 1] - 1, 0)
-        for i, j, got, want in tower.check_truncation_equality(
-                level, range(lo, lo + 2), 2):
-            ok = ok and got == want
-    results.append(("truncation equality window", ok, ""))
-
-    if n == 3:
-        level = levels[1]
-        d1 = d[0]
-        H = tower.hull_quotient_hilbert(level)
-        ok = all(H(i) == d1 - i - 1 for i in range(-1, d1))
-        results.append(("hull quotient Hilbert values", ok, ""))
-        scroll = level.scroll
-        ok = gradedlin.piece_dim(scroll, -1, 2) == 3 * d1
-        ok = ok and generators.u_span_dim(
-            level.subst.images, scroll, -1, 2) == 3 * d1
-        results.append(("linear forms fill the (-1,2) piece", ok, ""))
-        ok = True
-        for i in range(-1, d1):
-            for j in range(5):
-                want = (i + 1) * (j + 1) + d1 * (j * (j + 1) // 2)
-                ok = ok and gradedlin.piece_dim(scroll, i, j) == want
-        results.append(("free hull Hilbert function", ok, ""))
-
-    cap = _records_cap(r for _, r in all_records)
-    K = oracle.saturated_ideal(inp, t_max=cap)
-    ok = True
-    note = f"T-degree cap {cap}, {len(K.generators)} basis elements"
-    for m, r in all_records:
-        nf = oracle.normal_form(r.poly, K)
-        if not nf.is_zero():
-            ok = False
-            residue = str(nf)
-            if len(residue) > _RESIDUE_CHARS:
-                residue = residue[:_RESIDUE_CHARS] + "..."
-            alpha = "" if r.alpha is None else f" alpha={tuple(r.alpha)}"
-            note += (f"; first failing record: m={m}{alpha} bidegree "
-                     f"({r.bidegree[0]},{r.bidegree[1]}), residue {residue}")
-            break
-    results.append(("oracle normal forms of all records", ok, note))
-
-    ok = all(tower.evaluation_membership(inp,
-                                         [r.poly for _, r in all_records]))
-    results.append(("evaluation membership of all records", ok, ""))
-    return results
+    """Every `rees check` line on one instance; list of (label, ok, note)."""
+    lines = [checks.twist_bookkeeping, checks.scalars_reach_every_form,
+             checks.substitution_certificates, checks.truncation_window]
+    if inp.n == 3:
+        lines += [checks.hull_quotient_values, checks.linear_forms_fill,
+                  checks.free_hull_hilbert]
+    lines += [checks.oracle_normal_forms, checks.evaluation_of_records]
+    ctx = checks.Context(inp)
+    return [line(ctx) for line in lines]
 
 
 def _cmd_check(args) -> int:
@@ -441,9 +359,10 @@ def _cmd_check(args) -> int:
         lines.append(f"{name}:")
         for label, ok, note in results:
             grand = grand and ok
-            mark = "PASS" if ok else "FAIL"
-            suffix = f" ({note})" if note else ""
-            lines.append(f"  {mark}  {label}{suffix}")
+            if ok:
+                lines.append(f"  PASS  {label}" + (f" ({note})" if note else ""))
+            else:   # a failing note names the failure, and may run long
+                lines += [f"  FAIL  {label}", f"        {note}"]
         payload.append({"name": name,
                         "checks": [{"label": label, "ok": ok, "note": note}
                                    for label, ok, note in results]})

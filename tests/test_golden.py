@@ -19,8 +19,10 @@ almost-linear digests were recorded before the hull images of ambient
 monomials were written as rows from the maps' memo; the random instance
 digests were recorded before the height check moved from a Euclidean gcd to
 one rank; the kernel digests were recorded before `graded_kernel` moved
-from hand-written equations to a ring map's piece rows.  A deliberate change of
-output must replace them in the same commit and say why.
+from hand-written equations to a ring map's piece rows; the `check` and
+membership digests were recorded before the check lines moved from one CLI
+function to `rees.checks`.  A deliberate change of output must replace them
+in the same commit and say why.
 """
 import dataclasses
 import hashlib
@@ -338,6 +340,41 @@ RANDOM_INSTANCES = {
 }
 
 
+# `check` on every fixture: check JSON carries no records, so the fixtures
+# whose checks pass with no oracle-line cap note of their own print the same
+# bytes (quadric_cubic, final_example and final_variant)
+CHECKS = {
+    "almost_linear": "c813a0f5d50345b13a8b89ed24ee9f503f0f50c0ea85e63d55da3a1360454b91",
+    "final_example": "1ac281b957796f95cf790a422f527c2f9049fb07f2edd3d02e90ca8028259238",
+    "final_variant": "1ac281b957796f95cf790a422f527c2f9049fb07f2edd3d02e90ca8028259238",
+    "quadric_cubic": "1ac281b957796f95cf790a422f527c2f9049fb07f2edd3d02e90ca8028259238",
+    "table1": "200b9a4309658c9eaf80fc2af3c1dd1bc1a357b1c9084e112cf8de7f2444a8ae",
+    "table2": "4f23214b1bcd37783d28991ecfce876d0bb6ec33735bc04748f7c668debefad5",
+    "table3": "a4d6f666bf2becf7f43bca6cd4cba89cb1f5cb7f045493ebaf45ddfe396eed55",
+}
+
+# `check --seeds 2`: the instance and its first two random twins
+SEEDED_CHECKS = {
+    "almost_linear": "8de07bf7f9bd85236bdb3ce86b8033ed9f4c004fd59bf7fce997665b54e6ef2b",
+    "final_example": "be8a0c433a6a3e8ea0dbaafe8c6b8135d2c909249e79541a6063291866df9b5c",
+    "final_variant": "be8a0c433a6a3e8ea0dbaafe8c6b8135d2c909249e79541a6063291866df9b5c",
+    "quadric_cubic": "d73b6667f85177da4fb6941967bb8d7a9fed3e4a5eac745497eb5e7686a251eb",
+}
+
+# `oracle --what membership --max-x 0 --max-t 0`: every record of the levels
+# below the top, with its verdict against the saturation capped at their
+# highest T-degree
+MEMBERSHIP = {
+    "almost_linear": "cc886ce2c1d74aebb51308ca6a8b2250172b56b956238a6d74f675fc303d8c94",
+    "final_example": "7588fd0631dd3ae9a15dcd5f32a9f0261e26930bb6d91f581f7d75e5bd2ea3ff",
+    "final_variant": "61d6a723de668dd15090f7b4dccbcae5566953c899db7239cc76a78d2f5d218c",
+    "quadric_cubic": "5a56b71a886a70f110667b186448e3d92773bfdfb318220b25616a3689d27009",
+    "table1": "fe93a30e9a046737528fe2deb88da1595a8e9306f48edc7de04a16e77acc08c7",
+    "table2": "2766aa10af576723fa0dd07a8865911a054c8cc5ecdf4a92d0b2359efdb9b2f3",
+    "table3": "87a1e4eaaf825a0821238d182ae505f4988bd36218e4661ddc37a167b55d7aa9",
+}
+
+
 def json_digest(capsys, *argv):
     code = cli.main(["--json", *argv])
     out = capsys.readouterr().out
@@ -384,6 +421,26 @@ def test_oracle_counts_json_is_unchanged(capsys, what, name):
     got = json_digest(capsys, "oracle", fixture_path(f"{name}.json"),
                       "--what", what, "--max-x", "10", "--max-t", "5")
     assert got == ORACLE_COUNTS[(what, name)]
+
+
+@pytest.mark.parametrize("name", sorted(CHECKS))
+def test_check_json_is_unchanged(capsys, name):
+    got = json_digest(capsys, "check", fixture_path(f"{name}.json"))
+    assert got == CHECKS[name]
+
+
+@pytest.mark.parametrize("name", sorted(SEEDED_CHECKS))
+def test_seeded_check_json_is_unchanged(capsys, name):
+    got = json_digest(capsys, "check", fixture_path(f"{name}.json"),
+                      "--seeds", "2")
+    assert got == SEEDED_CHECKS[name]
+
+
+@pytest.mark.parametrize("name", sorted(MEMBERSHIP))
+def test_oracle_membership_json_is_unchanged(capsys, name):
+    got = json_digest(capsys, "oracle", fixture_path(f"{name}.json"),
+                      "--what", "membership", "--max-x", "0", "--max-t", "0")
+    assert got == MEMBERSHIP[name]
 
 
 def basis_digest(K):

@@ -99,6 +99,22 @@ def test_only_load_presentation_computes_the_minors():
         f"signed_maximal_minors called outside load_presentation: {callers}"
 
 
+CHECK_HELPERS = {"normal_form", "evaluation_membership",
+                 "check_truncation_equality", "hull_quotient_hilbert"}
+
+
+def test_only_the_check_lines_call_the_check_helpers():
+    # one module decides which records `rees check` verifies and at which
+    # cap: `rees.checks`, whose lines and context the CLI reads
+    called = {}
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and _name(node.func) in CHECK_HELPERS:
+                called.setdefault(path.name, set()).add(_name(node.func))
+    assert called == {"checks.py": CHECK_HELPERS}, \
+        f"check helpers called outside rees.checks: {called}"
+
 def test_every_exported_name_resolves():
     # a deletion that leaves a stale `__all__` entry breaks `from rees import *`
     missing = [name for name in rees.__all__ if not hasattr(rees, name)]
