@@ -70,8 +70,10 @@ def _build_parser() -> _Parser:
     c.add_argument("-m", type=int, required=True, help="level (1..n-1)")
 
     c = instance_cmd("oracle", "Groebner-side report on the saturated ideal")
-    c.add_argument("--max-x", type=int, required=True)
-    c.add_argument("--max-t", type=int, required=True)
+    c.add_argument("--max-x", type=int, default=None,
+                   help="highest x-degree of the window (hilbert, mingens)")
+    c.add_argument("--max-t", type=int, default=None,
+                   help="highest T-degree of the window (hilbert, mingens)")
     c.add_argument("--what", choices=("hilbert", "mingens", "membership"),
                    default="mingens")
 
@@ -290,9 +292,13 @@ def _cmd_scroll(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    inp = load_instance(args.file)
-    if args.max_x < 0 or args.max_t < 0:
+    bounds = {"--max-x": args.max_x, "--max-t": args.max_t}
+    if any(v is not None and v < 0 for v in bounds.values()):
         raise ValueError("window bounds must be nonnegative")
+    missing = [flag for flag, v in bounds.items() if v is None]
+    if missing and args.what != "membership":
+        raise ValueError(f"--what {args.what} needs " + " and ".join(missing))
+    inp = load_instance(args.file)
     if args.what == "membership":
         return _membership(checks.Context(inp), args)
     window = ((0, args.max_x), (0, args.max_t))

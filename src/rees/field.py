@@ -14,9 +14,9 @@ from fractions import Fraction
 
 DEFAULT_PRIME = 32003
 
-# Moduli must stay below this bound.  Linear algebra over F_p runs on numpy
-# int64 arrays and multiplies two residues before reducing, so p**2 has to fit
-# in int64; p < 2**31 keeps it below 2**62.
+# Moduli must stay below this bound.  Ring maps over F_p run on numpy int64
+# arrays and multiply two residues before reducing, so p**2 has to fit in
+# int64; p < 2**31 keeps it below 2**62.
 PRIME_LIMIT = 1 << 31
 
 
@@ -55,7 +55,7 @@ class PrimeField:
             raise ValueError(f"field modulus must be prime, got {p!r}")
         if p >= PRIME_LIMIT:
             raise ValueError(f"field modulus must be below 2**31 for int64 "
-                             f"linear algebra, got {p}")
+                             f"ring maps, got {p}")
         self.p = p
 
     @property

@@ -1,10 +1,13 @@
-"""Exact dense linear algebra over F_p and over the rationals.
+"""Exact linear algebra over F_p and over the rationals.
 
-Each field has one elimination route.  Prime-field matrices ride numpy int64
-(safe because `PrimeField` only accepts p < 2**31) with row-sparse
-elimination: each pivot step touches only the columns from the pivot rightward
-(everything left of it is already zero in the pivot row) and only the rows
-with a nonzero entry in the pivot column.  Rational matrices are scaled to
+Matrices come in and go out as dense lists of rows; each field has one
+elimination route.  Prime-field rows are reduced sparsely in Python ints: each
+row is a dict of its nonzero residues, a column index names the rows nonzero
+in each column, and a pivot step reduces only those rows, at one
+multiply-add per nonzero of the pivot row.  The large matrices of this
+package are a few percent nonzero (the slice solves' 1-2 %) and stay sparse
+under elimination; a dense matrix that fills in is slower here than it would
+be on whole-row array operations.  Rational matrices are scaled to
 integers and reduced by fraction-free Gauss-Jordan elimination, whose entries
 grow like minors rather than like the Fraction sums of plain elimination.
 `rref` is the only elimination: rank is the pivot count of the reduced row
@@ -19,9 +22,8 @@ straight out of the reduced row echelon form with free variables set to zero
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import compress
 from math import lcm
-
-import numpy as np
 
 
 def rref(rows, ncols, field):
@@ -32,31 +34,63 @@ def rref(rows, ncols, field):
 
 
 def _rref_fp(rows, ncols, p):
+    # sparse Gauss-Jordan in Python ints: each row is a dict {column: nonzero
+    # residue} and at[j] holds the rows nonzero in column j, so a pivot step
+    # reduces only the rows it hits, one step per nonzero of the monic pivot
+    # row (whose own column cancels, dropping the row from at[c]).  The pivot
+    # row is the one a dense loop would swap in: the first non-pivot row, in
+    # the current swap order, nonzero in the column (order[k] is the row at
+    # position k, slot its inverse).  With ncols below the row width the
+    # carried columns depend on that choice.
     if len(rows) == 0 or ncols == 0:
         return [], []
-    M = np.array(rows, dtype=np.int64) % p
-    nr = M.shape[0]
-    r = 0
+    width = range(len(rows[0]))
+    R = [{j: v for j in compress(width, row) if (v := row[j] % p)}
+         for row in rows]
+    at = [set() for _ in width]
+    for i, row in enumerate(R):
+        for j in row:
+            at[j].add(i)
+    order = list(range(len(R)))
+    slot = list(order)
     pivots = []
     for c in range(ncols):
-        if r == nr:
+        r = len(pivots)
+        if r == len(R):
             break
-        nz = np.flatnonzero(M[r:, c])
-        if nz.size == 0:
+        k = min((slot[i] for i in at[c] if slot[i] >= r), default=None)
+        if k is None:
             continue
-        i = r + int(nz[0])
-        if i != r:
-            M[[r, i]] = M[[i, r]]
-        # columns left of c are already zero in the pivot row, so only c: moves
-        pivot_row = M[r, c:] * pow(int(M[r, c]), p - 2, p) % p
-        M[r, c:] = pivot_row
-        hit = np.flatnonzero(M[:, c])
-        hit = hit[hit != r]
-        if hit.size:
-            M[hit, c:] = (M[hit, c:] - np.outer(M[hit, c], pivot_row)) % p
+        piv = order[k]
+        order[k], order[r] = order[r], piv
+        slot[order[k]], slot[piv] = k, r
+        P = R[piv]
+        inv = pow(P[c], p - 2, p)
+        if inv != 1:
+            for j in P:
+                P[j] = P[j] * inv % p
+        for i in list(at[c]):
+            if i == piv:
+                continue
+            row = R[i]
+            f = row[c]
+            for j, v in P.items():
+                w = (row.get(j, 0) - f * v) % p
+                if w:
+                    if j not in row:
+                        at[j].add(i)
+                    row[j] = w
+                elif j in row:
+                    del row[j]
+                    at[j].discard(i)
         pivots.append(c)
-        r += 1
-    return M[:r].tolist(), pivots
+    out = []
+    for i in order[:len(pivots)]:
+        dense = [0] * len(width)
+        for j, v in R[i].items():
+            dense[j] = v
+        out.append(dense)
+    return out, pivots
 
 
 def _rref_frac(rows, ncols, field):

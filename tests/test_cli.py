@@ -149,6 +149,29 @@ def test_oracle_membership(capsys):
     assert all(rec["normal_form_zero"] for rec in payload["records"])
 
 
+def test_oracle_membership_needs_no_window(capsys):
+    # membership lists every record at the records' own cap, so the window
+    # flags change nothing and may be left out
+    code, out, _ = run(capsys, "--json", "oracle", QUADRIC,
+                       "--what", "membership")
+    assert code == 0
+    assert run(capsys, "--json", "oracle", QUADRIC, "--max-x", "0",
+               "--max-t", "0", "--what", "membership") == (0, out, "")
+
+
+@pytest.mark.parametrize("what", ["hilbert", "mingens"])
+@pytest.mark.parametrize("given, missing", [
+    ((), "--max-x and --max-t"),
+    (("--max-t", "2"), "--max-x"),
+    (("--max-x", "3"), "--max-t"),
+])
+def test_oracle_window_is_required_for_counts(capsys, what, given, missing):
+    code, out, err = run(capsys, "oracle", QUADRIC, "--what", what, *given)
+    assert code == 1
+    assert out == ""
+    assert f"error: --what {what} needs {missing}" in err
+
+
 @pytest.mark.parametrize("what, cap", [
     ("hilbert", 4), ("mingens", 4),
     # the records of quadric_cubic reach T-degree 2

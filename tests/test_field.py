@@ -39,7 +39,7 @@ def test_composite_modulus_rejected(bad):
 
 
 def test_prime_modulus_at_or_above_2_31_rejected():
-    # F_p linear algebra runs on numpy int64, so 2**31 - 1 is the largest
+    # F_p ring maps run on numpy int64, so 2**31 - 1 is the largest
     # usable prime; a larger one must be refused, not computed over Q
     assert PrimeField(2147483647).modulus == 2147483647
     with pytest.raises(ValueError, match="below 2\\*\\*31"):

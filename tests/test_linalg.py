@@ -1,5 +1,7 @@
+import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from rees import linalg
@@ -228,14 +230,57 @@ def search_matrices(draw, entry=st.one_of(st.just(0), st.integers(0, 32002))):
     return rows, search
 
 
-@given(search_matrices())
+@pytest.mark.parametrize("p", [7, 32003, 2**31 - 1])
+@given(data=st.data())
 @settings(max_examples=200)
-def test_rref_mod_p_matches_reference(drawn):
-    rows, search = drawn
-    got_rows, got_pivots = linalg.rref(rows, search, F)
-    want_rows, want_pivots = gauss_jordan_mod_p(rows, search, 32003)
+def test_rref_mod_p_matches_reference(p, data):
+    # 2**31 - 1 is the largest prime `PrimeField` accepts; F_7 makes
+    # cancellations and dependent rows common
+    rows, search = data.draw(
+        search_matrices(st.one_of(st.just(0), st.integers(0, p - 1))))
+    got_rows, got_pivots = linalg.rref(rows, search, PrimeField(p))
+    want_rows, want_pivots = gauss_jordan_mod_p(rows, search, p)
     assert got_pivots == want_pivots
     assert got_rows == want_rows
+
+
+def banded_system():
+    """A sparse banded 100 x 180 matrix with about 2 % nonzero entries, some
+    rows the sums of two others, and a dense right-hand block of 5 columns:
+    the shape of the slice solves."""
+    nrows, ncols, rhs = 100, 180, 5
+    rng = random.Random(0)
+    rows = []
+    for i in range(nrows):
+        row = [0] * (ncols + rhs)
+        start = i * (ncols - 8) // nrows
+        for j in rng.sample(range(start, start + 8), 3):
+            row[j] = rng.randrange(1, 32003)
+        for j in range(ncols, ncols + rhs):
+            row[j] = rng.randrange(32003)
+        rows.append(row)
+    # a sum of two rows with a fresh right-hand side: which of the dependent
+    # rows become pivot rows shows in the carried block, and out of band
+    # order they are swapped in from far down
+    for _ in range(nrows // 10):
+        a, b = rng.sample(range(nrows), 2)
+        band = [x + y for x, y in zip(rows[a][:ncols], rows[b][:ncols])]
+        rows[rng.randrange(nrows)] = band + [rng.randrange(32003)
+                                             for _ in range(rhs)]
+    rng.shuffle(rows)
+    return rows, ncols
+
+
+def test_rref_mod_p_on_a_sparse_banded_system():
+    rows, ncols = banded_system()
+    width = len(rows[0])
+    nonzero = sum(map(bool, (v for row in rows for v in row[:ncols])))
+    assert nonzero < 0.025 * len(rows) * ncols
+    # pivots searched in the matrix only (the block carried along), and in
+    # the whole augmented width as `solve_many` does
+    for search in (ncols, width):
+        got = linalg.rref(rows, search, F)
+        assert got == gauss_jordan_mod_p(rows, search, 32003)
 
 
 @given(search_matrices(st.one_of(st.just(0),

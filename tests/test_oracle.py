@@ -166,9 +166,9 @@ def test_nf_terms_matches_naive_division(name, data):
 # -- packed monomials ----------------------------------------------------------
 
 def exponents(nvars):
-    # mostly small exponents, some large enough that a sum of two tuples
-    # nearly fills the digits
-    big = DEGREE_BOUND // (2 * nvars)
+    # mostly small exponents, some large enough that a sum of three tuples
+    # (a + b, with b drawn as a + c) nearly fills the digits
+    big = DEGREE_BOUND // (3 * nvars)
     return st.tuples(*[st.one_of(st.integers(0, 3), st.integers(0, big))]
                      * nvars)
 

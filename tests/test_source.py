@@ -115,6 +115,19 @@ def test_only_the_check_lines_call_the_check_helpers():
     assert called == {"checks.py": CHECK_HELPERS}, \
         f"check helpers called outside rees.checks: {called}"
 
+
+def test_linalg_imports_no_numpy():
+    # one elimination route per field: F_p rows are reduced sparsely in
+    # Python ints, with no dense numpy fork beside that route
+    tree = ast.parse((SRC / "linalg.py").read_text(encoding="utf-8"))
+    modules = [alias.name for node in ast.walk(tree)
+               if isinstance(node, ast.Import) for alias in node.names]
+    modules += [node.module for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.module]
+    found = [name for name in modules if name.split(".")[0] == "numpy"]
+    assert not found, f"numpy imported in src/rees/linalg.py: {found}"
+
+
 def test_every_exported_name_resolves():
     # a deletion that leaves a stale `__all__` entry breaks `from rees import *`
     missing = [name for name in rees.__all__ if not hasattr(rees, name)]
