@@ -5,8 +5,10 @@ Two fields are supported: F_p for a prime p (elements are canonical ints in
 reads `field.modulus`: an int means "reduce mod p", None means "exact rational
 arithmetic".  So one loop serves both fields: the package's one
 multiply-accumulate kernel, `ring.sub_multiple`, which every `Poly` operation
-and the oracle's reduction call, reduces a coefficient only when the modulus
-is an int.  Scaling goes through `inv`, `neg` and the field's coercion.
+and the oracle's reduction call, and the one elimination, `linalg.rref`, each
+reduce a value only when the modulus is an int.  Scaling goes through `inv`,
+`neg` and the field's coercion, which also brings every matrix entry into
+the field on its way into `rref`.
 """
 from __future__ import annotations
 

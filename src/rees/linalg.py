@@ -1,51 +1,48 @@
 """Exact linear algebra over F_p and over the rationals.
 
-Matrices come in and go out as dense lists of rows; each field has one
-elimination route.  Prime-field rows are reduced sparsely in Python ints: each
-row is a dict of its nonzero residues, a column index names the rows nonzero
-in each column, and a pivot step reduces only those rows, at one
-multiply-add per nonzero of the pivot row.  The large matrices of this
-package are a few percent nonzero (the slice solves' 1-2 %) and stay sparse
-under elimination; a dense matrix that fills in is slower here than it would
-be on whole-row array operations.  Rational matrices are scaled to
-integers and reduced by fraction-free Gauss-Jordan elimination, whose entries
-grow like minors rather than like the Fraction sums of plain elimination.
-`rref` is the only elimination: rank is the pivot count of the reduced row
-echelon form, `independent` answers greedy basis and membership questions
-with the pivot columns of the vectors set side by side, and `solve_many`
-solves one matrix for many right-hand sides with a single RREF of the
-augmented matrix.  All routines are deterministic:
-pivots are chosen left to right, canonical nullspace/solution vectors come
-straight out of the reduced row echelon form with free variables set to zero
+Matrices come in and go out as dense lists of rows, and both fields share
+one elimination route, `rref`.  Each entry is coerced by the field on the
+way in (Fractions over Q, canonical residues over F_p) and each row is kept
+sparse: a dict of its nonzero entries, with a column index naming the rows
+nonzero in each column, so a pivot step reduces only those rows, at one
+multiply-add per nonzero of the pivot row, reduced mod p only over F_p.  The
+large matrices of this package are a few percent nonzero (the slice solves'
+1-2 %) and stay sparse under elimination; a dense matrix that fills in is
+slower here than on whole-row array operations, and over Q slower than
+fraction-free elimination, whose entries grow like minors.
+Every routine here goes through `rref`: rank is the pivot count of the
+reduced row echelon form, `independent` answers greedy basis and membership
+questions with the pivot columns of the vectors set side by side, and
+`solve_many` solves one matrix for many right-hand sides with a single RREF
+of the augmented matrix.  All routines are deterministic: pivots are chosen
+left to right, canonical nullspace/solution vectors come straight out of the
+reduced row echelon form with free variables set to zero
 (nullspace: one vector per free column, that free coordinate set to one).
 """
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import compress
-from math import lcm
 
 
 def rref(rows, ncols, field):
-    """Reduced row echelon form.  Returns (reduced_rows, pivot_columns)."""
-    if field.modulus is not None:
-        return _rref_fp(rows, ncols, field.modulus)
-    return _rref_frac(rows, ncols, field)
+    """Reduced row echelon form.  Returns (reduced_rows, pivot_columns).
 
-
-def _rref_fp(rows, ncols, p):
-    # sparse Gauss-Jordan in Python ints: each row is a dict {column: nonzero
-    # residue} and at[j] holds the rows nonzero in column j, so a pivot step
-    # reduces only the rows it hits, one step per nonzero of the monic pivot
-    # row (whose own column cancels, dropping the row from at[c]).  The pivot
-    # row is the one a dense loop would swap in: the first non-pivot row, in
-    # the current swap order, nonzero in the column (order[k] is the row at
-    # position k, slot its inverse).  With ncols below the row width the
-    # carried columns depend on that choice.
+    Entries may be anything the field coerces; the output holds field
+    elements, zeros included.
+    """
+    # sparse Gauss-Jordan: each row is a dict {column: nonzero entry} and
+    # at[j] holds the rows nonzero in column j, so a pivot step reduces only
+    # the rows it hits, one step per nonzero of the monic pivot row (whose
+    # own column cancels, dropping the row from at[c]).  The pivot row is the
+    # one a dense loop would swap in: the first non-pivot row, in the current
+    # swap order, nonzero in the column (order[k] is the row at position k,
+    # slot its inverse).  With ncols below the row width the carried columns
+    # depend on that choice.
     if len(rows) == 0 or ncols == 0:
         return [], []
+    p = field.modulus
     width = range(len(rows[0]))
-    R = [{j: v for j in compress(width, row) if (v := row[j] % p)}
+    R = [{j: v for j in compress(width, row) if (v := field(row[j]))}
          for row in rows]
     at = [set() for _ in width]
     for i, row in enumerate(R):
@@ -65,17 +62,19 @@ def _rref_fp(rows, ncols, p):
         order[k], order[r] = order[r], piv
         slot[order[k]], slot[piv] = k, r
         P = R[piv]
-        inv = pow(P[c], p - 2, p)
+        inv = field.inv(P[c])
         if inv != 1:
             for j in P:
-                P[j] = P[j] * inv % p
+                P[j] = P[j] * inv if p is None else P[j] * inv % p
         for i in list(at[c]):
             if i == piv:
                 continue
             row = R[i]
             f = row[c]
             for j, v in P.items():
-                w = (row.get(j, 0) - f * v) % p
+                w = row.get(j, 0) - f * v
+                if p is not None:
+                    w %= p
                 if w:
                     if j not in row:
                         at[j].add(i)
@@ -86,45 +85,11 @@ def _rref_fp(rows, ncols, p):
         pivots.append(c)
     out = []
     for i in order[:len(pivots)]:
-        dense = [0] * len(width)
+        dense = [field.zero] * len(width)
         for j, v in R[i].items():
             dense[j] = v
         out.append(dense)
     return out, pivots
-
-
-def _rref_frac(rows, ncols, field):
-    # fraction-free Gauss-Jordan (Bareiss, Math. Comp. 22, 1968): scale each
-    # row to integers, which changes no RREF, then eliminate with
-    # M[i] = (piv * M[i] - M[i][c] * M[r]) / prev, prev the previous pivot.
-    # Every entry stays a minor of the scaled matrix, so the division is
-    # exact, and every pivot row ends up as the last pivot times its RREF row
-    M = []
-    for row in rows:
-        row = [Fraction(v) for v in row]
-        den = lcm(*(v.denominator for v in row))
-        M.append([v.numerator * (den // v.denominator) for v in row])
-    r = 0
-    prev = 1
-    pivots = []
-    for c in range(ncols):
-        if r == len(M):
-            break
-        sel = next((i for i in range(r, len(M)) if M[i][c]), None)
-        if sel is None:
-            continue
-        M[r], M[sel] = M[sel], M[r]
-        pivot_row = M[r]
-        piv = pivot_row[c]
-        for i in range(len(M)):
-            if i != r:
-                f = M[i][c]
-                M[i] = [(piv * a - f * b) // prev
-                        for a, b in zip(M[i], pivot_row)]
-        prev = piv
-        pivots.append(c)
-        r += 1
-    return [[Fraction(v, prev) for v in row] for row in M[:r]], pivots
 
 
 def rank(rows, ncols, field) -> int:

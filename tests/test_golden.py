@@ -18,8 +18,10 @@ from exponent tuples to packed one-int monomials; the random slice and
 almost-linear digests were recorded before the hull images of ambient
 monomials were written as rows from the maps' memo; the random instance
 digests were recorded before the height check moved from a Euclidean gcd to
-one rank; the kernel digests were recorded before `graded_kernel` moved
-from hand-written equations to a ring map's piece rows; the `check` and
+one rank; the rational twins' record digests were recorded before the
+fraction-free rational elimination gave way to the sparse route of F_p; the
+kernel digests were recorded before `graded_kernel` moved from hand-written
+equations to a ring map's piece rows; the `check` and
 membership digests were recorded before the check lines moved from one CLI
 function to `rees.checks`.  A deliberate change of output must replace them
 in the same commit and say why.
@@ -316,6 +318,59 @@ RANDOM_ALMOST_LINEAR = {
         "8d2e782bc7a483c9d9dac3181e58b2e131df381c711e693b6f2d92523955c3c9",
 }
 
+# `generators.tower_generators` records at every level 1..n-2 of each
+# fixture's rational twin, `slice_generators` at x-degrees d_1 - 1 and d_2 of
+# the n = 3 twins, and `almost_linear_generators` of almost_linear's twin:
+# the records over Q, whose every solve and kernel is an elimination over Q
+RATIONAL_TOWERS = {
+    ("almost_linear", 1):
+        "23c38323ed25b94d8be21471f6cfd497da9ad35c576acac98cca98a4086a5c28",
+    ("almost_linear", 2):
+        "0b71fb361a5f8447f6eb61082528f78a3aa04d9fa37861baa8bb75b525b952a6",
+    ("final_example", 1):
+        "95aea770c85ef5ddbff2a9159bab5845ea5a4ab4911a427ee6e63706ce217f82",
+    ("final_variant", 1):
+        "c391888c6bf53d3b452134078fbaa4c4db437684afd08111c8861f6ec4cf732e",
+    ("quadric_cubic", 1):
+        "fb7e30501c2268cc2bcf6d5859aab6a8d7bd2de550e75c6b734216903030081c",
+    ("table1", 1):
+        "580724ff7b6234a2c26dcfd2dcbb737768179f218b3d77e98cf4ff24de844de6",
+    ("table2", 1):
+        "cdc8e9f4742a55618070424dcd5de5d8b99f772798179047e06cf593447a82bf",
+    ("table3", 1):
+        "61228d3da300c7c5b54c97adae99ab3236cd209fbd67cd7c9d078428b24a7eef",
+}
+
+RATIONAL_SLICES = {
+    ("final_example", 3):
+        "6477f524434a70c73a86a886661d8701646af4d7a804d236f000be63034e6b0e",
+    ("final_example", 7):
+        "cb52446f681a70a95569dc0eba898326e67ac059d9bff9d3ab018f01eef6935a",
+    ("final_variant", 3):
+        "bb912347aced621812575b11b2864a94de5988b0c7b3d78a2f84cf757c42ccb6",
+    ("final_variant", 7):
+        "3c28f8221d92bed0eccaa6328eee883abe733022369aa7b9d49d05d574ecc8b6",
+    ("quadric_cubic", 1):
+        "7e7359fd319225722f2c1b31067d6ac64cb654a09f00fb09997fe83b3f774e65",
+    ("quadric_cubic", 3):
+        "373155c3d5f572b5ecbadddc445934352c8bc69150ec03fc89e393e697aa4dfc",
+    ("table1", 2):
+        "23b5d75a0bf432b77121ba1a877736ee93fd18e42707082fed47ce5c63152b79",
+    ("table1", 16):
+        "75c980ca5705f834fffa225d5dc24cae626273c47a29699fcf218a00b138d609",
+    ("table2", 4):
+        "5dc5e0cd1e9c38c4bc7ac6e3518a53449f1d4c7c9f12bc136452cd0a2cb5ae55",
+    ("table2", 16):
+        "97f4f0f9804fd29b06fa55b4c03b3a669cd8ed2be854b2867818cfb875ca7373",
+    ("table3", 3):
+        "25cb52c48ea8955fb481f5f61157489e03346ada18eb6d58e1482f389da1fd22",
+    ("table3", 16):
+        "4769954d313c09e2402f6c2c66734af795732621201208c097eb34c43f0da97a",
+}
+
+RATIONAL_ALMOST_LINEAR = (
+    "7cc0bc7e1f1f873cd9052bf8e1062d342b3e7fbff86583b725146c66e60aff15")
+
 
 # `cli.instance_to_json` of `cli.random_instance(n, shape, seed)` over F_p
 # for seeds 0-4, one sorted JSON text per line: rejection sampling draws the
@@ -514,6 +569,29 @@ def test_random_almost_linear_records_are_unchanged(shape, seed):
     inp = cli.random_instance(len(shape) + 1, shape, seed, PrimeField(32003))
     records = generators.almost_linear_generators(inp)
     assert records_digest(records) == RANDOM_ALMOST_LINEAR[(shape, seed)]
+
+
+def rational_twin(name):
+    inp = cli.load_instance(fixture_path(f"{name}.json"))
+    return oracle._rational_twin(inp)
+
+
+@pytest.mark.parametrize("name,m", sorted(RATIONAL_TOWERS))
+def test_rational_tower_records_are_unchanged(name, m):
+    records = generators.tower_generators(rational_twin(name), m)
+    assert records_digest(records) == RATIONAL_TOWERS[(name, m)]
+
+
+@pytest.mark.parametrize("name,xdeg", sorted(RATIONAL_SLICES))
+def test_rational_slice_records_are_unchanged(name, xdeg):
+    records = generators.slice_generators(rational_twin(name), xdeg)
+    assert records_digest(records) == RATIONAL_SLICES[(name, xdeg)]
+
+
+def test_rational_almost_linear_records_are_unchanged():
+    inp = rational_twin("almost_linear")
+    records = generators.almost_linear_generators(inp)
+    assert records_digest(records) == RATIONAL_ALMOST_LINEAR
 
 
 @pytest.mark.parametrize("name,cap", sorted(COUNTERS, key=str))

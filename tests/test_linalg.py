@@ -271,16 +271,37 @@ def banded_system():
     return rows, ncols
 
 
-def test_rref_mod_p_on_a_sparse_banded_system():
+@pytest.mark.parametrize("field", [F, Q], ids=["F32003", "Q"])
+def test_rref_on_a_sparse_banded_system(field):
     rows, ncols = banded_system()
     width = len(rows[0])
     nonzero = sum(map(bool, (v for row in rows for v in row[:ncols])))
     assert nonzero < 0.025 * len(rows) * ncols
+    if field is Q:
+        rows = [[Fraction(v) for v in row] for row in rows]
     # pivots searched in the matrix only (the block carried along), and in
     # the whole augmented width as `solve_many` does
     for search in (ncols, width):
-        got = linalg.rref(rows, search, F)
-        assert got == gauss_jordan_mod_p(rows, search, 32003)
+        got = linalg.rref(rows, search, field)
+        if field is Q:
+            assert got == gauss_jordan_over_Q(rows, search)
+        else:
+            assert got == gauss_jordan_mod_p(rows, search, 32003)
+
+
+def test_rref_coerces_entries_into_the_field():
+    # over Q an int entry comes back a Fraction even where no step touches
+    # its row: here the one row is already monic
+    got, pivots = linalg.rref([[1, 2]], 2, Q)
+    assert (got, pivots) == ([[1, 2]], [0])
+    assert all(type(v) is Fraction for row in got for v in row)
+    # over F_p residues come back canonical, and an entry equal to p is zero,
+    # so it is never a pivot
+    for p in (7, 32003):
+        assert linalg.rref([[p, 1], [p + 1, p - 1]], 2, PrimeField(p)) == (
+            [[1, 0], [0, 1]], [0, 1])
+        assert linalg.rref([[1, p + 2, -1]], 1, PrimeField(p)) == (
+            [[1, 2, p - 1]], [0])
 
 
 @given(search_matrices(st.one_of(st.just(0),

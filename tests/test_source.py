@@ -117,15 +117,22 @@ def test_only_the_check_lines_call_the_check_helpers():
 
 
 def test_linalg_imports_no_numpy():
-    # one elimination route per field: F_p rows are reduced sparsely in
-    # Python ints, with no dense numpy fork beside that route
+    # one elimination route for both fields: `rref` reduces sparse rows
+    # through the field's own arithmetic, with no dense numpy fork, no
+    # fraction-free or lcm-scaled Q route and no per-field `_rref*` helper
+    # beside it
     tree = ast.parse((SRC / "linalg.py").read_text(encoding="utf-8"))
     modules = [alias.name for node in ast.walk(tree)
                if isinstance(node, ast.Import) for alias in node.names]
     modules += [node.module for node in ast.walk(tree)
                 if isinstance(node, ast.ImportFrom) and node.module]
-    found = [name for name in modules if name.split(".")[0] == "numpy"]
-    assert not found, f"numpy imported in src/rees/linalg.py: {found}"
+    found = [name for name in modules
+             if name.split(".")[0] in ("numpy", "fractions", "math")]
+    assert not found, f"banned module imported in src/rees/linalg.py: {found}"
+    forks = [node.name for node in ast.walk(tree)
+             if isinstance(node, ast.FunctionDef)
+             and node.name.startswith("_rref")]
+    assert not forks, f"per-field eliminations in src/rees/linalg.py: {forks}"
 
 
 def test_every_exported_name_resolves():
