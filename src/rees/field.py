@@ -7,8 +7,9 @@ arithmetic".  So one loop serves both fields: the package's one
 multiply-accumulate kernel, `ring.sub_multiple`, which every `Poly` operation
 and the oracle's reduction call, and the one elimination, `linalg.rref`, each
 reduce a value only when the modulus is an int.  Scaling goes through `inv`,
-`neg` and the field's coercion, which also brings every matrix entry into
-the field on its way into `rref`.
+`neg` and the field's coercion.  Matrix entries are not coerced again: the
+coefficient vectors `gradedlin` writes for `linalg` hold the nonzero
+canonical elements of `Poly` terms and ring map memos.
 """
 from __future__ import annotations
 

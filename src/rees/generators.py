@@ -32,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 
 from . import combinat, gradedlin, linalg
-from .ring import Poly, RingMap, bidegree, linear_images, promote
+from .ring import Poly, RingMap, bidegree, promote
 from .syzygy import scroll_matrix, scroll_realization_images
 from .tower import (PresentationInput, TowerLevel, build_level, sym_equations)
 
@@ -208,11 +208,10 @@ def _preimage_records(level: TowerLevel, xdeg: int, pending) -> list:
         by_tdeg.setdefault(tdeg, []).append(target)
     preimages = {}
     for tdeg, targets in by_tdeg.items():
-        cols = level.image_rows(xdeg, tdeg)
         sols = linalg.solve_many(
-            list(zip(*cols)),
+            level.image_rows(xdeg, tdeg),
             [gradedlin.coordinates(t, xdeg, tdeg) for t in targets],
-            len(cols), level.inp.field)
+            level.inp.field)
         if sols is None:
             raise ArithmeticError("hull-ring target misses the ambient image")
         preimages[tdeg] = iter([gradedlin.from_coordinates(sol, S, xdeg, tdeg)
@@ -385,12 +384,14 @@ def almost_linear_generators(inp: PresentationInput) -> list:
     pres = scroll_matrix(level.sigma, field)
     index = {mu: r for r, mu in
              enumerate(gradedlin.piece_monomials(level.scroll, 0, 1))}
-    # the ambient (0, 1) piece is T_1 .. T_n, in this order
-    inv = linalg.invert(list(zip(*level.image_rows(0, 1))), field)
-    if inv is None:
+    # the ambient (0, 1) piece is T_1 .. T_n, in this order, and the
+    # preimage of each hull monomial of the (0, 1) piece is a T-linear form
+    sols = linalg.solve_many(level.image_rows(0, 1),
+                             [{r: field.one} for r in range(len(index))], field)
+    if sols is None:
         raise ArithmeticError("degree-zero hull piece is not spanned by the "
                               "coordinate images")
-    coord_images = linear_images(inv, S)
+    coord_images = [gradedlin.from_coordinates(v, S, 0, 1) for v in sols]
     pull_back = RingMap([coord_images[index[next(iter(img.terms))]]
                          for img in scroll_realization_images(pres)], S)
     ncols = len(pres.gamma[0])

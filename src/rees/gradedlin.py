@@ -6,14 +6,18 @@ module enumerates those bases and answers the two questions everything else
 reduces to: coordinates of polynomials (and the polynomial of a coordinate
 vector), and canonical solutions of sum_t a_t * g_t = target for T-degree-0
 g_t, found in k[x0,x1] one T-monomial block at a time.  The dimension of a
-span is `linalg.rank` of its rows.
+span is `linalg.rank` of its vectors.
 
-`shifted_rows` is the one writer of coefficient rows: it writes x^shift * g
-into the piece's basis positions straight from g's exponent tuples, with no
-`Poly` product.  `coordinates` is its one-row, zero-shift form, and
-`multiples` gives the rows of every monomial multiple of some polys that lands
-in a piece, and `image_rows` the rows of a ring map's images of a piece's
-monomials, written from the map's array memo.
+A coordinate vector is `linalg`'s one sparse form, a dict {basis position:
+nonzero coefficient}, written straight from exponent tuples: the
+coefficients are a `Poly`'s or a ring map memo's, so already nonzero
+canonical field elements, and nothing coerces them again.
+`shifted_rows` is the one writer of polynomials' vectors: it writes
+x^shift * g into the piece's basis positions with no `Poly` product.
+`coordinates` is its one-vector, zero-shift form, and `multiples` gives the
+vectors of every monomial multiple of some polys that lands in a piece, and
+`image_rows` the vectors of a ring map's images of a piece's monomials,
+written from the map's array memo.
 """
 from __future__ import annotations
 
@@ -77,16 +81,15 @@ def piece_dim(ring: PolyRing, xdeg: int, tdeg: int = 0) -> int:
 
 
 def shifted_rows(pairs, ring: PolyRing, xdeg: int, tdeg: int = 0) -> list:
-    """Coefficient rows of x^shift * g on the piece's canonical basis.
+    """Coefficient vectors of x^shift * g on the piece's canonical basis.
 
     pairs are (terms, shift): g's terms dict and an exponent tuple.  Raises
     GradingError for a shifted term outside the piece.
     """
     index = _piece_index(ring, xdeg, tdeg)
-    zero = ring.field.zero
     rows = []
     for terms, shift in pairs:
-        row = [zero] * len(index)
+        row = {}
         for m, c in terms.items():
             try:
                 row[index[tuple(map(add, m, shift))]] = c
@@ -104,10 +107,10 @@ def coordinates(p: Poly, xdeg: int, tdeg: int = 0):
 
 
 def multiples(polys, ring: PolyRing, xdeg: int, tdeg: int = 0) -> list:
-    """Rows of every monomial multiple mu * p that lies in the piece.
+    """Vectors of every monomial multiple mu * p that lies in the piece.
 
     Ordered by poly, then by mu in canonical order; a zero poly, or one above
-    the piece, gives no rows.
+    the piece, gives no vectors.
     """
     return shifted_rows([(p.terms, mu) for p in polys if not p.is_zero()
                          for mu in piece_monomials(ring, xdeg - p.xdeg(),
@@ -116,9 +119,9 @@ def multiples(polys, ring: PolyRing, xdeg: int, tdeg: int = 0) -> list:
 
 
 def image_rows(ring_map: RingMap, source: PolyRing, xdeg: int, tdeg: int) -> list:
-    """Coefficient rows of ring_map(mu) on the target's (xdeg, tdeg) piece.
+    """Coefficient vectors of ring_map(mu) on the target's (xdeg, tdeg) piece.
 
-    One row per monomial mu of the source's (xdeg, tdeg) piece, in canonical
+    One vector per monomial mu of the source's (xdeg, tdeg) piece, in canonical
     order: the memo rows of mu's T-part (`RingMap.image`, one call for the
     piece) shifted by mu's x-part and written into the piece's positions, so
     no `Poly` is built per monomial.  The map must keep x-degrees.
@@ -129,8 +132,7 @@ def image_rows(ring_map: RingMap, source: PolyRing, xdeg: int, tdeg: int) -> lis
     owner, exps, coeffs = ring_map.image(mu[2:] for mu in monos)
     exps[:, :2] += np.array([mu[:2] for mu in monos],
                             dtype=np.int64).reshape(-1, 2)[owner]
-    zero = target.field.zero
-    rows = [[zero] * len(index) for _ in monos]
+    rows = [{} for _ in monos]
     for k, m, c in zip(owner.tolist(), exps.tolist(), coeffs.tolist()):
         try:
             rows[k][index[tuple(m)]] = c
@@ -143,7 +145,7 @@ def image_rows(ring_map: RingMap, source: PolyRing, xdeg: int, tdeg: int) -> lis
 def from_coordinates(vec, ring: PolyRing, xdeg: int, tdeg: int = 0) -> Poly:
     """The polynomial whose coefficient vector on the piece's basis is vec."""
     monos = piece_monomials(ring, xdeg, tdeg)
-    return Poly(ring, {m: c for m, c in zip(monos, vec) if c})
+    return Poly(ring, {monos[j]: c for j, c in vec.items()})
 
 
 def solve_combination(target: Poly, gens, ring: PolyRing):
@@ -169,17 +171,17 @@ def solve_combination(target: Poly, gens, ring: PolyRing):
     blocks = {}
     for m, c in target.terms.items():
         blocks.setdefault(m[2:], {})[m[:2]] = c
-    columns = multiples(forms, base, ti)
-    rows = [[col[r] for col in columns] for r in range(ti + 1)]
     rhss = shifted_rows([(t, (0, 0)) for t in blocks.values()], base, ti)
-    sols = linalg.solve_many(rows, rhss, len(columns), ring.field)
+    sols = linalg.solve_many(multiples(forms, base, ti), rhss, ring.field)
     if sols is None:
         return None
     out, k = [], 0
     for f in forms:
         monos = piece_monomials(base, ti - f.xdeg(), 0) if f.terms else ()
-        out.append(Poly(ring, {mu + b: c for b, sol in zip(blocks, sols)
-                               for mu, c in zip(monos, sol[k:]) if c}))
+        out.append(Poly(ring, {monos[j - k] + b: c
+                               for b, sol in zip(blocks, sols)
+                               for j, c in sol.items()
+                               if k <= j < k + len(monos)}))
         k += len(monos)
     if sum((a * g for a, g in zip(out, gens)), ring.zero()) != target:
         raise ArithmeticError("internal error: combination failed to re-expand")

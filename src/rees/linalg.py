@@ -1,9 +1,12 @@
 """Exact linear algebra over F_p and over the rationals.
 
-Matrices come in and go out as dense lists of rows, and both fields share
-one elimination route, `rref`.  Each entry is coerced by the field on the
-way in (Fractions over Q, canonical residues over F_p) and each row is kept
-sparse: a dict of its nonzero entries, with a column index naming the rows
+One sparse vector form crosses this module's boundary: a dict
+{index: nonzero field element}, entries already canonical (residues in
+1..p-1 over F_p, Fractions over Q), as `gradedlin`'s writers emit them.
+`rref` and `rank` read such vectors as the rows of a matrix; `independent`,
+`nullspace` and `solve_many` take a matrix as its list of column vectors,
+which is what their callers hold, and do the one transpose here.  Both
+fields share one elimination route, `rref`: a column index names the rows
 nonzero in each column, so a pivot step reduces only those rows, at one
 multiply-add per nonzero of the pivot row, reduced mod p only over F_p.  The
 large matrices of this package are a few percent nonzero (the slice solves'
@@ -21,30 +24,24 @@ reduced row echelon form with free variables set to zero
 """
 from __future__ import annotations
 
-from itertools import compress
+from collections import defaultdict
 
 
 def rref(rows, ncols, field):
-    """Reduced row echelon form.  Returns (reduced_rows, pivot_columns).
-
-    Entries may be anything the field coerces; the output holds field
-    elements, zeros included.
+    """Reduced row echelon form of the rows, pivots searched in columns
+    0..ncols-1.  Returns (reduced pivot rows, pivot columns), the rows as
+    sparse vectors; the input rows are left as they are.
     """
-    # sparse Gauss-Jordan: each row is a dict {column: nonzero entry} and
-    # at[j] holds the rows nonzero in column j, so a pivot step reduces only
-    # the rows it hits, one step per nonzero of the monic pivot row (whose
-    # own column cancels, dropping the row from at[c]).  The pivot row is the
-    # one a dense loop would swap in: the first non-pivot row, in the current
-    # swap order, nonzero in the column (order[k] is the row at position k,
-    # slot its inverse).  With ncols below the row width the carried columns
-    # depend on that choice.
-    if len(rows) == 0 or ncols == 0:
-        return [], []
+    # sparse Gauss-Jordan: at[j] holds the rows nonzero in column j, so a
+    # pivot step reduces only the rows it hits, one step per nonzero of the
+    # monic pivot row (whose own column cancels, dropping the row from
+    # at[c]).  The pivot row is the one a dense loop would swap in: the first
+    # non-pivot row, in the current swap order, nonzero in the column
+    # (order[k] is the row at position k, slot its inverse).  With ncols
+    # below the row width the carried columns depend on that choice.
     p = field.modulus
-    width = range(len(rows[0]))
-    R = [{j: v for j in compress(width, row) if (v := field(row[j]))}
-         for row in rows]
-    at = [set() for _ in width]
+    R = [dict(row) for row in rows]
+    at = defaultdict(set)
     for i, row in enumerate(R):
         for j in row:
             at[j].add(i)
@@ -83,17 +80,21 @@ def rref(rows, ncols, field):
                     del row[j]
                     at[j].discard(i)
         pivots.append(c)
-    out = []
-    for i in order[:len(pivots)]:
-        dense = [field.zero] * len(width)
-        for j, v in R[i].items():
-            dense[j] = v
-        out.append(dense)
-    return out, pivots
+    return [R[i] for i in order[:len(pivots)]], pivots
 
 
 def rank(rows, ncols, field) -> int:
     return len(rref(rows, ncols, field)[1])
+
+
+def _rows_of(columns):
+    """The rows of the matrix with these columns, in row order; a row with
+    no nonzero entry is left out, as no pivot can fall in it."""
+    rows = defaultdict(dict)
+    for j, col in enumerate(columns):
+        for i, v in col.items():
+            rows[i][j] = v
+    return [rows[i] for i in sorted(rows)]
 
 
 def independent(vectors, field):
@@ -102,55 +103,38 @@ def independent(vectors, field):
     These are the pivot columns of the RREF of the matrix whose columns are
     the vectors, so they are exactly what a greedy left-to-right scan keeps.
     """
-    return rref(list(zip(*vectors)), len(vectors), field)[1]
+    return rref(_rows_of(vectors), len(vectors), field)[1]
 
 
-def nullspace(rows, ncols, field):
-    """Canonical basis of {v : M v = 0}, one vector per RREF free column."""
-    R, pivots = rref(rows, ncols, field)
+def nullspace(columns, field):
+    """Canonical basis of {v : M v = 0}, M the matrix with these columns,
+    one vector per RREF free column."""
+    ncols = len(columns)
+    R, pivots = rref(_rows_of(columns), ncols, field)
     pivset = set(pivots)
     basis = []
     for f in range(ncols):
         if f in pivset:
             continue
-        v = [field.zero] * ncols
+        v = {pc: field.neg(row[f]) for pc, row in zip(pivots, R) if f in row}
         v[f] = field.one
-        for k, pc in enumerate(pivots):
-            coeff = R[k][f]
-            if coeff:
-                v[pc] = field.neg(coeff)
         basis.append(v)
     return basis
 
 
-def solve_many(rows, rhss, ncols, field):
-    """Solutions of M v = b for every b in rhss, or None if any b misses.
+def solve_many(columns, rhss, field):
+    """Solutions of M v = b for every b in rhss, or None if any b misses;
+    M is the matrix with these columns.
 
     One RREF of [M | b_1 ... b_k] serves every right-hand side.  A pivot in
     the right-hand block means some b lies outside the column space; without
     one, each solution reads off its column with free variables zero, the
     same vector as a `solve_many` of that b alone.
     """
-    k = len(rhss)
-    aug = [list(row) + [b[r] for b in rhss] for r, row in enumerate(rows)]
-    R, pivots = rref(aug, ncols + k, field)
+    ncols = len(columns)
+    R, pivots = rref(_rows_of(list(columns) + list(rhss)),
+                     ncols + len(rhss), field)
     if pivots and pivots[-1] >= ncols:
         return None
-    sols = []
-    for t in range(ncols, ncols + k):
-        v = [field.zero] * ncols
-        for row, pc in zip(R, pivots):
-            v[pc] = row[t]
-        sols.append(v)
-    return sols
-
-
-def invert(rows, field):
-    """Inverse of a square matrix over the field, or None if singular."""
-    n = len(rows)
-    aug = [list(row) + [field.one if i == j else field.zero
-                        for j in range(n)] for i, row in enumerate(rows)]
-    R, pivots = rref(aug, 2 * n, field)
-    if list(pivots[:n]) != list(range(n)) or len(pivots) != n:
-        return None
-    return [row[n:] for row in R[:n]]
+    return [{pc: row[t] for pc, row in zip(pivots, R) if t in row}
+            for t in range(ncols, ncols + len(rhss))]

@@ -211,7 +211,7 @@ def graded_kernel(M: GradedMatrix, expected_rank: int, degree_budget: int) -> Gr
         total = gradedlin.piece_dim(E, L, 1)
         if total:
             images = gradedlin.image_rows(apply_M, E, L, 1)
-            basis = linalg.nullspace(list(zip(*images)), total, field)
+            basis = linalg.nullspace(images, field)
             if basis:
                 # keep the candidates the x-multiples of earlier generators
                 # do not already span

@@ -110,8 +110,8 @@ def hull_embedding(inp: PresentationInput, m: int):
     budget = sum(inp.col_degrees[:m])
     if m == n - 1:
         f = next(f for f in reversed(inp.minors) if not f.is_zero())
-        scale = inp.field.inv(next(
-            c for c in reversed(gradedlin.coordinates(f, f.xdeg())) if c))
+        last = gradedlin.coordinates(f, f.xdeg())
+        scale = inp.field.inv(last[max(last)])
         xi_rows = (tuple(g.scale(scale) for g in inp.minors),)
         if any(not p.is_zero()
                for p in matrix_product(xi_rows, phi.rows, inp.base)[0]):
@@ -186,8 +186,8 @@ class TowerLevel:
         return self.subst(self.to_level_coords(sym_equations(self.inp)[self.m]))
 
     def image_rows(self, xdeg: int, tdeg: int) -> list:
-        """Coefficient rows of subst(mu) on the hull ring's (xdeg, tdeg) piece,
-        one per monomial mu of the ambient piece, in canonical order."""
+        """Coefficient vectors of subst(mu) on the hull ring's (xdeg, tdeg)
+        piece, one per monomial mu of the ambient piece, in canonical order."""
         return gradedlin.image_rows(self.subst, self.inp.sring, xdeg, tdeg)
 
 
@@ -201,10 +201,10 @@ def _normalize_embedding(xi: GradedMatrix, sigma: SigmaInvariants):
 
     Returns (chi, chi_inv, normalized_xi_rows).  With C the constant rows,
     chi_inv is the unit rows at the free columns of RREF(C) followed by C, so
-    chi's columns are the canonical kernel vectors of C, then the
-    free-variables-zero solutions of C v = e_k.  After the change the last
-    s - r rows are [0 | identity] and the positive-degree rows vanish on the
-    last s - r columns.
+    its inverse chi has as columns the canonical kernel vectors of C, then
+    the free-variables-zero solutions of C v = e_k, and is built from them.
+    After the change the last s - r rows are [0 | identity] and the
+    positive-degree rows vanish on the last s - r columns.
     """
     field = xi.ring.field
     n = xi.ncols
@@ -215,15 +215,21 @@ def _normalize_embedding(xi: GradedMatrix, sigma: SigmaInvariants):
     zero_exps = (0, 0)
     const = tuple(tuple(p.coefficient(zero_exps) for p in xi.rows[k])
                   for k in range(r, s))
-    pivots = linalg.rref(const, n, field)[1]
+    # C's columns, as sparse vectors
+    cols = [{k: row[j] for k, row in enumerate(const) if row[j]}
+            for j in range(n)]
+    pivots = linalg.independent(cols, field)
     if len(pivots) != s - r:
         raise NormalizationError("constant rows of the embedding are dependent")
     chi_inv = tuple(row for j, row in enumerate(_identity(n, field))
                     if j not in pivots) + const
-    chi = linalg.invert(chi_inv, field)
-    if chi is None:
+    sols = linalg.solve_many(cols, [{k: field.one} for k in range(s - r)],
+                             field)
+    if sols is None:
         raise NormalizationError("column change is singular")
-    chi = tuple(tuple(row) for row in chi)
+    columns = linalg.nullspace(cols, field) + sols
+    chi = tuple(tuple(v.get(j, field.zero) for v in columns)
+                for j in range(n))
 
     changed = [list(row) for row in matrix_product(xi.rows, chi, xi.ring)]
     if any(changed[r + k][j]

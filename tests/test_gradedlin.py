@@ -50,8 +50,8 @@ def test_coordinates_round_trip():
     vec = gradedlin.coordinates(p, 1, 1)
     basis = gradedlin.piece_basis(S, 1, 1)
     rebuilt = S.zero()
-    for c, mu in zip(vec, basis):
-        rebuilt = rebuilt + mu.scale(c)
+    for j, c in vec.items():
+        rebuilt = rebuilt + basis[j].scale(c)
     assert rebuilt == p
 
 
@@ -119,9 +119,9 @@ def test_solve_combination_rejects_a_wrong_solution(monkeypatch):
     # a solver fault must surface as a named error, also under python -O
     real_solve_many = linalg.solve_many
 
-    def off_by_one(rows, rhss, ncols, field):
-        sols = real_solve_many(rows, rhss, ncols, field)
-        return [[field(sols[0][0] + 1)] + sols[0][1:]] + sols[1:]
+    def off_by_one(columns, rhss, field):
+        sols = real_solve_many(columns, rhss, field)
+        return [{**sols[0], 0: field(sols[0].get(0, 0) + 1)}] + sols[1:]
 
     monkeypatch.setattr(linalg, "solve_many", off_by_one)
     gens = [parse_poly("x0^2", R), parse_poly("x1^2", R)]
@@ -146,11 +146,9 @@ def s_piece_solve(target, gens, ring):
     if target.is_zero():
         return [ring.zero() for _ in gens]
     ti, tj = target.xdeg(), target.tdeg()
-    columns = gradedlin.multiples(gens, ring, ti, tj)
-    rows = [[col[r] for col in columns]
-            for r in range(gradedlin.piece_dim(ring, ti, tj))]
-    sols = linalg.solve_many(rows, [gradedlin.coordinates(target, ti, tj)],
-                             len(columns), ring.field)
+    sols = linalg.solve_many(gradedlin.multiples(gens, ring, ti, tj),
+                             [gradedlin.coordinates(target, ti, tj)],
+                             ring.field)
     if sols is None:
         return None
     [sol] = sols
@@ -158,7 +156,9 @@ def s_piece_solve(target, gens, ring):
     for g in gens:
         shift = (0, -1) if g.is_zero() else (ti - g.xdeg(), tj - g.tdeg())
         size = gradedlin.piece_dim(ring, *shift)
-        out.append(gradedlin.from_coordinates(sol[k:k + size], ring, *shift))
+        out.append(gradedlin.from_coordinates(
+            {j - k: c for j, c in sol.items() if k <= j < k + size},
+            ring, *shift))
         k += size
     return out
 
@@ -245,7 +245,8 @@ def test_multiples_match_poly_products(case):
                                             tdeg - p.tdeg()):
             product = ring.monomial(mu) * p
             pairs.append((p.terms, mu))
-            want.append([product.terms.get(m, 0) for m in monos])
+            want.append({j: product.terms[m] for j, m in enumerate(monos)
+                         if m in product.terms})
             assert gradedlin.coordinates(product, xdeg, tdeg) == want[-1]
     assert gradedlin.multiples(polys, ring, xdeg, tdeg) == want
     assert gradedlin.shifted_rows(pairs, ring, xdeg, tdeg) == want

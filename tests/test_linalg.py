@@ -15,10 +15,56 @@ def fe(rows):
     return [[F(c) for c in row] for row in rows]
 
 
+# -- the sparse boundary ---------------------------------------------------
+# `linalg` takes and returns sparse vectors {index: nonzero field element};
+# the tests below state matrices as dense lists of rows, as the textbook
+# references do, and convert here and nowhere else.
+
+def sparse(rows, field):
+    """Dense rows, entries anything the field coerces, as sparse vectors."""
+    return [{j: c for j, v in enumerate(row) if (c := field(v))}
+            for row in rows]
+
+
+def dense(vectors, width, field):
+    """Sparse vectors as dense rows of the given width; every stored entry
+    must be a nonzero element."""
+    assert all(v for vec in vectors for v in vec.values())
+    return [[vec.get(j, field.zero) for j in range(width)] for vec in vectors]
+
+
+def transpose(rows, ncols):
+    return [[row[j] for row in rows] for j in range(ncols)]
+
+
+def rref(rows, search, field):
+    got, pivots = linalg.rref(sparse(rows, field), search, field)
+    return dense(got, len(rows[0]), field), pivots
+
+
+def rank(rows, ncols, field):
+    return linalg.rank(sparse(rows, field), ncols, field)
+
+
+def independent(vectors, field):
+    return linalg.independent(sparse(vectors, field), field)
+
+
+def nullspace(rows, ncols, field):
+    columns = sparse(transpose(rows, ncols), field)
+    return dense(linalg.nullspace(columns, field), ncols, field)
+
+
+def solve_many(rows, rhss, ncols, field):
+    columns = sparse(transpose(rows, ncols), field)
+    sols = linalg.solve_many(columns, sparse(rhss, field), field)
+    return None if sols is None else dense(sols, ncols, field)
+
+
 def test_rank_and_nullspace_small():
     A = fe([[1, 2, 3], [2, 4, 6], [0, 1, 1]])
-    assert linalg.rank(A, 3, F) == 2
-    null = linalg.nullspace(A, 3, F)
+    assert rank(A, 3, F) == 2
+    null = nullspace(A, 3, F)
     assert len(null) == 1
     v = null[0]
     for row in A:
@@ -31,58 +77,62 @@ def test_nullspace_without_rows_or_columns():
     for field in (PrimeField(7), Q):
         units = [[field.one if i == j else field.zero for j in range(3)]
                  for i in range(3)]
-        assert linalg.nullspace([], 3, field) == units
-        assert linalg.nullspace([[], []], 0, field) == []
-        assert linalg.nullspace([], 0, field) == []
+        assert nullspace([], 3, field) == units
+        assert nullspace([[], []], 0, field) == []
+        assert nullspace([], 0, field) == []
+        # an all-zero matrix, and its zero column vectors as linalg sees them
+        assert nullspace([[0, 0, 0], [0, 0, 0]], 3, field) == units
+        assert linalg.nullspace([{}, {}, {}], field) == [
+            {i: field.one} for i in range(3)]
 
 
 def test_solve_particular_and_inconsistent():
     A = fe([[1, 1], [0, 1]])
-    assert linalg.solve_many(A, [[F(3), F(1)]], 2, F) == [[2, 1]]
+    assert solve_many(A, [[F(3), F(1)]], 2, F) == [[2, 1]]
     # inconsistent: x + y = 0 and x + y = 1
-    assert linalg.solve_many(fe([[1, 1], [1, 1]]), [[F(0), F(1)]], 2, F) is None
+    assert solve_many(fe([[1, 1], [1, 1]]), [[F(0), F(1)]], 2, F) is None
 
 
 def test_solve_underdetermined_sets_free_vars_to_zero():
     A = fe([[1, 1, 1]])
-    sols = linalg.solve_many(A, [[F(5)]], 3, F)
+    sols = solve_many(A, [[F(5)]], 3, F)
     assert sols is not None
     [x] = sols
     assert sum(x) % 32003 == 5
     assert x.count(0) >= 2
 
 
-def test_invert_round_trip():
+def test_solve_many_of_the_units_inverts():
+    # the columns of the inverse solve A v = e_k; a singular A misses one
     A = fe([[1, 2], [3, 4]])
-    B = linalg.invert(A, F)
-    assert B is not None
+    B = transpose(solve_many(A, fe([[1, 0], [0, 1]]), 2, F), 2)
     for i in range(2):
         for j in range(2):
             acc = sum(A[i][k] * B[k][j] for k in range(2)) % 32003
             assert acc == (1 if i == j else 0)
-    assert linalg.invert(fe([[1, 2], [2, 4]]), F) is None
+    assert solve_many(fe([[1, 2], [2, 4]]), fe([[1, 0], [0, 1]]), 2, F) is None
 
 
 def test_rational_path():
     A = [[Fraction(1, 2), Fraction(1)], [Fraction(1), Fraction(3)]]
-    sols = linalg.solve_many(A, [[Fraction(1), Fraction(1)]], 2, Q)
+    sols = solve_many(A, [[Fraction(1), Fraction(1)]], 2, Q)
     assert sols is not None
     [x] = sols
     assert A[0][0] * x[0] + A[0][1] * x[1] == 1
     assert A[1][0] * x[0] + A[1][1] * x[1] == 1
-    assert linalg.rank(A, 2, Q) == 2
-    assert linalg.rank([[Fraction(1, 2), Fraction(1)], [Fraction(1), Fraction(2)]],
-                       2, Q) == 1
+    assert rank(A, 2, Q) == 2
+    assert rank([[Fraction(1, 2), Fraction(1)], [Fraction(1), Fraction(2)]],
+                2, Q) == 1
 
 
 def test_independent_contains_and_rank():
     vecs = fe([[1, 0, 1], [0, 1, 0], [1, 1, 1]])
     # the third vector is the sum of the first two
-    assert linalg.independent(vecs, F) == [0, 1]
-    assert linalg.rank(vecs, 3, F) == 2
+    assert independent(vecs, F) == [0, 1]
+    assert rank(vecs, 3, F) == 2
     # [2, 3, 2] lies in the span and adds no index; [0, 0, 1] does not
-    assert linalg.independent(vecs + fe([[2, 3, 2]]), F) == [0, 1]
-    assert linalg.independent(vecs + fe([[0, 0, 1]]), F) == [0, 1, 3]
+    assert independent(vecs + fe([[2, 3, 2]]), F) == [0, 1]
+    assert independent(vecs + fe([[0, 0, 1]]), F) == [0, 1, 3]
 
 
 small_matrix = st.lists(
@@ -93,7 +143,7 @@ small_matrix = st.lists(
 @settings(max_examples=80)
 def test_rank_nullity(rows):
     A = fe(rows)
-    assert linalg.rank(A, 4, F) + len(linalg.nullspace(A, 4, F)) == 4
+    assert rank(A, 4, F) + len(nullspace(A, 4, F)) == 4
 
 
 @given(small_matrix, st.lists(st.integers(0, 6), min_size=4, max_size=4))
@@ -101,7 +151,7 @@ def test_rank_nullity(rows):
 def test_solve_finds_solutions_that_exist(rows, x):
     A = fe(rows)
     rhs = [F(sum(r * c for r, c in zip(row, x))) for row in A]
-    sols = linalg.solve_many(A, [rhs], 4, F)
+    sols = solve_many(A, [rhs], 4, F)
     assert sols is not None
     [got] = sols
     for row, b in zip(A, rhs):
@@ -156,9 +206,9 @@ def vector_lists(draw):
 @settings(max_examples=200)
 def test_independent_matches_greedy_scan(drawn):
     vecs, dim, field, normal = drawn
-    got = linalg.independent(vecs, field)
+    got = independent(vecs, field)
     assert got == greedy_scan(vecs, normal)
-    assert len(got) == linalg.rank(vecs, dim, field)
+    assert len(got) == rank(vecs, dim, field)
 
 
 def gauss_jordan_mod_p(rows, ncols, p):
@@ -238,7 +288,7 @@ def test_rref_mod_p_matches_reference(p, data):
     # cancellations and dependent rows common
     rows, search = data.draw(
         search_matrices(st.one_of(st.just(0), st.integers(0, p - 1))))
-    got_rows, got_pivots = linalg.rref(rows, search, PrimeField(p))
+    got_rows, got_pivots = rref(rows, search, PrimeField(p))
     want_rows, want_pivots = gauss_jordan_mod_p(rows, search, p)
     assert got_pivots == want_pivots
     assert got_rows == want_rows
@@ -282,26 +332,11 @@ def test_rref_on_a_sparse_banded_system(field):
     # pivots searched in the matrix only (the block carried along), and in
     # the whole augmented width as `solve_many` does
     for search in (ncols, width):
-        got = linalg.rref(rows, search, field)
+        got = rref(rows, search, field)
         if field is Q:
             assert got == gauss_jordan_over_Q(rows, search)
         else:
             assert got == gauss_jordan_mod_p(rows, search, 32003)
-
-
-def test_rref_coerces_entries_into_the_field():
-    # over Q an int entry comes back a Fraction even where no step touches
-    # its row: here the one row is already monic
-    got, pivots = linalg.rref([[1, 2]], 2, Q)
-    assert (got, pivots) == ([[1, 2]], [0])
-    assert all(type(v) is Fraction for row in got for v in row)
-    # over F_p residues come back canonical, and an entry equal to p is zero,
-    # so it is never a pivot
-    for p in (7, 32003):
-        assert linalg.rref([[p, 1], [p + 1, p - 1]], 2, PrimeField(p)) == (
-            [[1, 0], [0, 1]], [0, 1])
-        assert linalg.rref([[1, p + 2, -1]], 1, PrimeField(p)) == (
-            [[1, 2, p - 1]], [0])
 
 
 @given(search_matrices(st.one_of(st.just(0),
@@ -309,11 +344,12 @@ def test_rref_coerces_entries_into_the_field():
 @settings(max_examples=200)
 def test_rref_over_Q_matches_reference(drawn):
     rows, search = drawn
-    got_rows, got_pivots = linalg.rref(rows, search, Q)
+    got_rows, got_pivots = rref(rows, search, Q)
     want_rows, want_pivots = gauss_jordan_over_Q(rows, search)
     assert got_pivots == want_pivots
     assert got_rows == want_rows
-    assert all(type(v) is Fraction for row in got_rows for v in row)
+    got = linalg.rref(sparse(rows, Q), search, Q)[0]
+    assert all(type(v) is Fraction for row in got for v in row.values())
 
 
 @given(small_matrix, st.lists(st.lists(st.integers(0, 6), min_size=4,
@@ -322,12 +358,15 @@ def test_rref_over_Q_matches_reference(drawn):
 def test_solve_many_matches_separate_solves(rows, xs):
     A = fe(rows)
     rhss = [[F(sum(r * c for r, c in zip(row, x))) for row in A] for x in xs]
-    assert linalg.solve_many(A, rhss, 4, F) == [
-        linalg.solve_many(A, [b], 4, F)[0] for b in rhss]
+    assert solve_many(A, rhss, 4, F) == [
+        solve_many(A, [b], 4, F)[0] for b in rhss]
 
 
 def test_solve_many_refuses_when_any_target_misses():
     A = fe([[1, 0], [0, 0]])
-    assert linalg.solve_many(A, [[F(1), F(0)], [F(0), F(1)]], 2, F) is None
-    assert linalg.solve_many(A, [[F(1), F(0)], [F(2), F(0)]], 2, F) == [
+    assert solve_many(A, [[F(1), F(0)], [F(0), F(1)]], 2, F) is None
+    assert solve_many(A, [[F(1), F(0)], [F(2), F(0)]], 2, F) == [
         [F(1), F(0)], [F(2), F(0)]]
+    # a zero right-hand side is solved by the zero vector, stored empty
+    assert linalg.solve_many(sparse(transpose(A, 2), F), [{}, {0: 1}], F) == [
+        {}, {0: 1}]

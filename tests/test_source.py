@@ -135,6 +135,33 @@ def test_linalg_imports_no_numpy():
     assert not forks, f"per-field eliminations in src/rees/linalg.py: {forks}"
 
 
+def test_no_caller_transposes_a_linalg_matrix():
+    # `linalg` takes a matrix as its column vectors where the routine wants
+    # columns and does the one transpose itself; a `zip(*...)` in the
+    # arguments of a `linalg` call is a second, dense one
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Call)
+                  and isinstance(node.func, ast.Attribute)
+                  and isinstance(node.func.value, ast.Name)
+                  and node.func.value.id == "linalg"
+                  for inner in ast.walk(node)
+                  if isinstance(inner, ast.Call) and _name(inner.func) == "zip"
+                  and any(isinstance(arg, ast.Starred) for arg in inner.args)]
+    assert not found, f"transposes in linalg calls in src/rees: {found}"
+
+
+def test_linalg_coerces_no_entry():
+    # the writers emit nonzero canonical field elements, so `linalg` never
+    # calls the field on an entry
+    tree = ast.parse((SRC / "linalg.py").read_text(encoding="utf-8"))
+    found = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and _name(node.func) == "field"]
+    assert not found, f"field coercions in src/rees/linalg.py: {found}"
+
+
 def test_every_exported_name_resolves():
     # a deletion that leaves a stale `__all__` entry breaks `from rees import *`
     missing = [name for name in rees.__all__ if not hasattr(rees, name)]

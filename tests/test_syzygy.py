@@ -341,9 +341,9 @@ def test_graded_kernel_rejects_a_wrong_kernel_vector(monkeypatch):
     # a nullspace fault must surface as a named error, also under python -O
     real_nullspace = linalg.nullspace
 
-    def shifted(rows, ncols, field):
-        return [[field(v[0] + 1)] + v[1:]
-                for v in real_nullspace(rows, ncols, field)]
+    def shifted(columns, field):
+        return [{**v, 0: field(v.get(0, 0) + 1)} for v in
+                real_nullspace(columns, field)]
 
     monkeypatch.setattr(linalg, "nullspace", shifted)
     with pytest.raises(ArithmeticError, match="M\\*v = 0"):

@@ -1,10 +1,11 @@
 import dataclasses
 import time
+from fractions import Fraction
 
 import pytest
 
 from conftest import fixture_path
-from rees import cli, gradedlin, linalg, tower
+from rees import cli, gradedlin, linalg, oracle, tower
 from rees.cli import random_instance
 from rees.field import PrimeField
 from rees.generators import tower_generators
@@ -189,6 +190,42 @@ def test_image_rows_match_coordinates_of_subst(request, name):
     assert level.image_rows(0, -1) == []
 
 
+@pytest.mark.parametrize("name", ["quadric_cubic", "almost_linear", "table1",
+                                  "final_example", "final_variant", "table2",
+                                  "table3", "quadric_cubic-rational"])
+def test_writers_emit_only_nonzero_canonical_entries(request, name):
+    # `linalg` coerces nothing, so the writers hold its entry contract: every
+    # stored entry a nonzero canonical element, an int in 1..p-1 over F_p and
+    # a Fraction over Q.  A stored zero would be taken for a pivot and raise
+    # in `field.inv`; a residue outside 0..p-1 would compare unequal to its
+    # canonical twin
+    inp = request.getfixturevalue(name.split("-")[0])
+    if name.endswith("-rational"):
+        inp = oracle._rational_twin(inp)
+    S, field = inp.sring, inp.field
+    gs = sym_equations(inp)
+    D = sum(inp.col_degrees)
+    vectors = gradedlin.multiples(inp.minors, inp.base, 2 * D - 1)
+    vectors += gradedlin.multiples(gs, S, inp.col_degrees[-1] + 1, 2)
+    vectors += [gradedlin.coordinates(g, *bidegree(g)) for g in gs]
+    vectors += gradedlin.shifted_rows(
+        [(gs[0].terms, (1, 0) + (0,) * inp.n)], S, inp.col_degrees[0] + 1, 1)
+    for m in range(1, inp.n):
+        level = build_level(inp, m)
+        if m < inp.n - 1:
+            image = level.driving_image
+            vectors.append(gradedlin.coordinates(image, *bidegree(image)))
+        for i in range(-1, inp.col_degrees[m - 1] + 1):
+            for j in range(1, 3):
+                vectors += level.image_rows(i, j)
+    entries = [v for vec in vectors for v in vec.values()]
+    assert len(entries) > 100
+    if field.modulus is None:
+        assert all(type(v) is Fraction and v for v in entries)
+    else:
+        assert all(type(v) is int and 0 < v < field.modulus for v in entries)
+
+
 def test_subst_agrees_with_raw_when_change_is_identity(quadric_cubic):
     level = build_level(quadric_cubic, 1)
     g2 = sym_equations(quadric_cubic)[1]
@@ -303,11 +340,13 @@ def test_normal_form_coordinate_change_is_canonical(table1):
         n, k = inp.n, sigma.s - sigma.r
         const = [[p.coefficient((0, 0)) for p in row]
                  for row in xi.rows[sigma.r:]]
-        units = [[F.one if i == j else F.zero for j in range(k)]
-                 for i in range(k)]
-        columns = (linalg.nullspace(const, n, F)
-                   + linalg.solve_many(const, units, n, F))
-        assert chi == tuple(zip(*columns))
+        cols = [{i: row[j] for i, row in enumerate(const) if row[j]}
+                for j in range(n)]
+        units = [{i: F.one} for i in range(k)]
+        columns = (linalg.nullspace(cols, F)
+                   + linalg.solve_many(cols, units, F))
+        assert chi == tuple(tuple(v.get(j, F.zero) for v in columns)
+                            for j in range(n))
         assert [list(row) for row in chi_inv[n - k:]] == const
 
 
@@ -335,13 +374,17 @@ def test_normalization_rejects_uncleared_identity_columns(monkeypatch):
 
 
 def test_normalization_rejects_a_missing_identity_block(monkeypatch):
-    # the last column of the coordinate change scaled by 2 leaves 2 where the
-    # constant rows need an identity block; that must surface as a named
-    # error, also under python -O
+    # the last column of the coordinate change, the last solution of
+    # C v = e_k, scaled by 2 leaves 2 where the constant rows need an
+    # identity block; that must surface as a named error, also under python -O
     inp = random_instance(3, (1, 2), 0, F)
     sigma, xi = hull_embedding(inp, 1)
-    real_invert = linalg.invert
-    monkeypatch.setattr(linalg, "invert", lambda *args: [
-        row[:-1] + [2 * row[-1]] for row in real_invert(*args)])
+    real_solve_many = linalg.solve_many
+
+    def doubled(columns, rhss, field):
+        sols = real_solve_many(columns, rhss, field)
+        return sols[:-1] + [{j: 2 * v % field.p for j, v in sols[-1].items()}]
+
+    monkeypatch.setattr(linalg, "solve_many", doubled)
     with pytest.raises(NormalizationError, match="identity block"):
         _normalize_embedding(xi, sigma)
