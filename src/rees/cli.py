@@ -45,31 +45,38 @@ def _build_parser() -> _Parser:
                    help="machine-readable JSON output")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def instance_cmd(name, help_text):
+    def instance_cmd(name, handler, help_text):
         c = sub.add_parser(name, help=help_text)
         c.add_argument("file", help="instance JSON file")
+        c.set_defaults(handler=handler)
         return c
 
-    instance_cmd("info", "column degrees, signed minors, height check")
+    instance_cmd("info", _cmd_info,
+                 "column degrees, signed minors, height check")
 
-    c = instance_cmd("sigmas", "embedding twists at one level")
+    c = instance_cmd("sigmas", _cmd_sigmas, "embedding twists at one level")
     c.add_argument("-m", type=int, required=True, help="level (1..n-1)")
 
-    instance_cmd("bidegrees", "minimal-generator bidegree table (two twists)")
+    instance_cmd("bidegrees", _cmd_bidegrees,
+                 "minimal-generator bidegree table (two twists)")
 
-    c = instance_cmd("generators", "certified generator records")
+    c = instance_cmd("generators", _cmd_generators,
+                     "certified generator records")
     c.add_argument("-m", type=int, default=None,
                    help="level (default: every level up to n-2)")
 
-    c = instance_cmd("slice", "generators of one x-degree slice (n = 3)")
+    c = instance_cmd("slice", _cmd_slice,
+                     "generators of one x-degree slice (n = 3)")
     c.add_argument("--xdeg", type=int, required=True, help="x-degree i")
     c.add_argument("--trim", action="store_true",
                    help="greedily remove redundant records")
 
-    c = instance_cmd("scroll", "scroll matrix and its 2x2 minors at a level")
+    c = instance_cmd("scroll", _cmd_scroll,
+                     "scroll matrix and its 2x2 minors at a level")
     c.add_argument("-m", type=int, required=True, help="level (1..n-1)")
 
-    c = instance_cmd("oracle", "Groebner-side report on the saturated ideal")
+    c = instance_cmd("oracle", _cmd_oracle,
+                     "Groebner-side report on the saturated ideal")
     c.add_argument("--max-x", type=int, default=None,
                    help="highest x-degree of the window (hilbert, mingens)")
     c.add_argument("--max-t", type=int, default=None,
@@ -77,11 +84,12 @@ def _build_parser() -> _Parser:
     c.add_argument("--what", choices=("hilbert", "mingens", "membership"),
                    default="mingens")
 
-    c = instance_cmd("check", "cross-validation report")
+    c = instance_cmd("check", _cmd_check, "cross-validation report")
     c.add_argument("--seeds", type=int, default=0,
                    help="also check this many random same-shape instances")
 
     c = sub.add_parser("random", help="generate a random height-two instance")
+    c.set_defaults(handler=_cmd_random)
     c.add_argument("--n", type=int, required=True)
     c.add_argument("--degrees", required=True,
                    help="comma-separated nondecreasing column degrees")
@@ -394,19 +402,6 @@ def _cmd_random(args) -> int:
     return 0
 
 
-_HANDLERS = {
-    "info": _cmd_info,
-    "sigmas": _cmd_sigmas,
-    "bidegrees": _cmd_bidegrees,
-    "generators": _cmd_generators,
-    "slice": _cmd_slice,
-    "scroll": _cmd_scroll,
-    "oracle": _cmd_oracle,
-    "check": _cmd_check,
-    "random": _cmd_random,
-}
-
-
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
@@ -414,7 +409,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 1
     try:
-        return _HANDLERS[args.command](args)
+        return args.handler(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

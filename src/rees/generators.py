@@ -11,6 +11,9 @@ and an independently checkable certificate:
   * sym-equation and scroll records have vanishing substitution image;
   * slice records hit a recorded hull-ring target exactly.
 
+`_hull_image_records` certifies the first two kinds and the slice's vanishing
+multiples of the first equation, a family per `level.subst_raw.apply_all`.
+
 Slice records are preimages of hull-ring targets.  A `slice_generators` or
 `almost_linear_generators` call collects its targets per bidegree, reads that
 piece's image matrix once from `TowerLevel.image_rows` (one row per ambient
@@ -61,6 +64,23 @@ class GeneratorRecord:
         }
 
 
+def _hull_image_records(level: TowerLevel, polys, expected, keys,
+                        provenance: str, certificate: str) -> list:
+    """One record per polynomial, certified when its hull image along
+    `level.subst_raw` equals its expected image.
+
+    `keys` gives each record's (alpha, detail).  The family goes through
+    the map in one `apply_all`, which bounds its own merges.
+    """
+    images = level.subst_raw.apply_all(polys)
+    return [GeneratorRecord(
+        poly=poly, bidegree=bidegree(poly), provenance=provenance,
+        alpha=alpha, detail=detail, certificate=certificate,
+        certificate_ok=image == want)
+        for poly, image, want, (alpha, detail)
+        in zip(polys, images, expected, keys)]
+
+
 def _pivot_index(alpha, rule: str) -> int:
     support = [i for i, a in enumerate(alpha) if a > 0]
     return support[0] if rule == "smallest" else support[-1]
@@ -89,16 +109,15 @@ def recursion_generators(level: TowerLevel, g_next: Poly,
     alphas = combinat.below_weight_exponents(d_next - d_m + 1, sigma)
     scalars = [[promote(p, S) for p in row] for row in level.mult_scalars]
 
-    memo: dict = {}
-    details = []
+    hs, keys = {}, []
     for alpha in alphas:
+        detail = {}
         if not any(alpha):
             h = level.to_level_coords(g_next)
-            detail: dict = {}
         else:
             i = _pivot_index(alpha, pivot_rule)
-            prev = memo[tuple(a - (1 if t == i else 0)
-                              for t, a in enumerate(alpha))]
+            prev = hs[tuple(a - (1 if t == i else 0)
+                            for t, a in enumerate(alpha))]
             coeffs = gradedlin.solve_combination(prev, scalars[i], S)
             if coeffs is None:
                 raise ArithmeticError(
@@ -109,40 +128,20 @@ def recursion_generators(level: TowerLevel, g_next: Poly,
                 if not a_j.is_zero():
                     h = h + a_j * q_j
             detail = {"pivot": i + 1}
-        memo[alpha] = h
-        details.append(detail)
-    # one batch for the family's coordinate changes; the certificates go in
-    # consecutive batches that gather no more memo rows than the family's
-    # largest record, since one batch of all of them held 148,629 rows on a
-    # random n = 5 instance
-    polys = level.to_original_coords.apply_all(memo[a] for a in alphas)
-    subst = level.subst_raw
-    subst.fill(m[2:] for p in [g_next] + polys for m in p.terms)
-    sizes = [sum(stop - start for start, stop in
-                 (subst.memo[m[2:]] for m in p.terms)) for p in polys]
-    batches, size, cap = [[g_next]], 0, max(sizes)
-    for poly, rows in zip(polys, sizes):
-        if size + rows > cap:
-            batches.append([])
-            size = 0
-        batches[-1].append(poly)
-        size += rows
-    base_image, *images = (image for batch in batches
-                           for image in subst.apply_all(batch))
-    records = []
-    for alpha, detail, poly, image in zip(alphas, details, polys, images):
-        bid = bidegree(poly)
-        expected = (d_next - combinat.weight(alpha, sigma), sum(alpha) + 1)
-        if bid != expected:
-            raise ArithmeticError(f"recursion emitted bidegree {bid}, "
-                                  f"expected {expected}")
-        ok = image == base_image * level.w_monomial(alpha)
-        records.append(GeneratorRecord(
-            poly=poly, bidegree=bid, provenance="recursion", alpha=alpha,
-            detail=detail,
-            certificate="hull image equals the driving equation's image "
-                        "times w^alpha",
-            certificate_ok=ok))
+        hs[alpha] = h
+        keys.append((alpha, detail))
+    # one batch for the family's coordinate changes, one for its certificates
+    polys = level.to_original_coords.apply_all(hs[a] for a in alphas)
+    base_image = level.subst_raw(g_next)
+    records = _hull_image_records(
+        level, polys, [base_image * level.w_monomial(a) for a in alphas],
+        keys, "recursion",
+        "hull image equals the driving equation's image times w^alpha")
+    for rec in records:
+        want = (d_next - combinat.weight(rec.alpha, sigma), sum(rec.alpha) + 1)
+        if rec.bidegree != want:
+            raise ArithmeticError(f"recursion emitted bidegree {rec.bidegree},"
+                                  f" expected {want}")
     return records
 
 
@@ -157,15 +156,10 @@ def tower_generators(inp: PresentationInput, m: int,
     if level is None:
         level = build_level(inp, m)
     gs = sym_equations(inp)
-    records = []
-    for j, image in enumerate(level.subst_raw.apply_all(gs[:m])):
-        records.append(GeneratorRecord(
-            poly=gs[j], bidegree=bidegree(gs[j]), provenance="sym-equation",
-            alpha=None, detail={"column": j + 1},
-            certificate="hull image vanishes",
-            certificate_ok=image.is_zero()))
-    records.extend(recursion_generators(level, gs[m]))
-    return records
+    return _hull_image_records(
+        level, gs[:m], [level.scroll.zero()] * m,
+        [(None, {"column": j + 1}) for j in range(m)], "sym-equation",
+        "hull image vanishes") + recursion_generators(level, gs[m])
 
 
 def slice_basis(level: TowerLevel) -> tuple:
@@ -270,18 +264,13 @@ def slice_generators(inp: PresentationInput, i: int,
     g1, g2 = sym_equations(inp)
     base = level.driving_image
     c = d2 - i
-    records = []
 
-    multiples = [g1 * S.monomial((i - d1 - a, a) + (0,) * inp.n)
-                 for a in range(i - d1 + 1)]
-    for a, (poly, image) in enumerate(
-            zip(multiples, level.subst_raw.apply_all(multiples))):
-        records.append(GeneratorRecord(
-            poly=poly, bidegree=(i, 1), provenance="slice", alpha=None,
-            detail={"part": "first-equation-multiple",
-                    "x0": i - d1 - a, "x1": a},
-            certificate="hull image vanishes",
-            certificate_ok=image.is_zero()))
+    shifts = [(i - d1 - a, a) for a in range(i - d1 + 1)]
+    records = _hull_image_records(
+        level, [g1 * S.monomial(xs + (0,) * inp.n) for xs in shifts],
+        [level.scroll.zero()] * len(shifts),
+        [(None, {"part": "first-equation-multiple", "x0": x0, "x1": x1})
+         for x0, x1 in shifts], "slice", "hull image vanishes")
 
     pending = []
     if c >= 1:
@@ -379,7 +368,6 @@ def almost_linear_generators(inp: PresentationInput) -> list:
     level = build_level(inp, m)
     S, field = inp.sring, inp.field
     gs = sym_equations(inp)
-    records = []
 
     pres = scroll_matrix(level.sigma, field)
     index = {mu: r for r, mu in
@@ -396,15 +384,12 @@ def almost_linear_generators(inp: PresentationInput) -> list:
                          for img in scroll_realization_images(pres)], S)
     ncols = len(pres.gamma[0])
     pairs = [(a, b) for a in range(ncols) for b in range(a + 1, ncols)]
-    polys = level.to_original_coords.apply_all(pull_back.apply_all(pres.minors))
-    images = level.subst_raw.apply_all(polys)
-    for (a, b), poly, image in zip(pairs, polys, images):
-        records.append(GeneratorRecord(
-            poly=poly, bidegree=bidegree(poly), provenance="scroll",
-            alpha=None, detail={"columns": [a + 1, b + 1]},
-            certificate="hull image vanishes",
-            certificate_ok=image.is_zero()))
-
+    records = _hull_image_records(
+        level,
+        level.to_original_coords.apply_all(pull_back.apply_all(pres.minors)),
+        [level.scroll.zero()] * len(pairs),
+        [(None, {"columns": [a + 1, b + 1]}) for a, b in pairs], "scroll",
+        "hull image vanishes")
     records.extend(recursion_generators(level, gs[m]))
 
     base = level.driving_image

@@ -28,18 +28,21 @@ map given by a matrix -- the hull substitution T_j -> sum_i xi[i][j] w_i, a
 constant change of T-coordinates, or the evaluation T_i -> y * f_i -- is built
 once from its images (`linear_images` returns a matrix's), memoizes the image
 of each T-monomial once as integer arrays, and applies to a whole batch of
-polynomials with one gather, one sort and one `reduceat`.
+polynomials with one gather, one sort and one `reduceat` per `MERGE_ROWS` rows.
 """
 from __future__ import annotations
 
 import re
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, pairwise
 from math import prod
 from operator import add
 
 import numpy as np
+
+MERGE_ROWS = 1 << 14    # memo rows per merge of `RingMap.apply_all`, at most
 
 
 class ParseError(ValueError):
@@ -476,7 +479,8 @@ class RingMap:
     `apply_all` is the one apply routine: every term c x^a T^b of every
     polynomial of the batch gathers b's rows, shifted by x^a and scaled by
     c, and one sort and one `reduceat` merge equal monomials, so a batch
-    pays numpy's fixed cost once; `__call__` is its one-polynomial form.
+    pays numpy's fixed cost once, or once per run of `MERGE_ROWS` rows, and
+    callers never size their batches; `__call__` is its one-polynomial form.
     Over F_p each product is reduced mod p before the sums (below
     p**2 < 2**62, exact in int64); over Q the same code runs on `Fraction`
     object arrays.
@@ -604,7 +608,9 @@ class RingMap:
         return term, self._exps[idx], self._coeffs[idx]
 
     def apply_all(self, polys) -> list:
-        """The images of polys, in order, from one `_merge` of the batch."""
+        """The images of polys, in order, merged in runs of consecutive
+        polynomials that gather at most `MERGE_ROWS` memo rows: one run if the
+        batch fits, and a polynomial that alone gathers more goes by itself."""
         polys = list(polys)
         owners, monos, coeffs = [], [], []
         for k, p in enumerate(polys):
@@ -621,14 +627,26 @@ class RingMap:
         terms = np.array([(k,) + self.memo[m[2:]] + m[:2]
                           for k, m in zip(owners, monos)],
                          dtype=np.int64).reshape(-1, 5)
-        owner, exps, coeffs = self._merge(terms[:, 0], terms[:, 1:3],
-                                          self._coeff_array(coeffs),
-                                          terms[:, 3:])
-        bounds = np.searchsorted(owner, np.arange(len(polys) + 1)).tolist()
-        monos = list(map(tuple, exps.tolist()))
-        coeffs = coeffs.tolist()
-        return [Poly(self.target, dict(zip(monos[a:b], coeffs[a:b])))
-                for a, b in zip(bounds, bounds[1:])]
+        coeffs = self._coeff_array(coeffs)
+        rows = terms[:, 2] - terms[:, 1]
+        cuts, size = [0], 0             # the runs' first polynomials
+        if rows.sum() > MERGE_ROWS:
+            for k, n in enumerate(np.bincount(terms[:, 0], rows, len(polys))):
+                if size and size + n > MERGE_ROWS:
+                    cuts.append(k)
+                    size = 0
+                size += n
+        images = []
+        for first, stop in pairwise(cuts + [len(polys)]):
+            run = slice(bisect_left(owners, first), bisect_left(owners, stop))
+            owner, exps, sums = self._merge(terms[run, 0], terms[run, 1:3],
+                                            coeffs[run], terms[run, 3:])
+            bounds = np.searchsorted(owner, np.arange(first, stop + 1))
+            monos = list(map(tuple, exps.tolist()))
+            sums = sums.tolist()
+            images += [Poly(self.target, dict(zip(monos[a:b], sums[a:b])))
+                       for a, b in pairwise(bounds.tolist())]
+        return images
 
     def __call__(self, p: Poly) -> Poly:
         return self.apply_all([p])[0]

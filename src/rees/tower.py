@@ -147,7 +147,8 @@ def evaluation_membership(inp: PresentationInput, polys) -> list:
     This is exact membership in the full defining ideal of the Rees algebra,
     checked by plain polynomial expansion in k[x0,x1,y] -- no basis
     computation involved, so it cross-checks every other engine.  All polys
-    go through one map in one batch, so each T-monomial is expanded once.
+    go through one map, so each T-monomial is expanded once, and the map
+    bounds the memo rows each of its merges gathers (`ring.MERGE_ROWS`).
     """
     target = PolyRing(inp.field, ("y",), (0,))
     y = target.var("y")

@@ -4,7 +4,7 @@ import json
 import pytest
 
 from conftest import fixture_path
-from rees import gradedlin
+from rees import generators, gradedlin, ring
 from rees.cli import load_instance
 from rees.field import RationalField
 from rees.gradedlin import piece_basis, piece_dim
@@ -251,13 +251,24 @@ class _PlantedMap(RingMap):
         return out
 
 
-def test_a_planted_recursion_fault_fails_only_its_own_certificate(table2):
-    # the family's coordinate changes run as one batch; a coefficient changed
-    # in one record must fail that record's certificate and no other
+def test_a_planted_recursion_fault_fails_only_its_own_certificate(
+        table2, monkeypatch):
+    # the family's coordinate changes run as one batch and its certificates
+    # as one `apply_all`, in several merges under the small bound; a
+    # coefficient changed in one record must fail that record's certificate
+    # and no other
+    for merge_rows in (ring.MERGE_ROWS, 64):
+        monkeypatch.setattr(ring, "MERGE_ROWS", merge_rows)
+        _planted_recursion_faults(table2)
+
+
+def _planted_recursion_faults(table2):
     level = build_level(table2, 1)
     g2 = sym_equations(table2)[1]
     clean = recursion_generators(level, g2)
     assert len(clean) > 3 and all(rec.certificate_ok for rec in clean)
+    assert sum(stop - start for rec in clean for m in rec.poly.terms
+               for start, stop in [level.subst_raw.memo[m[2:]]]) > 64
     for at in (1, len(clean) - 1):
         planted = _PlantedMap(level.to_original_coords.images,
                               level.to_original_coords.target)
@@ -268,6 +279,36 @@ def test_a_planted_recursion_fault_fails_only_its_own_certificate(table2):
             [rec.bidegree for rec in clean]
         assert [rec.certificate_ok for rec in records] == \
             [k != at for k in range(len(clean))]
+
+
+@pytest.mark.parametrize("family", ["sym-equation", "first-equation-multiple",
+                                    "scroll"])
+def test_a_planted_vanishing_fault_fails_only_its_own_certificate(
+        family, almost_linear, table1, monkeypatch):
+    # one coefficient changed in one record of a family whose hull image
+    # must vanish fails that record's certificate and no other
+    make = {"sym-equation": lambda: tower_generators(almost_linear, 2),
+            "first-equation-multiple": lambda: slice_generators(table1, 5),
+            "scroll": lambda: almost_linear_generators(almost_linear)}[family]
+    clean = make()
+    members = [k for k, rec in enumerate(clean)
+               if rec.certificate == "hull image vanishes"]
+    assert len(members) > 1 and all(rec.certificate_ok for rec in clean)
+    assert {clean[k].provenance for k in members} <= {family, "slice"}
+    assert all(clean[k].detail.get("part", family) == family for k in members)
+    real = generators._hull_image_records
+    for at in (0, len(members) - 1):
+        def planted(level, polys, expected, keys, provenance, certificate):
+            polys = list(polys)
+            if certificate == "hull image vanishes":
+                polys[at] = _bump_one_coefficient(polys[at])
+            return real(level, polys, expected, keys, provenance, certificate)
+
+        monkeypatch.setattr(generators, "_hull_image_records", planted)
+        records = make()
+        monkeypatch.setattr(generators, "_hull_image_records", real)
+        assert [rec.certificate_ok for rec in records] == \
+            [k != members[at] for k in range(len(clean))]
 
 
 def test_a_planted_slice_preimage_fault_fails_the_preimage_check(

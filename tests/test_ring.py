@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from rees import ring
 from rees.field import PrimeField, RationalField
 from rees.ring import (
     GradingError,
@@ -352,8 +353,42 @@ def test_apply_all_equals_the_one_polynomial_calls(case):
     assert RingMap(images, target).apply_all([]) == []
 
 
+def _gathered(ring_map, p):
+    """The memo rows the terms of p gather through ring_map."""
+    return sum(stop - start for start, stop in
+               (ring_map.memo[m[2:]] for m in p.terms))
+
+
+def _merge_spy(monkeypatch):
+    """The rows each `RingMap._merge` of an `apply_all` gathers, with the
+    rows per polynomial: (total, {owner: rows}); merges inside `fill` are
+    left out."""
+    merges, filling = [], []
+    real_merge, real_fill = RingMap._merge, RingMap.fill
+
+    def merge(self, owner, spans, coeffs, shifts):
+        if not filling:
+            rows = {}
+            for k, (start, stop) in zip(owner.tolist(), spans.tolist()):
+                rows[k] = rows.get(k, 0) + stop - start
+            merges.append((sum(rows.values()), rows))
+        return real_merge(self, owner, spans, coeffs, shifts)
+
+    def fill(self, texps):
+        filling.append(1)
+        try:
+            return real_fill(self, texps)
+        finally:
+            filling.pop()
+
+    monkeypatch.setattr(RingMap, "_merge", merge)
+    monkeypatch.setattr(RingMap, "fill", fill)
+    return merges
+
+
 @pytest.mark.parametrize("field", [F7, F, P31, Q], ids=str)
-def test_apply_all_batches_zero_and_mixed_degree_polynomials(field):
+def test_apply_all_batches_zero_and_mixed_degree_polynomials(
+        field, monkeypatch):
     S = ring_S(field, 2)
     W = ring_scroll(field, (1, 0))
     # images and polynomials of mixed x-degree, built from their terms
@@ -363,13 +398,50 @@ def test_apply_all_batches_zero_and_mixed_degree_polynomials(field):
              S.from_terms({(2, 0, 2, 0): 1, (1, 1, 1, 1): -5, (0, 0, 0, 2): 1}),
              S.zero(),
              S.from_terms({(0, 1, 0, 3): 1, (3, 0, 1, 0): 2}),
-             S.one()]
+             S.one(),
+             S.from_terms({(0, 0, 3, 0): 2, (0, 0, 1, 2): -1, (1, 0, 0, 3): 1})]
     ring_map = RingMap(images, W)
     batch = ring_map.apply_all(polys)
     assert batch == [substitute_per_term(p, images, W) for p in polys]
     assert batch == [RingMap(images, W)(p) for p in polys]
     assert batch[0] == batch[2] == W.zero() and batch[4] == W.one()
     assert ring_map.apply_all([]) == []
+    # merged in runs of at most MERGE_ROWS gathered rows, the batch gives
+    # the same images; the cubic alone gathers more than every bound but
+    # the last and goes by itself
+    rows = [_gathered(ring_map, p) for p in polys]
+    assert max(rows) > 12 and sum(rows) < ring.MERGE_ROWS
+    merges = _merge_spy(monkeypatch)
+    for bound in (1, 5, 12, ring.MERGE_ROWS):
+        monkeypatch.setattr(ring, "MERGE_ROWS", bound)
+        assert RingMap(images, W).apply_all(polys) == batch
+        assert RingMap(images, W).apply_all([]) == []
+        del merges[:]
+        assert ring_map.apply_all(polys) == batch
+        assert sum(total for total, _ in merges) == sum(rows)
+        assert all(total <= bound or len(per_poly) == 1
+                   for total, per_poly in merges)
+        assert (len(merges) == 1) == (sum(rows) <= bound)
+
+
+def test_evaluation_merges_stay_within_the_bound(table2, monkeypatch):
+    # evaluating table2's records gathers 891 memo rows, which one merge held
+    # before the bound; no merge may gather more than the bound or, where
+    # one record alone gathers more, that record's rows
+    from rees.generators import tower_generators
+    from rees.tower import evaluation_membership
+
+    bound = 64
+    monkeypatch.setattr(ring, "MERGE_ROWS", bound)
+    polys = [rec.poly for rec in tower_generators(table2, 1)]
+    merges = _merge_spy(monkeypatch)
+    assert all(evaluation_membership(table2, polys))
+    largest = max(rows for _, per_poly in merges
+                  for rows in per_poly.values())
+    assert sum(total for total, _ in merges) > max(bound, largest)
+    assert all(total <= max(bound, largest) for total, _ in merges)
+    assert all(total <= bound or len(per_poly) == 1
+               for total, per_poly in merges)
 
 
 def test_products_near_the_largest_modulus_are_reduced_before_summing():

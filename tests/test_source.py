@@ -85,6 +85,21 @@ def test_ring_map_images_are_read_only_by_the_row_writer():
     assert not found, f"RingMap.image called outside the row writer: {found}"
 
 
+def test_only_ring_reads_a_ring_maps_memo():
+    # a ring map bounds its own merges, so callers hand it whole families
+    # and never size batches from its memo layout
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "ring.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if (isinstance(node, ast.Attribute) and node.attr == "memo")
+                  or (isinstance(node, ast.Call) and _name(node.func) == "fill"
+                      and isinstance(node.func, ast.Attribute))]
+    assert not found, f"ring map memo read outside rees.ring: {found}"
+
+
 def test_only_load_presentation_computes_the_minors():
     # the presentation owns its minors: `load_presentation` computes them and
     # their height check once, and every later user reads `inp.minors`
