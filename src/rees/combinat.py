@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from operator import itemgetter
+from operator import itemgetter, mul
 
 
 def _check_sigma(sigma: tuple) -> tuple[tuple, int]:
@@ -39,7 +39,7 @@ def _check_sigma(sigma: tuple) -> tuple[tuple, int]:
 
 
 def weight(alpha: tuple, sigma: tuple) -> int:
-    return sum(a * v for a, v in zip(alpha, sigma))
+    return sum(map(mul, alpha, sigma))
 
 
 def _box(c: int, sigma: tuple, r: int):

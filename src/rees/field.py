@@ -82,7 +82,7 @@ class PrimeField:
         a %= self.p
         if a == 0:
             raise ZeroDivisionError(f"0 is not invertible in F_{self.p}")
-        return pow(a, self.p - 2, self.p)
+        return pow(a, -1, self.p)
 
     def neg(self, a):
         return -a % self.p

@@ -35,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 
 from . import combinat, gradedlin, linalg
-from .ring import Poly, RingMap, bidegree, promote
+from .ring import Poly, RingMap, bidegree, dot, promote
 from .syzygy import scroll_matrix, scroll_realization_images
 from .tower import (PresentationInput, TowerLevel, build_level, sym_equations)
 
@@ -123,10 +123,7 @@ def recursion_generators(level: TowerLevel, g_next: Poly,
                 raise ArithmeticError(
                     "recursion step unsolvable: multiplication scalars do not "
                     "reach the previous polynomial")
-            h = S.zero()
-            for a_j, q_j in zip(coeffs, level.mult_forms[i]):
-                if not a_j.is_zero():
-                    h = h + a_j * q_j
+            h = dot(zip(coeffs, level.mult_forms[i]), S)
             detail = {"pivot": i + 1}
         hs[alpha] = h
         keys.append((alpha, detail))

@@ -22,13 +22,13 @@ written from the map's array memo.
 from __future__ import annotations
 
 from functools import lru_cache
-from operator import add
+from operator import add, mul
 
 import numpy as np
 
 from . import linalg
-from .ring import (GradingError, Poly, PolyRing, RingMap, bidegree, print_key,
-                   ring_R)
+from .ring import (GradingError, Poly, PolyRing, RingMap, bidegree, dot,
+                   print_key, ring_R)
 
 
 @lru_cache(maxsize=4096)
@@ -52,7 +52,7 @@ def piece_monomials(ring: PolyRing, xdeg: int, tdeg: int):
                 yield (e,) + rest
 
     for te in texps(tdeg, tvars):
-        xdeg_needed = xdeg - sum(e * w for e, w in zip(te, ring.tweights))
+        xdeg_needed = xdeg - sum(map(mul, te, ring.tweights))
         if xdeg_needed < 0:
             continue
         for a1 in range(xdeg_needed + 1):
@@ -183,6 +183,6 @@ def solve_combination(target: Poly, gens, ring: PolyRing):
                                for j, c in sol.items()
                                if k <= j < k + len(monos)}))
         k += len(monos)
-    if sum((a * g for a, g in zip(out, gens)), ring.zero()) != target:
+    if dot(zip(out, gens), ring) != target:
         raise ArithmeticError("internal error: combination failed to re-expand")
     return out

@@ -22,13 +22,17 @@ shifted, so the same loop serves exponent tuples (`shifted` forms them; a zero
 shift passes g's own keys) and the oracle's packed one-int monomials, where a
 shift is one int add.  Every `Poly` operation (add, subtract, negate, scale,
 multiply), the parser and the oracle's reduction and S-polynomials call it.
+`dot` is the one sum of products: sum a * b over its pairs, built in one terms
+dict with one kernel call per term of each product's shorter factor; a `Poly`
+product is its one-pair form.
 
 `RingMap` holds the one T-substitution, and applies it through arrays.  A ring
 map given by a matrix -- the hull substitution T_j -> sum_i xi[i][j] w_i, a
 constant change of T-coordinates, or the evaluation T_i -> y * f_i -- is built
 once from its images (`linear_images` returns a matrix's), memoizes the image
 of each T-monomial once as integer arrays, and applies to a whole batch of
-polynomials with one gather, one sort and one `reduceat` per `MERGE_ROWS` rows.
+polynomials with one gather, one sort and one `reduceat` per `MERGE_ROWS` rows;
+its memo fills in runs of the same bound.
 """
 from __future__ import annotations
 
@@ -38,11 +42,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, pairwise
 from math import prod
-from operator import add
+from operator import add, mul, neg
 
 import numpy as np
 
-MERGE_ROWS = 1 << 14    # memo rows per merge of `RingMap.apply_all`, at most
+MERGE_ROWS = 1 << 14    # memo rows per merge of a `RingMap`, at most
 
 
 class ParseError(ValueError):
@@ -154,7 +158,28 @@ def shifted(terms: dict, shift: tuple) -> list:
 
 def print_key(exps):
     # Degree-reverse-lexicographic with x0 > x1 > T1 > ... (or w1 > ...).
-    return (sum(exps), tuple(-e for e in reversed(exps)))
+    return (sum(exps), tuple(map(neg, reversed(exps))))
+
+
+def dot(pairs, ring: PolyRing) -> "Poly":
+    """sum a * b over the (a, b) pairs, built in one terms dict.
+
+    The one sum of products: each product makes one `sub_multiple` call per
+    term of its shorter factor, shifting the longer one, and every product
+    lands in the same dict, so no intermediate polynomial is formed.  Raises
+    ValueError for a factor outside `ring`.
+    """
+    p = ring.field.modulus
+    out = {}
+    for a, b in pairs:
+        for f in (a, b):
+            if f.ring is not ring and f.ring != ring:
+                raise ValueError("polynomials live in different rings")
+        if len(a.terms) > len(b.terms):
+            a, b = b, a
+        for m, c in a.terms.items():
+            sub_multiple(out, -c, shifted(b.terms, m), b.terms.values(), p)
+    return Poly(ring, out)
 
 
 class Poly:
@@ -169,12 +194,12 @@ class Poly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def monomial_xdeg(self, m) -> int:
-        w = self.ring.tweights
-        return m[0] + m[1] + sum(e * wi for e, wi in zip(m[2:], w))
-
     def xdeg(self):
-        degs = {self.monomial_xdeg(mm) for mm in self.terms}
+        w = self.ring.tweights
+        if any(w):
+            degs = {m[0] + m[1] + sum(map(mul, m[2:], w)) for m in self.terms}
+        else:
+            degs = {m[0] + m[1] for m in self.terms}
         if len(degs) != 1:
             raise GradingError("x-degree undefined: polynomial is zero or mixed")
         return degs.pop()
@@ -207,13 +232,10 @@ class Poly:
 
     # -- arithmetic --------------------------------------------------------
 
-    def _check(self, other):
-        if self.ring != other.ring:
-            raise ValueError("polynomials live in different rings")
-
     def _minus(self, c, other):
         """self - c * other, through the one kernel."""
-        self._check(other)
+        if other.ring is not self.ring and other.ring != self.ring:
+            raise ValueError("polynomials live in different rings")
         out = dict(self.terms)
         sub_multiple(out, c, other.terms, other.terms.values(),
                      self.ring.field.modulus)
@@ -234,13 +256,7 @@ class Poly:
     def __mul__(self, other):
         if not isinstance(other, Poly):
             return self.scale(other)
-        self._check(other)
-        p = self.ring.field.modulus
-        out = {}
-        for m, c in self.terms.items():
-            sub_multiple(out, -c, shifted(other.terms, m),
-                         other.terms.values(), p)
-        return Poly(self.ring, out)
+        return dot([(self, other)], self.ring)
 
     __rmul__ = __mul__
 
@@ -473,8 +489,8 @@ class RingMap:
     x-homogeneous) and its coefficient, and `memo` maps b to its rows'
     slice.  `fill` forms new entries a T-degree at a time, the image of T_j
     times the entry of T^(b - e_j) for j the last variable of T^b, through
-    the kernel that applies the map, and `image` reads a batch of entries
-    for `gradedlin.image_rows`.
+    the kernel that applies the map, in runs of `MERGE_ROWS` gathered rows,
+    and `image` reads a batch of entries for `gradedlin.image_rows`.
 
     `apply_all` is the one apply routine: every term c x^a T^b of every
     polynomial of the batch gathers b's rows, shifted by x^a and scaled by
@@ -528,10 +544,11 @@ class RingMap:
         monomial, with equal monomials merged and zero sums dropped.  A shift
         gives the leading exponents, x0 and x1, and the T-part if it has one.
 
-        A gathered row is held as four ints (its term, its memo row, its
-        key and its product), not as an exponent tuple: the key reads the
-        owner and the exponents as digits, each in the radix one past its
-        largest value, and exponents are read back for the merged rows only.
+        A gathered row's exponents are read once, into its key, which reads
+        the owner and the exponents as digits, each in the radix one past
+        its largest value.  From there a row is held as four ints (its term,
+        its memo row, its key and its product), and exponents are read back
+        for the merged rows only.
         """
         mod = self.target.field.modulus
         term, idx = self._rows(spans)
@@ -545,8 +562,9 @@ class RingMap:
             raise OverflowError("monomial keys do not fit in int64")
         weights = np.array([prod(radices[i:]) for i in range(2, len(radices))]
                            + [1], dtype=np.int64)
-        key = ((self._exps @ weights)[idx]
-               + (owner * prod(radices[1:]) + shifts @ weights[:lead])[term])
+        # `take`: about half the time of indexing `self._exps[idx]`
+        key = self._exps.take(idx, axis=0) @ weights
+        key += (owner * prod(radices[1:]) + shifts @ weights[:lead])[term]
         products = self._coeffs[idx] * coeffs[term]
         if mod is not None:
             products %= mod
@@ -566,8 +584,8 @@ class RingMap:
         return owner[term], exps, sums[live]
 
     def fill(self, texps):
-        """Memo entries for every T-exponent tuple of texps, one `_merge` per
-        T-degree."""
+        """Memo entries for every T-exponent tuple of texps, a T-degree at a
+        time, merged in runs of consecutive entries as `_runs` cuts them."""
         need = {}
         for b in set(texps).difference(self.memo):
             while b not in self.memo and b not in need:
@@ -583,17 +601,25 @@ class RingMap:
                 self.memo.update((b, self._units[j]) for b, j, _ in batch)
                 continue
             # each row of the image of T_j, as a term, acts on T^(b - e_j)
-            unit, idx = self._rows(np.array(
-                [self._units[j] for _, j, _ in batch], dtype=np.int64))
+            units = np.array([self._units[j] for _, j, _ in batch],
+                             dtype=np.int64)
             prevs = np.array([self.memo[prev] for _, _, prev in batch],
                              dtype=np.int64)
-            owner, exps, coeffs = self._merge(
-                unit, prevs[unit], self._coeffs[idx], self._exps[idx])
-            bounds = (len(self._coeffs) + np.searchsorted(
-                owner, np.arange(len(batch) + 1))).tolist()
-            self._exps = np.concatenate((self._exps, exps))
-            self._coeffs = np.concatenate((self._coeffs, coeffs))
-            self._top = np.maximum(self._top, exps.max(axis=0, initial=0))
+            rows = np.diff(units).ravel() * np.diff(prevs).ravel()
+            start, exps, coeffs, lens = len(self._coeffs), [], [], []
+            for first, stop in _runs(rows.tolist()):
+                unit, idx = self._rows(units[first:stop])
+                owner, run_exps, run_coeffs = self._merge(
+                    unit, prevs[first:stop][unit], self._coeffs[idx],
+                    self._exps[idx])
+                exps.append(run_exps)
+                coeffs.append(run_coeffs)
+                lens += np.bincount(owner, minlength=stop - first).tolist()
+            self._exps = np.concatenate([self._exps] + exps)
+            self._coeffs = np.concatenate([self._coeffs] + coeffs)
+            self._top = np.maximum(self._top,
+                                   self._exps[start:].max(axis=0, initial=0))
+            bounds = list(accumulate(lens, initial=start))
             self.memo.update((b, (bounds[k], bounds[k + 1]))
                              for k, (b, _, _) in enumerate(batch))
 
@@ -628,16 +654,9 @@ class RingMap:
                           for k, m in zip(owners, monos)],
                          dtype=np.int64).reshape(-1, 5)
         coeffs = self._coeff_array(coeffs)
-        rows = terms[:, 2] - terms[:, 1]
-        cuts, size = [0], 0             # the runs' first polynomials
-        if rows.sum() > MERGE_ROWS:
-            for k, n in enumerate(np.bincount(terms[:, 0], rows, len(polys))):
-                if size and size + n > MERGE_ROWS:
-                    cuts.append(k)
-                    size = 0
-                size += n
+        rows = np.bincount(terms[:, 0], terms[:, 2] - terms[:, 1], len(polys))
         images = []
-        for first, stop in pairwise(cuts + [len(polys)]):
+        for first, stop in _runs(rows.astype(np.int64).tolist()):
             run = slice(bisect_left(owners, first), bisect_left(owners, stop))
             owner, exps, sums = self._merge(terms[run, 0], terms[run, 1:3],
                                             coeffs[run], terms[run, 3:])
@@ -650,6 +669,20 @@ class RingMap:
 
     def __call__(self, p: Poly) -> Poly:
         return self.apply_all([p])[0]
+
+
+def _runs(sizes) -> list:
+    """(first, stop) of each run of consecutive items whose sizes sum to at
+    most `MERGE_ROWS`: one run if they all fit, and an item that alone is
+    larger makes a run by itself."""
+    cuts, total = [0], 0
+    if sum(sizes) > MERGE_ROWS:
+        for k, n in enumerate(sizes):
+            if total and total + n > MERGE_ROWS:
+                cuts.append(k)
+                total = 0
+            total += n
+    return list(pairwise(cuts + [len(sizes)]))
 
 
 def linear_images(rows, target: PolyRing) -> tuple:

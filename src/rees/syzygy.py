@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import gradedlin, linalg
-from .ring import GradingError, Poly, PolyRing, RingMap, linear_images
+from .ring import GradingError, Poly, PolyRing, RingMap, dot, linear_images
 
 
 class HeightError(ValueError):
@@ -98,7 +98,7 @@ def matrix_from_rows(ring: PolyRing, rows, col_degrees, row_twists=None) -> Grad
 # -- products, determinants and minors ---------------------------------------
 
 def matrix_product(A, B, ring: PolyRing) -> tuple:
-    """The rows of A * B over `ring`.
+    """The rows of A * B over `ring`, each entry one `dot`.
 
     Entries of A and B are polynomials of `ring` or field scalars; a scalar c
     stands for the constant polynomial c.
@@ -107,8 +107,8 @@ def matrix_product(A, B, ring: PolyRing) -> tuple:
         return [e if isinstance(e, Poly) else ring.one().scale(e) for e in row]
 
     A, B = [lift(row) for row in A], [lift(row) for row in B]
-    return tuple(tuple(sum((a * b for a, b in zip(row, col)), ring.zero())
-                       for col in zip(*B)) for row in A)
+    return tuple(tuple(dot(zip(row, col), ring) for col in zip(*B))
+                 for row in A)
 
 
 def determinant(rows) -> Poly:
@@ -124,14 +124,10 @@ def determinant(rows) -> Poly:
         got = memo.get(key)
         if got is not None:
             return got
-        acc = ring.zero()
-        for pos, i in enumerate(row_idx):
-            e = rows[i][col]
-            if e.is_zero():
-                continue
-            sub = minor(row_idx[:pos] + row_idx[pos + 1:], col + 1)
-            term = e * sub
-            acc = acc + (term if pos % 2 == 0 else -term)
+        acc = dot([(-e if pos % 2 else e,
+                    minor(row_idx[:pos] + row_idx[pos + 1:], col + 1))
+                   for pos, e in enumerate(rows[i][col] for i in row_idx)
+                   if not e.is_zero()], ring)
         memo[key] = acc
         return acc
 

@@ -310,9 +310,8 @@ def hull_quotient_hilbert(level: TowerLevel):
         return t + 1 if t >= 0 else 0
 
     def H(i):
-        val = sum(dim_R(i + sk) for sk in sigma)
-        val -= n * dim_R(i)
-        val += sum(dim_R(i - d) for d in degs)
+        val = (sum(dim_R(i + sk) for sk in sigma) - n * dim_R(i)
+               + sum(dim_R(i - d) for d in degs))
         return max(val, 0)
 
     return H

@@ -28,8 +28,9 @@ def test_prime_field_coercions():
     F = PrimeField(13)
     assert F("11") == 11
     assert F(Fraction(1, 2)) == F.inv(2)
-    with pytest.raises(ZeroDivisionError):
-        F.inv(0)
+    for zero in (0, 13, -26):
+        with pytest.raises(ZeroDivisionError):
+            F.inv(zero)
 
 
 @pytest.mark.parametrize("bad", [0, 1, 4, 6, 9, 100])
@@ -75,3 +76,4 @@ def test_field_json_round_trip():
 def test_inverse_is_two_sided_mod_32003(a):
     F = PrimeField(32003)
     assert a * F.inv(a) % 32003 == 1
+    assert F.inv(a) == pow(a, 32001, 32003) == F.inv(a - 32003)

@@ -12,6 +12,7 @@ from rees.ring import (
     PolyRing,
     RingMap,
     bidegree,
+    dot,
     linear_images,
     parse_poly,
     poly_to_str,
@@ -263,6 +264,70 @@ def test_ring_axioms_on_homogeneous_pieces(triple):
     assert p.scale(0).is_zero() and (p - p).is_zero()
 
 
+@st.composite
+def product_sums(draw):
+    """1-4 pairs of one ring over F_32003, F_7 or Q, with a short and a long
+    factor either way round, and possibly a pair that cancels another."""
+    field = draw(st.sampled_from([F, F7, Q]))
+    ring = draw(st.sampled_from([ring_R(field), ring_S(field, 2)]))
+    coeff = st.sampled_from([1, -1, 2, -3, Fraction(1, 2)]).map(field)
+    k = len(ring.tvar_names)
+
+    def poly(size):
+        terms = {}
+        for _ in range(size):
+            m = draw(st.tuples(*[st.integers(0, 3)] * (2 + k)))
+            terms[m] = draw(coeff)
+        return Poly(ring, terms)
+
+    pairs = []
+    for _ in range(draw(st.integers(1, 4))):
+        a, b = poly(draw(st.integers(0, 2))), poly(draw(st.integers(3, 7)))
+        pairs.append((b, a) if draw(st.booleans()) else (a, b))
+    if draw(st.booleans()):
+        a, b = draw(st.sampled_from(pairs))
+        pairs.append((-a, b) if draw(st.booleans()) else (b, -a))
+    return ring, pairs
+
+
+@given(product_sums())
+@settings(max_examples=150, deadline=None)
+def test_dot_is_the_sum_of_its_products(case):
+    ring, pairs = case
+    want = sum((naive_product(a, b) for a, b in pairs), ring.zero())
+    assert dot(pairs, ring) == want
+    assert dot(iter(pairs), ring) == want
+    assert pairs[0][0] * pairs[0][1] == naive_product(*pairs[0])
+    assert dot(pairs + [(-a, b) for a, b in pairs], ring).is_zero()
+    assert dot([], ring) == ring.zero()
+
+
+def test_a_product_loops_over_its_shorter_factor(monkeypatch):
+    # one kernel call per term of the two-term factor, either way round
+    long = parse_poly("x0^3 + x0^2*x1 + x0*x1^2 + x1^3", R)
+    short = parse_poly("x0 - x1", R)
+    want = parse_poly("x0^4 - x1^4", R)
+    calls = []
+    real = ring.sub_multiple
+    monkeypatch.setattr(ring, "sub_multiple",
+                        lambda *args: calls.append(1) or real(*args))
+    assert long * short == short * long == want
+    assert len(calls) == 4
+
+
+def test_dot_rejects_a_factor_from_another_ring():
+    p = parse_poly("x0 + 2*x1", R)
+    for other in (parse_poly("T1", S3), parse_poly("x0", ring_R(F7))):
+        with pytest.raises(ValueError, match="different rings"):
+            p * other
+        with pytest.raises(ValueError, match="different rings"):
+            other * p
+        with pytest.raises(ValueError, match="different rings"):
+            dot([(p, p), (p, other)], R)
+        with pytest.raises(ValueError, match="different rings"):
+            dot([(other, other)], R)
+
+
 @given(small_base_polys())
 @settings(max_examples=60)
 def test_print_parse_round_trip(p):
@@ -359,15 +424,15 @@ def _gathered(ring_map, p):
                (ring_map.memo[m[2:]] for m in p.terms))
 
 
-def _merge_spy(monkeypatch):
+def _merge_spy(monkeypatch, in_fill=False):
     """The rows each `RingMap._merge` of an `apply_all` gathers, with the
     rows per polynomial: (total, {owner: rows}); merges inside `fill` are
-    left out."""
+    left out, or with in_fill the only ones kept, with rows per entry."""
     merges, filling = [], []
     real_merge, real_fill = RingMap._merge, RingMap.fill
 
     def merge(self, owner, spans, coeffs, shifts):
-        if not filling:
+        if bool(filling) == in_fill:
             rows = {}
             for k, (start, stop) in zip(owner.tolist(), spans.tolist()):
                 rows[k] = rows.get(k, 0) + stop - start
@@ -442,6 +507,28 @@ def test_evaluation_merges_stay_within_the_bound(table2, monkeypatch):
     assert all(total <= max(bound, largest) for total, _ in merges)
     assert all(total <= bound or len(per_poly) == 1
                for total, per_poly in merges)
+
+
+def test_fill_merges_stay_within_the_bound(table2, monkeypatch):
+    # one T-degree of the evaluation map's memo is filled in runs of
+    # entries that gather at most the bound, an entry that alone gathers
+    # more by itself, and the images do not depend on the bound
+    from rees.generators import tower_generators
+
+    target = PolyRing(F, ("y",), (0,))
+    y = target.var("y")
+    images = [promote(f, target) * y for f in table2.minors]
+    polys = [rec.poly for rec in tower_generators(table2, 1)]
+    want = RingMap(images, target).apply_all(polys)
+    degrees = {sum(m[2:]) for p in polys for m in p.terms}
+    merges = _merge_spy(monkeypatch, in_fill=True)
+    for bound in (1, 5, 64):
+        monkeypatch.setattr(ring, "MERGE_ROWS", bound)
+        del merges[:]
+        assert RingMap(images, target).apply_all(polys) == want
+        assert len(merges) > len(degrees)
+        assert all(total <= bound or len(per_entry) == 1
+                   for total, per_entry in merges)
 
 
 def test_products_near_the_largest_modulus_are_reduced_before_summing():

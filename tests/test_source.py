@@ -177,6 +177,47 @@ def test_linalg_coerces_no_entry():
     assert not found, f"field coercions in src/rees/linalg.py: {found}"
 
 
+def _product(node):
+    # `a * b`, but not a list display repeated, as in `[k] * n`
+    return (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult)
+            and not isinstance(node.left, ast.List))
+
+
+def _accumulates(node):
+    # `x = x + ...` or `x = x - ...`, or `x += a * b` or `x -= a * b`: `Poly`
+    # has no `__iadd__`, so each is a copy of x per step
+    if isinstance(node, ast.AugAssign):
+        return (isinstance(node.target, ast.Name)
+                and isinstance(node.op, (ast.Add, ast.Sub))
+                and _product(node.value))
+    return (isinstance(node, ast.Assign) and len(node.targets) == 1
+            and isinstance(node.targets[0], ast.Name)
+            and isinstance(node.value, ast.BinOp)
+            and isinstance(node.value.op, (ast.Add, ast.Sub))
+            and isinstance(node.value.left, ast.Name)
+            and node.value.left.id == node.targets[0].id)
+
+
+def _sums_products(node):
+    # `sum(a * b for ...)`: integer dot products read `sum(map(mul, ...))`
+    return (isinstance(node, ast.Call) and _name(node.func) == "sum"
+            and bool(node.args)
+            and isinstance(node.args[0], (ast.GeneratorExp, ast.ListComp))
+            and _product(node.args[0].elt))
+
+
+def test_dot_is_the_one_sum_of_products():
+    # `ring.dot` builds a sum of products in one terms dict; a `sum` over
+    # products or an accumulator rebound to itself plus a term copies the
+    # whole sum once per term
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if _accumulates(node) or _sums_products(node)]
+    assert not found, f"sums of products outside ring.dot in src/rees: {found}"
+
+
 def test_every_exported_name_resolves():
     # a deletion that leaves a stale `__all__` entry breaks `from rees import *`
     missing = [name for name in rees.__all__ if not hasattr(rees, name)]
